@@ -3,12 +3,12 @@ then pick the final rule set with a small branch-and-bound over the pool.
 
 The loop alternates between solving the restricted master LP over the pool
 (warm-started from the previous basis) and pricing new clauses against its
-duals.  Instance size decides the pricing strategy: small and medium
-problems run the exact search, large ones price on a row/feature sample
-first.  Whenever the exact search finishes, or times out with a usable
-bound, the dual information yields a certified lower bound on the best
-achievable training loss; those certificates are kept across iterations and
-reported with the final model.
+duals.  Instance size decides the pricing strategy: a "small" instance runs
+the exact search on the full data, a "large" one (pricing nnz above
+`large_nnz`) prices on a row/feature sample first.  Whenever the exact
+search finishes, or times out with a usable bound, the dual information
+yields a certified lower bound on the best achievable training loss; those
+certificates are kept across iterations and reported with the final model.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import BinaryDataset
-from .lp_engine import AT_LOWER, BASIC, solve_restricted_mlp
+from .lp_engine import solve_restricted_mlp
 from .pricing import (
     NEGATIVE_EPS,
     DualContext,
-    classify_regime,
     price_exact,
     price_greedy,
     restrict_pricing,
@@ -45,9 +44,12 @@ class ColGenConfig:
 
     complexity_bound is the total complexity budget C; clause_bound caps
     features per clause and defaults to C - 1 (a larger clause could never
-    fit the budget anyway).  Time limits are wall-clock seconds: the overall
-    limit covers the whole loop including the final integer solve, the
-    pricing limit applies to each exact pricing call.
+    fit the budget anyway).  kappa caps the greedy pricer's clause size.
+    Time limits are wall-clock seconds: the overall limit covers the whole
+    loop including the final integer solve, which gets whatever time is
+    left; the pricing limit applies to each exact pricing call.  At most
+    max_columns clauses enter the pool per round.  An instance whose
+    pricing nnz exceeds large_nnz prices on samples and certifies nothing.
     """
 
     complexity_bound: int
@@ -55,13 +57,7 @@ class ColGenConfig:
     kappa: int = 5
     time_limit: float = 300.0
     pricing_time_limit: float = 45.0
-    mip_time_limit: float | None = None
     max_columns: int = 10
-    max_returned: int = 10
-    greedy_evals: int = 50000
-    sample_target: int = 2000
-    restricted_nnz_cap: int = 100000
-    small_nnz: int = 100000
     large_nnz: int = 1000000
     seed: int = 0
 
@@ -144,18 +140,6 @@ def reduced_cost_dense(X, y, mu, lam, features) -> float:
             - float(np.asarray(mu)[cover[pos]].sum()))
 
 
-def _grow_basis(basis, n_pos: int, k_old: int, k_new: int):
-    """Remap a master basis after appending k_new clause columns: slack
-    indices shift right, new columns start at their lower bound."""
-    bidx, vstat = basis
-    cut = n_pos + k_old
-    bidx2 = np.where(bidx < cut, bidx, bidx + k_new)
-    vstat2 = np.full(len(vstat) + k_new, AT_LOWER, dtype=vstat.dtype)
-    vstat2[:cut] = vstat[:cut]
-    vstat2[cut + k_new:] = vstat[cut:]
-    return bidx2, vstat2
-
-
 @dataclass
 class MIPResult:
     objective: int
@@ -166,19 +150,6 @@ class MIPResult:
     elapsed: float
 
 
-def _node_start_basis(pos_cover, w_lower):
-    """Feasible start basis for a node LP with some w fixed to 1: rows those
-    clauses already cover get their slack basic, the rest keep xi basic."""
-    n_pos, K = pos_cover.shape
-    covered = (pos_cover @ w_lower) >= 1.0 - 1e-9 if K else np.zeros(n_pos, bool)
-    n = n_pos + K
-    basic = np.where(covered, n + np.arange(n_pos), np.arange(n_pos))
-    basic = np.concatenate([basic, [n + n_pos]]).astype(np.int64)
-    vstat = np.full(n + n_pos + 1, AT_LOWER, dtype=np.int8)
-    vstat[basic] = BASIC
-    return basic, vstat
-
-
 def _selection_objective(pos_cover, neg_counts, chosen) -> int:
     if not len(chosen):
         return pos_cover.shape[0]
@@ -187,83 +158,24 @@ def _selection_objective(pos_cover, neg_counts, chosen) -> int:
     return missed + int(round(neg_counts[chosen].sum()))
 
 
-def _greedy_selection(pos_cover, neg_counts, complexities, budget,
-                      start=(), allowed=None, by_density=False) -> list:
+def _greedy_selection(pos_cover, neg_counts, complexities, budget) -> list:
     """Pick clauses one at a time by best objective drop under the budget.
 
     Each step adds the clause whose newly covered positives minus its
-    negative-side cost is largest (or largest per complexity unit, with
-    `by_density`); stops when nothing improves.  `start` fixes an initial
-    selection, `allowed` masks the candidate clauses."""
-    n_pos, K = pos_cover.shape
-    remaining = np.ones(K, dtype=bool) if allowed is None else np.asarray(allowed).copy()
-    uncovered = np.ones(n_pos, dtype=bool)
-    chosen = list(start)
+    negative-side cost is largest; stops when nothing improves.  A chosen
+    clause covers nothing new, so it never gains again."""
+    uncovered = np.ones(pos_cover.shape[0], dtype=bool)
+    chosen = []
     used = 0.0
-    for k in chosen:
-        remaining[k] = False
-        used += complexities[k]
-        uncovered &= pos_cover[:, k] < 0.5
     while True:
         gain = pos_cover[uncovered].sum(axis=0) - neg_counts
-        gain[~remaining] = -np.inf
         gain[used + complexities > budget + 1e-9] = -np.inf
-        score = gain / complexities if by_density else gain
-        score[gain <= 0] = -np.inf
-        k = int(score.argmax())
-        if gain[k] <= 0 or not np.isfinite(score[k]):
+        k = int(gain.argmax())
+        if gain[k] <= 0:
             return chosen
         chosen.append(k)
-        remaining[k] = False
         used += complexities[k]
         uncovered &= pos_cover[:, k] < 0.5
-
-
-def _polish_selection(pos_cover, neg_counts, complexities, budget, chosen) -> list:
-    """First-improvement local search: drop one chosen clause, regrow
-    greedily with the dropped clause banned, keep the result if it scores
-    better.  Repeats until no single drop helps.  Escapes the classic
-    greedy trap of a broad clause whose negative cover is sunk cost once
-    taken; banning the dropped clause keeps the regrow from walking
-    straight back into it."""
-    K = pos_cover.shape[1]
-    cur = list(chosen)
-    cur_obj = _selection_objective(pos_cover, neg_counts, cur)
-    improved = True
-    while improved:
-        improved = False
-        for k in list(cur):
-            rest = [j for j in cur if j != k]
-            mask = np.ones(K, dtype=bool)
-            mask[k] = False
-            for cand in (
-                _greedy_selection(pos_cover, neg_counts, complexities,
-                                  budget, start=rest),
-                _greedy_selection(pos_cover, neg_counts, complexities,
-                                  budget, start=rest, allowed=mask),
-            ):
-                obj = _selection_objective(pos_cover, neg_counts, cand)
-                if obj < cur_obj:
-                    cur, cur_obj = cand, obj
-                    improved = True
-                    break
-            if improved:
-                break
-    return cur
-
-
-def _heuristic_selections(pos_cover, neg_counts, complexities, budget,
-                          allowed=None) -> list:
-    """Best polished selection over both greedy flavors."""
-    best, best_obj = [], None
-    for by_density in (False, True):
-        sel = _greedy_selection(pos_cover, neg_counts, complexities, budget,
-                                allowed=allowed, by_density=by_density)
-        sel = _polish_selection(pos_cover, neg_counts, complexities, budget, sel)
-        obj = _selection_objective(pos_cover, neg_counts, sel)
-        if best_obj is None or obj < best_obj:
-            best, best_obj = sel, obj
-    return best
 
 
 def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
@@ -272,11 +184,12 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     """Best integer clause selection within the pool, by branch and bound.
 
     Branches on the most fractional clause variable (ties to the lowest
-    index), exploring the rounded direction first.  Every node seeds the
-    incumbent by greedily rounding its LP solution.  A time limit turns the
-    result into a best-effort incumbent with optimal=False.  `start` warm
-    starts the root LP, which is the same LP the column generation loop
-    solved last, so passing that loop's final basis makes the root free.
+    index), exploring the rounded direction first.  The incumbent is seeded
+    once, by a greedy selection at the root, and improves only through
+    integral node LPs.  A time limit turns the result into a best-effort
+    incumbent with optimal=False.  `start` warm starts the root LP, which is
+    the same LP the column generation loop solved last, so passing that
+    loop's final basis makes the root free.
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
@@ -299,8 +212,8 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
             best_obj = obj
             best_sel = list(chosen)
 
-    try_incumbent(_heuristic_selections(pos_cover, neg_counts, complexities,
-                                        budget))
+    try_incumbent(_greedy_selection(pos_cover, neg_counts, complexities,
+                                    budget))
 
     stack = [(np.zeros(K), np.ones(K))]
     optimal = True
@@ -312,13 +225,10 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         fixed_cost = complexities[w_lower >= 1.0].sum()
         if fixed_cost > budget + 1e-9:
             continue
-        node_start = _node_start_basis(pos_cover, w_lower)
-        if nodes == 0 and start is not None:
-            node_start = start
         ms = solve_restricted_mlp(
             pos_cover, neg_counts, complexities, budget,
-            start=node_start, w_lower=w_lower, w_upper=w_upper,
-            deadline=deadline)
+            start=start if nodes == 0 else None,
+            w_lower=w_lower, w_upper=w_upper, deadline=deadline)
         nodes += 1
         if nodes == 1:
             lp_root = ms.objective
@@ -333,12 +243,6 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
             continue
 
         w = ms.w
-        # round by regrowing greedily inside the LP support; the LP already
-        # refused clauses whose negative cover outweighs their help
-        try_incumbent(_heuristic_selections(pos_cover, neg_counts,
-                                            complexities, budget,
-                                            allowed=w > 1e-6))
-
         frac = np.abs(w - 0.5) < 0.5 - 1e-6
         if not frac.any():
             sel = [int(k) for k in np.flatnonzero(w > 0.5)]
@@ -403,7 +307,7 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
     if n_pos == 0:
         raise ValueError("training needs at least one positive sample")
     depth = cfg.depth_limit(ds.d)
-    regime = classify_regime(ds.pricing_nnz(), cfg.small_nnz, cfg.large_nnz)
+    regime = "large" if ds.pricing_nnz() > cfg.large_nnz else "small"
     budget = float(cfg.complexity_bound)
 
     basis = None
@@ -423,14 +327,14 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         if ms.status not in ("optimal", "time-limit"):
             ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
                                       budget, deadline=loop_deadline)
-        if ms.status == "time-limit":
-            # the master itself outlived the budget; keep the last finished
-            # master's value and basis and fall through to the integer stage
-            trace.append(TraceEntry(iteration, z_rmlp, math.nan, "time-up",
+        if ms.status != "optimal":
+            # the master outlived the budget or failed outright; keep the
+            # last finished master's value and basis, claim no convergence
+            # and fall through to the integer stage
+            mode = "time-up" if ms.status == "time-limit" else "master-failed"
+            trace.append(TraceEntry(iteration, z_rmlp, math.nan, mode,
                                     0, len(pool), time.perf_counter() - it_t0))
             break
-        if ms.status != "optimal":
-            raise RuntimeError(f"master LP failed with status {ms.status}")
         z_rmlp = ms.objective
         basis = ms.basis
         mu, lam = ms.mu, ms.lam
@@ -449,16 +353,12 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         # nothing and would only stall termination.
         results = []
         if regime == "large":
-            rp = restrict_pricing(ds.X, ds.y, mu, lam, depth, rng,
-                                  sample_target=cfg.sample_target,
-                                  nnz_cap=cfg.restricted_nnz_cap)
-            results.append(rp.lift(price_exact(
-                rp.ctx, time_limit=price_budget,
-                max_returned=cfg.max_returned)))
+            rp = restrict_pricing(ds.X, ds.y, mu, lam, depth, rng)
+            results.append(rp.lift(price_exact(rp.ctx,
+                                               time_limit=price_budget)))
         else:
             ctx = DualContext(ds.X, ds.y, mu, lam, depth)
             results.append(price_exact(ctx, time_limit=price_budget,
-                                       max_returned=cfg.max_returned,
                                        exclude=pool.index.keys()))
 
         # certificates: only full-data exact searches may claim a floor
@@ -492,8 +392,6 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
             if regime == "large":
                 ctx = DualContext(ds.X, ds.y, mu, lam, depth)
             results.append(price_greedy(ctx, kappa=cfg.kappa,
-                                        level_evals=cfg.greedy_evals,
-                                        max_returned=cfg.max_returned,
                                         exclude=pool.index.keys()))
             admitted = admissions()
 
@@ -502,8 +400,6 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         for feats, _ in admitted:
             if pool.add(feats):
                 added += 1
-        if added:
-            basis = _grow_basis(basis, n_pos, len(pool) - added, added)
         best_rc = min((rc for _, rc in admitted),
                       default=head.best_value)
         trace.append(TraceEntry(iteration, z_rmlp, best_rc, mode, added,
@@ -512,12 +408,9 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
             break
 
     pos_cover, neg_counts, complexities = pool.arrays()
-    elapsed = time.perf_counter() - t0
-    mip_budget = cfg.mip_time_limit
-    if mip_budget is None:
-        mip_budget = max(cfg.time_limit - elapsed, 5.0)
+    time_left = max(cfg.time_limit - (time.perf_counter() - t0), 0.0)
     mip = solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
-                               time_limit=mip_budget, start=basis)
+                               time_limit=time_left, start=basis)
     chosen = [pool.clauses[k] for k in mip.selected]
     if converged:
         ceiling = guarded_ceil(z_rmlp)
@@ -552,7 +445,8 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
     richer ones.  A second pass then re-solves every budget's integer
     selection against the full union pool and keeps whichever selection is
     better; with the larger pool the final loss can only improve or stay
-    put relative to the first pass.
+    put relative to the first pass.  Each first-pass run has its own
+    `time_limit`; the second pass shares one more.
     """
     budgets = sorted(set(int(b) for b in budgets))
     pool = ClausePool(ds)
@@ -563,13 +457,12 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
 
     points = []
     pos_cover, neg_counts, complexities = pool.arrays()
+    deadline = time.perf_counter() + cfg.time_limit
     for C in budgets:
         res = first[C]
-        mip_budget = cfg.mip_time_limit
-        if mip_budget is None:
-            mip_budget = cfg.time_limit
+        time_left = max(deadline - time.perf_counter(), 0.0)
         mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
-                                   float(C), time_limit=mip_budget)
+                                   float(C), time_limit=time_left)
         if mip.objective < res.objective:
             res = replace(res, objective=mip.objective,
                           clauses=[pool.clauses[k] for k in mip.selected],

@@ -182,22 +182,20 @@ class FoldOutcome:
     seconds: float
 
 
-def _run_cv_fold(args):
-    (table, fold_parts, fold, c_grid, form, proto, quantile_count, seed,
-     inner_folds) = args
+def _fold_outcomes(table: TypedTable, fold_parts, fold: int,
+                   fit) -> list[FoldOutcome]:
+    """Hold out one fold, train on the rest with `fit(train_rows)`, which
+    returns (training dataset, [(budget, ruleset, colgen result), ...]),
+    and score every fitted model on both sides of the split."""
     t0 = time.perf_counter()
     test_rows = fold_parts[fold]
     train_rows = np.concatenate(
         [fold_parts[f] for f in range(len(fold_parts)) if f != fold])
     train_rows.sort()
-    cfg = replace(proto, seed=seed + fold)
-    C = select_budget(table, train_rows, c_grid, form, cfg, quantile_count,
-                      inner_folds)
-    rs, res, train_ds = fit_rows(table, train_rows, form,
-                                 replace(cfg, complexity_bound=C),
-                                 quantile_count)
+    train_ds, fitted = fit(train_rows)
     ds_test = fold_dataset(table, test_rows, train_ds)
-    return FoldOutcome(
+    seconds = time.perf_counter() - t0
+    return [FoldOutcome(
         fold=fold,
         budget=C,
         test_accuracy=accuracy(rs, ds_test),
@@ -207,8 +205,25 @@ def _run_cv_fold(args):
         lower_bound=res.lower_bound,
         z_rmlp=res.z_rmlp,
         optimal=res.optimal,
-        seconds=time.perf_counter() - t0,
-    )
+        seconds=seconds,
+    ) for C, rs, res in fitted]
+
+
+def _run_cv_fold(args):
+    (table, fold_parts, fold, c_grid, form, proto, quantile_count, seed,
+     inner_folds) = args
+    cfg = replace(proto, seed=seed + fold)
+
+    def fit(train_rows):
+        C = select_budget(table, train_rows, c_grid, form, cfg,
+                          quantile_count, inner_folds)
+        rs, res, train_ds = fit_rows(table, train_rows, form,
+                                     replace(cfg, complexity_bound=C),
+                                     quantile_count)
+        return train_ds, [(C, rs, res)]
+
+    outcome, = _fold_outcomes(table, fold_parts, fold, fit)
+    return outcome
 
 
 def _map_folds(worker, arg_list, jobs: int):
@@ -271,28 +286,11 @@ def pareto_front(points) -> list[bool]:
 
 def _run_sweep_fold(args):
     table, fold_parts, fold, budgets, form, proto, quantile_count, seed = args
-    t0 = time.perf_counter()
-    test_rows = fold_parts[fold]
-    train_rows = np.concatenate(
-        [fold_parts[f] for f in range(len(fold_parts)) if f != fold])
-    train_rows.sort()
     cfg = replace(proto, seed=seed + fold)
-    train_ds, fitted = sweep_rows(table, train_rows, budgets, form, cfg,
-                                  quantile_count)
-    ds_test = fold_dataset(table, test_rows, train_ds)
-    seconds = time.perf_counter() - t0
-    return [FoldOutcome(
-        fold=fold,
-        budget=C,
-        test_accuracy=accuracy(rs, ds_test),
-        train_accuracy=accuracy(rs, train_ds),
-        complexity=rs.complexity,
-        z_train=res.objective,
-        lower_bound=res.lower_bound,
-        z_rmlp=res.z_rmlp,
-        optimal=res.optimal,
-        seconds=seconds,
-    ) for C, rs, res in fitted]
+    return _fold_outcomes(
+        table, fold_parts, fold,
+        lambda rows: sweep_rows(table, rows, budgets, form, cfg,
+                                quantile_count))
 
 
 def sweep_validate(table: TypedTable, budgets, form: str = "dnf",

@@ -152,12 +152,6 @@ class BinaryDataset:
                     raise DatasetError(f"features {j},{k} do not partition samples")
 
 
-def negate_for_cnf(ds: BinaryDataset) -> BinaryDataset:
-    """Alias for BinaryDataset.negated, named for its purpose: a CNF rule set
-    is learned by training DNF on the negated problem."""
-    return ds.negated()
-
-
 @dataclass
 class TypedTable:
     """Parsed CSV with inferred column types, before binarization.

@@ -13,9 +13,9 @@ smallest-index rule until a nondegenerate pivot happens, which guarantees
 termination.  Duals are reported per row in the row's own sense: for a
 minimization, a >= row gets a nonnegative dual and a <= row a nonpositive one.
 
-Appending columns does not disturb the row space, so a caller that grows an
-LP column by column can hand the previous basis back in and usually re-solve
-in a handful of pivots.
+Appending columns does not disturb the row space, so a restricted master
+that grew by a few clauses re-solves from the previous master's basis, padded
+by `solve_restricted_mlp`, usually in a handful of pivots.
 """
 
 from __future__ import annotations
@@ -102,21 +102,6 @@ class LPSolution:
     slacks: np.ndarray     # b_r - a_r'x in the row's own sense
     basis: tuple | None    # (basis indices, statuses) over structurals+slacks
     iterations: int
-
-
-def format_lp(lp: LinearProgram, names=None) -> str:
-    """Line-oriented dump of an LP for debugging.  Not a stable format."""
-    if names is None:
-        names = [f"x{j}" for j in range(lp.n_vars)]
-    def term(c, j):
-        return f"{c:+g} {names[j]}"
-    out = ["min " + " ".join(term(c, j) for j, c in enumerate(lp.objective) if c != 0.0)]
-    for r, row in enumerate(lp.rows):
-        body = " ".join(term(c, j) for j, c in zip(row.indices, row.coeffs))
-        out.append(f"r{r}: {body} {row.sense} {row.rhs:g}")
-    for j in range(lp.n_vars):
-        out.append(f"{lp.lower[j]:g} <= {names[j]} <= {lp.upper[j]:g}")
-    return "\n".join(out)
 
 
 class _Factor:
@@ -524,27 +509,54 @@ def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
     return LinearProgram(objective, lower, upper, rows)
 
 
-def master_start_basis(n_pos: int, n_w: int):
-    """The analytic feasible basis for any restricted master: every xi basic
-    at 1 covering its row, the budget slack basic, everything else at its
-    lower bound.  Lets every master solve skip phase 1."""
-    m = n_pos + 1
-    n = n_pos + n_w
-    basis = np.concatenate([np.arange(n_pos), [n + n_pos]]).astype(np.int64)
-    vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
+def master_start_basis(pos_cover, w_lower=None):
+    """The analytic feasible basis for a restricted master: each cover row
+    keeps its xi basic at 1, or its slack basic when the clauses fixed to 1
+    by `w_lower` already cover it; the budget slack is basic and everything
+    else rests at its lower bound.  Lets every master and node solve skip
+    phase 1."""
+    n_pos, K = pos_cover.shape
+    covered = np.zeros(n_pos, dtype=bool)
+    if w_lower is not None and K:
+        covered = (pos_cover @ w_lower) >= 1.0 - 1e-9
+    n = n_pos + K
+    basis = np.where(covered, n + np.arange(n_pos), np.arange(n_pos))
+    basis = np.concatenate([basis, [n + n_pos]]).astype(np.int64)
+    vstat = np.full(n + n_pos + 1, AT_LOWER, dtype=np.int8)
     vstat[basis] = BASIC
     return basis, vstat
+
+
+def _grow_basis(basis, n_pos: int, k_old: int, k_new: int):
+    """Remap a master basis after appending k_new clause columns: slack
+    indices shift right, new columns start at their lower bound."""
+    bidx, vstat = basis
+    cut = n_pos + k_old
+    bidx2 = np.where(bidx < cut, bidx, bidx + k_new)
+    vstat2 = np.full(len(vstat) + k_new, AT_LOWER, dtype=vstat.dtype)
+    vstat2[:cut] = vstat[:cut]
+    vstat2[cut + k_new:] = vstat[cut:]
+    return bidx2, vstat2
 
 
 def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
                          start=None, w_lower=None, w_upper=None,
                          max_iter=None, deadline=None) -> MasterSolution:
-    """Build and solve the restricted master, extracting (mu, lam) duals."""
+    """Build and solve the restricted master, extracting (mu, lam) duals.
+
+    `start` is the basis of an earlier master over a prefix of this pool's
+    clauses; it is padded for the clauses appended since.  Without one the
+    solve starts from `master_start_basis` for the given `w_lower`.
+    """
     lp = build_restricted_mlp(pos_cover, neg_counts, complexities, budget,
                               w_lower=w_lower, w_upper=w_upper)
-    n_pos = pos_cover.shape[0]
+    n_pos, K = pos_cover.shape
     if start is None:
-        start = master_start_basis(n_pos, len(neg_counts))
+        start = master_start_basis(pos_cover, w_lower)
+    else:
+        k_old = len(start[1]) - 2 * n_pos - 1
+        if 0 <= k_old < K:
+            start = _grow_basis(start, n_pos, k_old, K - k_old)
     sol = solve_lp(lp, start=start, max_iter=max_iter, deadline=deadline)
     mu = np.maximum(sol.duals[:n_pos], 0.0) if sol.status == OPTIMAL else np.zeros(n_pos)
     lam = max(0.0, -float(sol.duals[n_pos])) if sol.status == OPTIMAL else 0.0

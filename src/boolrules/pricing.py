@@ -421,12 +421,3 @@ def restrict_pricing(X, y, mu, lam, depth_limit, rng,
                       depth_limit)
     return RestrictedPricing(ctx=ctx, rows=rows, features=feats)
 
-
-def classify_regime(nnz: int, small_limit: int = 100000,
-                    large_limit: int = 1000000) -> str:
-    """Bucket an instance by its pricing size proxy."""
-    if nnz < small_limit:
-        return "small"
-    if nnz > large_limit:
-        return "large"
-    return "medium"

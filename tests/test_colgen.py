@@ -1,20 +1,21 @@
 """Column generation end to end: random instances against exhaustive search,
 certificate behavior, the restricted integer solve, and the budget sweep."""
 
+import time
+
 import numpy as np
 import pytest
 
+from boolrules import colgen
 from boolrules.colgen import (
     ClausePool,
     ColGenConfig,
-    _grow_basis,
     guarded_ceil,
     reduced_cost_dense,
     run_column_generation,
     solve_restricted_mip,
     sweep_complexity,
 )
-from boolrules.lp_engine import AT_LOWER, AT_UPPER, BASIC
 from boolrules.ruleset import selection_loss
 
 from _data import make_binary_dataset, tiny_example
@@ -86,19 +87,6 @@ def test_reduced_cost_dense_matches_definition():
         got = reduced_cost_dense(X, y, mu, lam, feats)
         want = clause_reduced_cost(feats, X, y, mu, lam)
         assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_grow_basis_shifts_slacks_and_pads_new_columns():
-    # two positives, one clause column: variables [xi0, xi1, w0, s0, s1, sb]
-    bidx = np.array([0, 2, 5], dtype=np.int64)
-    vstat = np.array([BASIC, AT_LOWER, BASIC, AT_LOWER, AT_UPPER, BASIC],
-                     dtype=np.int8)
-    bidx2, vstat2 = _grow_basis((bidx, vstat), n_pos=2, k_old=1, k_new=2)
-    assert bidx2.tolist() == [0, 2, 7]
-    assert len(vstat2) == 8
-    assert vstat2[:3].tolist() == [BASIC, AT_LOWER, BASIC]
-    assert vstat2[3:5].tolist() == [AT_LOWER, AT_LOWER]
-    assert vstat2[5:].tolist() == [AT_LOWER, AT_UPPER, BASIC]
 
 
 def random_instance(rng):
@@ -216,21 +204,11 @@ def test_forced_large_regime_samples_and_still_solves():
     # thresholds pushed down so this tiny instance takes the sampling path;
     # the sample targets keep every row and feature, so the pool still ends
     # up rich enough for the exact optimum
-    cfg = small_config(6, 2, small_nnz=1, large_nnz=2, seed=3)
+    cfg = small_config(6, 2, large_nnz=2, seed=3)
     res = run_column_generation(ds, cfg)
     assert res.regime == "large"
     assert any("restricted-exact" in t.mode for t in res.trace)
     assert not res.rmlp_converged  # sampled pricing never certifies
-    check_against_enumeration(ds, res, 6, 2)
-
-
-def test_forced_medium_regime_keeps_certificates():
-    rng = np.random.default_rng(29)
-    ds = random_instance(rng)
-    cfg = small_config(6, 2, small_nnz=1, large_nnz=10**9)
-    res = run_column_generation(ds, cfg)
-    assert res.regime == "medium"
-    assert res.rmlp_converged
     check_against_enumeration(ds, res, 6, 2)
 
 
@@ -245,6 +223,89 @@ def test_time_limit_exhausted_before_pricing():
     assert not res.rmlp_converged
     assert res.lower_bound is None
     assert not res.optimal
+
+
+def test_failed_master_degrades_to_the_integer_stage(monkeypatch):
+    # every loop master from round 2 on reports an iteration limit; the run
+    # must stop there, select from the pool it has and claim nothing
+    real = colgen.solve_restricted_mlp
+    loop_calls = 0
+
+    def failing(*args, **kw):
+        nonlocal loop_calls
+        ms = real(*args, **kw)
+        if kw.get("w_lower") is None:  # node LPs always fix bounds
+            loop_calls += 1
+            if loop_calls > 1:
+                ms.status = "iteration-limit"
+        return ms
+
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", failing)
+    rng = np.random.default_rng(404)
+    ds = random_instance(rng)
+    res = run_column_generation(ds, small_config(6, 2))
+    assert res.iterations == 2
+    assert res.trace[-1].mode == "master-failed"
+    assert res.pool_size == res.trace[0].pool_size > 0
+    assert not res.rmlp_converged
+    assert not res.optimal
+    assert sum(c.complexity for c in res.clauses) <= 6
+    assert selection_loss(res.clauses, ds) == res.objective
+    assert res.lower_bound is not None
+    assert res.lower_bound <= res.objective
+
+
+TIME_SLACK = 0.05
+
+
+def recording_mip(monkeypatch, pause: float):
+    """Record (call time, time_limit) of every integer solve, and sleep
+    `pause` seconds after each so later calls must see less time left."""
+    real = colgen.solve_restricted_mip
+    calls = []
+
+    def recording(*args, time_limit=None, **kw):
+        calls.append((time.perf_counter(), time_limit))
+        out = real(*args, time_limit=time_limit, **kw)
+        time.sleep(pause)
+        return out
+
+    monkeypatch.setattr(colgen, "solve_restricted_mip", recording)
+    return calls
+
+
+@pytest.mark.parametrize("limit", [1e-9, 30.0])
+def test_integer_stage_gets_only_the_time_left(monkeypatch, limit):
+    calls = recording_mip(monkeypatch, 0.0)
+    cfg = small_config(6, 2, time_limit=limit)
+    t0 = time.perf_counter()
+    run_column_generation(random_instance(np.random.default_rng(5)), cfg)
+    (t_call, granted), = calls
+    assert 0.0 <= granted <= limit - (t_call - t0) + TIME_SLACK
+
+
+def test_sweep_shares_one_deadline_per_pass(monkeypatch):
+    calls = recording_mip(monkeypatch, 0.2)
+    starts = []
+    real_run = colgen.run_column_generation
+
+    def run(*args, **kw):
+        starts.append(time.perf_counter())
+        return real_run(*args, **kw)
+
+    monkeypatch.setattr(colgen, "run_column_generation", run)
+    budgets = [2, 4, 6]
+    cfg = small_config(6, 2, time_limit=30.0)
+    sweep_complexity(random_instance(np.random.default_rng(99)), budgets, cfg)
+    assert len(calls) == 2 * len(budgets)
+    first_pass, second_pass = calls[:len(budgets)], calls[len(budgets):]
+    # each first-pass run owns a full limit, counted from its own start
+    for t_run, (t_call, granted) in zip(starts, first_pass):
+        assert granted <= cfg.time_limit - (t_call - t_run) + TIME_SLACK
+    # the second pass shares one limit, counted from its first solve
+    t_pass = second_pass[0][0]
+    for t_call, granted in second_pass:
+        assert granted <= cfg.time_limit - (t_call - t_pass) + TIME_SLACK
 
 
 # -- the restricted integer solve ------------------------------------------

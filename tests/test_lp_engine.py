@@ -3,11 +3,12 @@ import pytest
 
 from boolrules.lp_engine import (
     AT_LOWER,
+    AT_UPPER,
     BASIC,
     LinearProgram,
     Row,
+    _grow_basis,
     build_restricted_mlp,
-    format_lp,
     master_start_basis,
     solve_lp,
     solve_restricted_mlp,
@@ -181,14 +182,8 @@ def test_warm_start_matches_cold_solve():
         negc2 = np.concatenate([negc, rng.integers(0, 4, K_new).astype(float)])
         comp2 = np.concatenate([comp, rng.integers(2, 5, K_new).astype(float)])
 
-        bidx, vstat = ms0.basis
-        shift = lambda j: j if j < n_pos + K0 else j + K_new
-        bidx2 = np.array([shift(j) for j in bidx])
-        vstat2 = np.full(len(vstat) + K_new, AT_LOWER, dtype=vstat.dtype)
-        for j_old, s in enumerate(vstat):
-            vstat2[shift(j_old)] = s
         warm = solve_restricted_mlp(cov2, negc2, comp2, budget,
-                                    start=(bidx2, vstat2))
+                                    start=ms0.basis)
         cold = solve_restricted_mlp(cov2, negc2, comp2, budget)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
@@ -249,12 +244,36 @@ def test_build_restricted_mlp_shapes():
                               np.full(2, 2.0), 4.0)
     assert len(lp.objective) == 5
     assert len(lp.rows) == 4
-    text = format_lp(lp)
-    assert "min" in text and "<=" in text
 
 
 def test_start_basis_is_consistent():
-    bidx, vstat = master_start_basis(4, 3)
+    # four positives, three clauses: variables [xi0..xi3, w0..w2, s0..s3, sb]
+    cover = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=float)
+    bidx, vstat = master_start_basis(cover)
     assert len(bidx) == 5          # four cover rows plus the budget row
-    assert sorted(bidx[:4]) == [0, 1, 2, 3]
+    assert bidx.tolist() == [0, 1, 2, 3, 11]
     assert (vstat[list(bidx)] == BASIC).all()
+    assert (vstat == BASIC).sum() == 5
+
+    # fixing clause 0 to 1 covers rows 0 and 1: their slacks turn basic
+    bidx, vstat = master_start_basis(cover, w_lower=np.array([1.0, 0, 0]))
+    assert bidx.tolist() == [7, 8, 2, 3, 11]
+    assert (vstat[list(bidx)] == BASIC).all()
+    assert (vstat == BASIC).sum() == 5
+    ms = solve_restricted_mlp(cover, np.zeros(3), np.full(3, 2.0), 4.0,
+                              w_lower=np.array([1.0, 0, 0]))
+    assert ms.status == "optimal"
+    assert ms.w[0] == 1.0
+
+
+def test_grow_basis_shifts_slacks_and_pads_new_columns():
+    # two positives, one clause column: variables [xi0, xi1, w0, s0, s1, sb]
+    bidx = np.array([0, 2, 5], dtype=np.int64)
+    vstat = np.array([BASIC, AT_LOWER, BASIC, AT_LOWER, AT_UPPER, BASIC],
+                     dtype=np.int8)
+    bidx2, vstat2 = _grow_basis((bidx, vstat), n_pos=2, k_old=1, k_new=2)
+    assert bidx2.tolist() == [0, 2, 7]
+    assert len(vstat2) == 8
+    assert vstat2[:3].tolist() == [BASIC, AT_LOWER, BASIC]
+    assert vstat2[3:5].tolist() == [AT_LOWER, AT_LOWER]
+    assert vstat2[5:].tolist() == [AT_LOWER, AT_UPPER, BASIC]

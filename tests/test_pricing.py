@@ -3,7 +3,6 @@ import pytest
 
 from boolrules.pricing import (
     DualContext,
-    classify_regime,
     price_exact,
     price_greedy,
     reduced_cost,
@@ -207,13 +206,6 @@ def test_restricted_keeps_positives_alive():
     rp = restrict_pricing(X, y, np.array([1.0]), 0.0, 2, rng,
                           sample_target=3, nnz_cap=10 ** 6)
     assert (y[rp.rows] == 1).any()
-
-
-def test_regime_thresholds():
-    assert classify_regime(99_999) == "small"
-    assert classify_regime(100_000) == "medium"
-    assert classify_regime(1_000_000) == "medium"
-    assert classify_regime(1_000_001) == "large"
 
 
 def test_dual_context_validation():
