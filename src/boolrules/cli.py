@@ -77,10 +77,13 @@ def _write_trace(path, trace):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iteration", "master_value", "best_reduced_cost", "mode",
-                    "added", "pool_size", "seconds"])
+                    "added", "pool_size", "seconds", "pricing_seconds",
+                    "pricing_explored", "pricing_proven"])
         for t in trace:
             w.writerow([t.iteration, t.master_value, t.best_reduced_cost,
-                        t.mode, t.added, t.pool_size, f"{t.seconds:.3f}"])
+                        t.mode, t.added, t.pool_size, f"{t.seconds:.3f}",
+                        f"{t.pricing_seconds:.3f}", t.pricing_explored,
+                        int(t.pricing_proven)])
 
 
 data_options = [

@@ -81,6 +81,9 @@ class ColGenConfig:
 
 @dataclass
 class TraceEntry:
+    """One round of the loop.  The pricing fields describe the round's
+    first pricing call; a round that ends before pricing leaves them zero."""
+
     iteration: int
     master_value: float
     best_reduced_cost: float
@@ -88,6 +91,9 @@ class TraceEntry:
     added: int
     pool_size: int
     seconds: float
+    pricing_seconds: float = 0.0
+    pricing_explored: int = 0
+    pricing_proven: bool = False
 
 
 class ClausePool:
@@ -403,7 +409,9 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         best_rc = min((rc for _, rc in admitted),
                       default=head.best_value)
         trace.append(TraceEntry(iteration, z_rmlp, best_rc, mode, added,
-                                len(pool), time.perf_counter() - it_t0))
+                                len(pool), time.perf_counter() - it_t0,
+                                head.elapsed, head.explored,
+                                head.proven_optimal))
         if added == 0:
             break
 
@@ -445,8 +453,10 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
     richer ones.  A second pass then re-solves every budget's integer
     selection against the full union pool and keeps whichever selection is
     better; with the larger pool the final loss can only improve or stay
-    put relative to the first pass.  Each first-pass run has its own
-    `time_limit`; the second pass shares one more.
+    put relative to the first pass.  A budget whose first-pass loss already
+    meets its certified lower bound is skipped: no selection can beat it.
+    Each first-pass run has its own `time_limit`; the second pass shares
+    one more.
     """
     budgets = sorted(set(int(b) for b in budgets))
     pool = ClausePool(ds)
@@ -460,16 +470,19 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
     deadline = time.perf_counter() + cfg.time_limit
     for C in budgets:
         res = first[C]
-        time_left = max(deadline - time.perf_counter(), 0.0)
-        mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
-                                   float(C), time_limit=time_left)
-        if mip.objective < res.objective:
-            res = replace(res, objective=mip.objective,
-                          clauses=[pool.clauses[k] for k in mip.selected],
-                          optimal=(res.rmlp_converged
-                                   and res.lower_bound == mip.objective),
-                          mip_optimal=mip.optimal,
-                          pool_size=len(pool))
+        certified = (res.lower_bound is not None
+                     and res.objective <= res.lower_bound)
+        if not certified:
+            time_left = max(deadline - time.perf_counter(), 0.0)
+            mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
+                                       float(C), time_limit=time_left)
+            if mip.objective < res.objective:
+                res = replace(res, objective=mip.objective,
+                              clauses=[pool.clauses[k] for k in mip.selected],
+                              optimal=(res.rmlp_converged
+                                       and res.lower_bound == mip.objective),
+                              mip_optimal=mip.optimal,
+                              pool_size=len(pool))
         points.append(SweepPoint(complexity_bound=C, result=res,
                                  first_pass_objective=first[C].objective))
     return points

@@ -6,7 +6,10 @@ reduced cost of a clause K is
     (negatives covered) - sum of mu over covered positives + lam * (1 + |K|).
 
 `price_exact` minimizes this by depth-first branch and bound over feature
-subsets and is the source of optimality certificates.  `price_greedy` is a
+subsets and is the source of optimality certificates.  It works on batches
+of same-size clauses held as row masks, scoring all their one-feature
+extensions with two matrix products, and returns the true most negative
+clauses, ties broken by features.  `price_greedy` is a
 beam-style fallback with hard evaluation caps for instances where the exact
 search cannot finish.  `restrict_pricing` shrinks the instance by row and
 feature sampling first; anything it finds must be re-priced on the full data
@@ -15,7 +18,7 @@ by the caller, and nothing it proves counts as a certificate.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,9 +29,9 @@ NEGATIVE_EPS = 1e-9
 
 _MU_TINY = 1e-12
 
-
-class _Timeout(Exception):
-    pass
+# Mask cells (clauses x rows) one batch of the exact search may hold; caps
+# the working set of its matrix products and of the masks it builds.
+_BATCH_CELLS = 1 << 15
 
 
 @dataclass
@@ -111,50 +114,56 @@ def reduced_cost(ctx: DualContext, features) -> float:
 
 
 class _TopK:
-    """The k most negative clauses seen, as a bounded max-heap."""
+    """The k smallest (reduced cost, features) pairs seen among negative
+    clauses, so ties resolve by features whatever order clauses arrive in."""
 
     def __init__(self, k):
         self.k = k
-        self.heap = []  # (-rc, features)
+        self.items = []  # sorted (rc, features)
 
     def offer(self, rc, features):
         if rc >= -NEGATIVE_EPS:
             return
-        if len(self.heap) < self.k:
-            heapq.heappush(self.heap, (-rc, features))
-        elif -rc > self.heap[0][0]:
-            heapq.heapreplace(self.heap, (-rc, features))
+        bisect.insort(self.items, (rc, features))
+        del self.items[self.k:]
 
     def worst(self):
-        return -self.heap[0][0]
+        return self.items[-1][0]
 
     def full(self):
-        return len(self.heap) >= self.k
+        return len(self.items) >= self.k
 
     def sorted_clauses(self):
-        return sorted(((feats, -neg_rc) for neg_rc, feats in self.heap),
-                      key=lambda t: (t[1], t[0]))
+        return [(feats, rc) for rc, feats in self.items]
 
 
 def price_exact(ctx: DualContext, time_limit: float | None = None,
                 max_returned: int = 10, exclude=None) -> PricingResult:
-    """Branch and bound over feature subsets of size at most depth_limit.
+    """Branch and bound over feature subsets of size at most depth_limit,
+    scored a batch of same-size clauses at a time.
 
-    Nodes extend a clause only with features later in the root ordering, so
-    every subset is reached once.  A subtree of strict extensions of clause
-    K is bounded below by lam * (2 + |K|) - (mu mass K still covers): the
-    negatives term can only help and covered mu mass only shrinks.  The
-    subtree is cut when that bound cannot beat the incumbent minimum or, for
-    clause collection, the worst kept clause.
+    A clause extends only with features later in the root ordering, so
+    every subset is reached once.  A batch holds clauses of one size with
+    their covered rows as masks: mu-weighted over the live positives and
+    0/1 over the negatives.  Two matrix products score every one-feature
+    extension of the whole batch at once.  The strict extensions of a
+    clause K are bounded below by lam * (2 + |K|) - (mu mass K covers): the
+    negatives term can only help and covered mu mass only shrinks.  Clauses
+    whose bound can still beat the threshold go on a stack in batches,
+    worst bound first, so the most promising batch is popped next.  The
+    threshold is the larger of the incumbent minimum and, once
+    `max_returned` clauses are kept, the worst kept one.
 
-    `exclude` skips clauses already in the caller's pool: a pool clause at
-    its upper bound legitimately prices negative without saying anything
-    new, so minimum, collection and floor are all over clauses outside it.
-    Excluded clauses are still extended.
+    `clauses` are the `max_returned` most negative clauses outside
+    `exclude`, sorted by (reduced cost, features).  `exclude` skips clauses
+    already in the caller's pool: a pool clause at its upper bound
+    legitimately prices negative without saying anything new, so minimum,
+    collection and floor are all over clauses outside it.  Excluded clauses
+    are still extended.
 
-    On completion the minimum is exact.  On timeout the result still carries
-    a certified floor: the minimum of the incumbent and the bounds of every
-    subtree the search did not enter.
+    On completion the minimum is exact, even when it is nonnegative.  On
+    timeout the result still carries a certified floor: the minimum of the
+    incumbent and the bounds of every batch left on the stack.
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
@@ -162,79 +171,79 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
     top = _TopK(max_returned)
     best_val = math.inf
     best_clause = None
-    open_floor = math.inf
     evals = 0
-    ticks = 0
-    lam = ctx.lam
-    order = ctx.order
-    Xp, Xn, mu_w = ctx.Xp, ctx.Xn, ctx.mu_w
-    D = ctx.depth_limit
+    lam, D, d = ctx.lam, ctx.depth_limit, ctx.d
+    n_neg = ctx.Xn.shape[0]
+    Xp = ctx.Xp.astype(float)
+    # 0/1 products in float32 count exactly below 2**24 rows
+    count_type = np.float32 if n_neg < 2 ** 24 else np.float64
+    Xn = ctx.Xn.astype(count_type)
+    XpT, XnT = np.ascontiguousarray(ctx.Xp.T), np.ascontiguousarray(ctx.Xn.T)
+    rank = np.empty(d, dtype=np.int64)
+    rank[ctx.order] = np.arange(d)
+    width = max(1, _BATCH_CELLS // max(Xp.shape[0] + n_neg, 1))
+    stack = []  # (bounds, parent feats, parent P, parent N, rows, features)
 
-    def threshold():
-        collect = top.worst() if top.full() else -NEGATIVE_EPS
-        return max(best_val, collect)
+    def live(values):
+        """Which reduced costs, or bounds on them, could still lower the
+        minimum or enter the kept clauses; a tie with the worst kept one
+        can, since ties resolve by features."""
+        if top.full():
+            return values <= max(best_val, top.worst())
+        return values < max(best_val, -NEGATIVE_EPS)
 
-    def expand(prefix, order_pos, rows_p, rows_n, depth):
-        nonlocal best_val, best_clause, open_floor, evals, ticks
-        ticks += 1
-        if deadline is not None and ticks % 32 == 0 \
-                and time.perf_counter() > deadline:
-            raise _Timeout
-        cand = order[order_pos + 1:]
-        if cand.size == 0:
-            return
-        if rows_p.size:
-            mu_cov = mu_w[rows_p] @ Xp[np.ix_(rows_p, cand)]
-        else:
-            mu_cov = np.zeros(cand.size)
-        if rows_n.size:
-            neg_cov = Xn[np.ix_(rows_n, cand)].sum(axis=0, dtype=np.int64)
-        else:
-            neg_cov = np.zeros(cand.size, dtype=np.int64)
-        evals += cand.size
-        rc = neg_cov - mu_cov + lam * (2 + depth)
-
-        worth = np.flatnonzero(rc < max(best_val, -NEGATIVE_EPS))
-        for k in worth[np.argsort(rc[worth], kind="stable")]:
-            feats = tuple(sorted(prefix + (int(cand[k]),)))
-            if feats in exclude:
+    def score(feats, last, P, N):
+        """Score every extension of a batch: row b of `feats` is a clause
+        whose last feature has order rank last[b], P[b] and N[b] its masks."""
+        nonlocal best_val, best_clause, evals
+        size = feats.shape[1]
+        mu_cov = P @ Xp
+        later = rank[None, :] > last[:, None]
+        evals += int((d - 1 - last).sum())
+        rc = np.where(later, N @ Xn - mu_cov + lam * (2 + size), np.inf)
+        flat = rc.ravel()
+        worth = np.flatnonzero(live(flat))
+        for k in worth[np.argsort(flat[worth], kind="stable")]:
+            v = float(flat[k])
+            if not live(v):
+                break
+            b, j = divmod(int(k), d)
+            clause = tuple(sorted(feats[b].tolist() + [j]))
+            if clause in exclude:
                 continue
-            v = float(rc[k])
             if v < best_val:
                 best_val = v
-                best_clause = feats
-            top.offer(v, feats)
+                best_clause = clause
+            top.offer(v, clause)
 
-        if depth + 1 >= D:
+        if size + 1 >= D:
             return
-        ext_bound = lam * (3 + depth) - mu_cov
-        elig = np.flatnonzero(ext_bound < threshold())
-        seq = elig[np.argsort(ext_bound[elig], kind="stable")]
-        for t, ci in enumerate(seq):
-            if ext_bound[ci] >= threshold():
-                continue
-            j = int(cand[ci])
-            sub_p = rows_p[Xp[rows_p, j] == 1] if rows_p.size else rows_p
-            sub_n = rows_n[Xn[rows_n, j] == 1] if rows_n.size else rows_n
-            try:
-                expand(prefix + (j,), order_pos + 1 + int(ci),
-                       sub_p, sub_n, depth + 1)
-            except _Timeout:
-                rest = seq[t + 1:]
-                if rest.size:
-                    open_floor = min(open_floor, float(ext_bound[rest].min()))
-                raise
+        ext = np.where(later, lam * (3 + size) - mu_cov, np.inf).ravel()
+        grow = np.flatnonzero(live(ext))
+        grow = grow[np.argsort(ext[grow], kind="stable")]
+        for s in reversed(range(0, grow.size, width)):
+            part = grow[s:s + width]
+            stack.append((ext[part], feats, P, N, part // d, part % d))
 
+    score(np.zeros((1, 0), dtype=np.int64), np.array([-1]),
+          ctx.mu_w[None, :], np.ones((1, n_neg), dtype=count_type))
     proven = True
-    try:
-        expand((), -1, np.arange(Xp.shape[0]), np.arange(Xn.shape[0]), 0)
-    except _Timeout:
-        proven = False
+    while stack:
+        if deadline is not None and time.perf_counter() > deadline:
+            proven = False
+            break
+        bounds, feats, P, N, b, j = stack.pop()
+        keep = live(bounds)
+        if not keep.any():
+            continue
+        b, j = b[keep], j[keep]
+        score(np.column_stack([feats[b], j]), rank[j], P[b] * XpT[j],
+              N[b] * XnT[j])
 
     if proven:
         floor = best_val if math.isfinite(best_val) else 0.0
     else:
-        floor = min(best_val, open_floor)
+        floor = min([best_val] + [float(e[0][0]) for e in stack])
     return PricingResult(
         clauses=top.sorted_clauses(),
         best_value=best_val,

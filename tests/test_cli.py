@@ -46,8 +46,12 @@ def test_train_writes_model_trace_and_rules(tmp_path, runner):
 
     trace = list(csv.reader(open(model.parent / "model.trace.csv")))
     assert trace[0] == ["iteration", "master_value", "best_reduced_cost",
-                       "mode", "added", "pool_size", "seconds"]
+                       "mode", "added", "pool_size", "seconds",
+                       "pricing_seconds", "pricing_explored",
+                       "pricing_proven"]
     assert len(trace) > 1
+    # the run is certified optimal, so its last pricing call proved it
+    assert trace[-1][-1] == "1" and int(trace[-1][-2]) > 0
 
     rules = (model.parent / "model.rules.txt").read_text()
     assert "THEN pos" in rules and "ELSE neg" in rules

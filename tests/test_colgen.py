@@ -284,6 +284,25 @@ def test_integer_stage_gets_only_the_time_left(monkeypatch, limit):
     assert 0.0 <= granted <= limit - (t_call - t0) + TIME_SLACK
 
 
+def two_triangles():
+    """Two triangles of three positives, each positive covered by two of its
+    triangle's three features, and five all-zero negatives that make every
+    complement literal a loss.  Half-weight clauses cover a triangle at the
+    cost of 1.5 clauses, so the LP bound falls short of the integer loss at
+    C = 3, 5 and 7 (3 vs 4, 1 vs 2, 0 vs 1) and meets it at C = 2 (4)."""
+    tri = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+    rows = ([r + [0, 0, 0] for r in tri] + [[0, 0, 0] + r for r in tri]
+            + [[0] * 6] * 5)
+    y = np.array([1] * 6 + [0] * 5, dtype=np.int8)
+    return make_binary_dataset(np.array(rows, dtype=np.uint8), y)
+
+
+def certified(point):
+    res = point.result
+    return (res.lower_bound is not None
+            and point.first_pass_objective <= res.lower_bound)
+
+
 def test_sweep_shares_one_deadline_per_pass(monkeypatch):
     calls = recording_mip(monkeypatch, 0.2)
     starts = []
@@ -294,10 +313,12 @@ def test_sweep_shares_one_deadline_per_pass(monkeypatch):
         return real_run(*args, **kw)
 
     monkeypatch.setattr(colgen, "run_column_generation", run)
-    budgets = [2, 4, 6]
+    budgets = [2, 3, 5, 7]
     cfg = small_config(6, 2, time_limit=30.0)
-    sweep_complexity(random_instance(np.random.default_rng(99)), budgets, cfg)
-    assert len(calls) == 2 * len(budgets)
+    points = sweep_complexity(two_triangles(), budgets, cfg)
+    uncertified = [p for p in points if not certified(p)]
+    assert len(uncertified) == 3
+    assert len(calls) == len(budgets) + len(uncertified)
     first_pass, second_pass = calls[:len(budgets)], calls[len(budgets):]
     # each first-pass run owns a full limit, counted from its own start
     for t_run, (t_call, granted) in zip(starts, first_pass):
@@ -402,6 +423,29 @@ def test_sweep_matches_per_budget_optimum_and_never_degrades():
         if prev is not None:
             assert p.result.objective <= prev
         prev = p.result.objective
+
+
+def test_sweep_skips_certified_budgets(monkeypatch):
+    solved = []
+    real = colgen.solve_restricted_mip
+
+    def recording(pos_cover, neg_counts, complexities, budget, **kw):
+        solved.append(budget)
+        return real(pos_cover, neg_counts, complexities, budget, **kw)
+
+    monkeypatch.setattr(colgen, "solve_restricted_mip", recording)
+    ds = two_triangles()
+    budgets = [2, 3, 5, 7]
+    points = sweep_complexity(ds, budgets, small_config(6, 2))
+    # the second pass re-solves exactly the budgets the first left open
+    assert solved[len(budgets):] == [float(p.complexity_bound)
+                                     for p in points if not certified(p)]
+    assert [p.complexity_bound for p in points if certified(p)] == [2]
+    for p in points:
+        opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
+        assert p.result.objective == opt
+        if certified(p):
+            assert p.result.objective == p.first_pass_objective
 
 
 def test_sweep_deduplicates_budgets():

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from boolrules import pricing
 from boolrules.pricing import (
     DualContext,
     price_exact,
@@ -65,6 +68,60 @@ def test_exact_matches_enumeration():
         expect = sorted(v for v, _ in onegs)[:10]
         got = sorted(rc for _, rc in res.clauses)
         assert got == pytest.approx(expect, abs=1e-9)
+
+
+def dyadic_instance(rng):
+    """A random pricing instance whose duals are multiples of 1/8, so every
+    reduced cost sums exactly in any order and ties are common."""
+    ds = random_dataset(rng, n_max=30, k_max=7)
+    mu = rng.integers(0, 17, len(ds.pos)) / 8.0
+    lam = float(rng.choice([0.0, 0.125, 0.25, 0.5]))
+    return ds, mu, lam, int(rng.integers(1, 5))
+
+
+def all_clauses(ds, mu, lam, D):
+    """Every clause within the depth limit as (reduced cost, features)."""
+    return [(clause_reduced_cost(c, ds.X, ds.y, mu, lam), c)
+            for size in range(1, min(D, ds.d) + 1)
+            for c in itertools.combinations(range(ds.d), size)]
+
+
+def test_exact_returns_the_ten_most_negative_outside_exclude():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        ds, mu, lam, D = dyadic_instance(rng)
+        everything = sorted(all_clauses(ds, mu, lam, D))
+        # leave out some of the best clauses and a few arbitrary ones
+        negative = [c for v, c in everything if v < 0]
+        exclude = set(negative[:int(rng.integers(0, 6))])
+        exclude |= {c for _, c in everything if rng.random() < 0.1}
+        res = price_exact(DualContext(ds.X, ds.y, mu, lam, D),
+                          exclude=exclude)
+        rest = [(v, c) for v, c in everything if c not in exclude]
+        assert res.proven_optimal
+        if rest:
+            assert res.best_value == rest[0][0]
+            assert res.certified_floor == rest[0][0]
+        assert res.clauses == [(c, v) for v, c in rest if v < -1e-9][:10]
+
+
+def test_split_frontier_matches_one_batch(monkeypatch):
+    rng = np.random.default_rng(57)
+    for _ in range(40):
+        ds, mu, lam, D = dyadic_instance(rng)
+        ctx = DualContext(ds.X, ds.y, mu, lam, D)
+        exclude = {c for _, c in all_clauses(ds, mu, lam, D)
+                   if rng.random() < 0.1}
+        runs = []
+        # one clause per batch, then every clause of a size in one batch
+        for cells in (1, 1 << 30):
+            monkeypatch.setattr(pricing, "_BATCH_CELLS", cells)
+            runs.append(price_exact(ctx, exclude=exclude))
+        split, whole = runs
+        assert split.proven_optimal and whole.proven_optimal
+        assert split.best_value == whole.best_value
+        assert split.certified_floor == whole.certified_floor
+        assert split.clauses == whole.clauses
 
 
 def test_exact_depth_limit_respected():
