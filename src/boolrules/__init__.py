@@ -1,5 +1,12 @@
 """Learn small Boolean classification rules by column generation."""
 
+import os
+
+# many small BLAS products run fastest on one thread; a user's setting wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .dataset import (
     BinaryDataset,
     DatasetError,

@@ -133,13 +133,6 @@ class _Factor:
             v[r] = (v[r] - (t - eta[r] * v[r])) / eta[r]
         return self.lu.solve(v, trans="T")
 
-    def push(self, eta: np.ndarray, r: int):
-        self.etas.append((eta.copy(), r))
-
-    @property
-    def age(self) -> int:
-        return len(self.etas)
-
 
 class _Simplex:
     """One solve.  Internal form: all rows normalized to <= with a slack, so
@@ -153,15 +146,13 @@ class _Simplex:
         self.sign = np.array([1.0 if r.sense == "<=" else -1.0 for r in lp.rows])
         self.b = self.sign * np.array([r.rhs for r in lp.rows], dtype=np.float64)
 
-        data, rows_ix, cols_ix = [], [], []
-        for r, row in enumerate(lp.rows):
-            data.extend(self.sign[r] * row.coeffs)
-            rows_ix.extend([r] * len(row.indices))
-            cols_ix.extend(row.indices)
-        for r in range(m):
-            data.append(1.0)
-            rows_ix.append(r)
-            cols_ix.append(n + r)
+        # COO triplets row by row, then one slack per row
+        lens = np.array([len(r.indices) for r in lp.rows], dtype=np.int64)
+        slack = np.arange(m)
+        data = np.concatenate([r.coeffs for r in lp.rows] + [np.ones(m)])
+        data[:lens.sum()] *= np.repeat(self.sign, lens)
+        rows_ix = np.concatenate([np.repeat(slack, lens), slack])
+        cols_ix = np.concatenate([r.indices for r in lp.rows] + [n + slack])
         self.A = sp.csc_matrix(
             (data, (rows_ix, cols_ix)), shape=(m, n + m), dtype=np.float64)
 
@@ -254,10 +245,18 @@ class _Simplex:
 
     # ----- the pivot loop ----------------------------------------------
 
+    def _column(self, q) -> np.ndarray:
+        """Dense column q of A, read straight from the CSC arrays."""
+        lo, hi = self.A.indptr[q:q + 2]
+        col = np.zeros(self.m)
+        col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
+        return col
+
     def _iterate(self, cost) -> str:
         m = self.m
         degen_streak = 0
         movable = self.lower < self.upper
+        AT = self.A.T
         while True:
             if self.iterations >= self.max_iter:
                 return ITERATION_LIMIT
@@ -265,7 +264,7 @@ class _Simplex:
                     and time.perf_counter() > self.deadline):
                 return TIME_LIMIT
             y = self.factor.btran(cost[self.basis])
-            d = cost - self.A.T @ y
+            d = cost - AT @ y
             bland = degen_streak >= DEGENERATE_STREAK
 
             viol_lo = (self.vstat == AT_LOWER) & movable & (d < -DUAL_TOL)
@@ -280,7 +279,7 @@ class _Simplex:
                 q = int(cand[np.argmax(np.abs(d[cand]))])
             sigma = 1.0 if self.vstat[q] == AT_LOWER else -1.0
 
-            w = self.factor.ftran(self.A[:, [q]].toarray().ravel())
+            w = self.factor.ftran(self._column(q))
             denom = sigma * w
             xb = self.x[self.basis]
             lim = np.full(m, np.inf)
@@ -321,8 +320,8 @@ class _Simplex:
                 self.vstat[leaving] = AT_UPPER if to_upper else AT_LOWER
                 self.vstat[q] = BASIC
                 self.basis[p] = q
-                self.factor.push(w, p)
-                if self.factor.age >= REFACTOR_EVERY or abs(w[p]) < ETA_GUARD:
+                self.factor.etas.append((w, p))
+                if len(self.factor.etas) >= REFACTOR_EVERY or abs(w[p]) < ETA_GUARD:
                     self._refactor()
             degen_streak = degen_streak + 1 if step <= 1e-9 else 0
 
@@ -499,11 +498,13 @@ def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
         lower[n_pos:] = w_lower
     if w_upper is not None:
         upper[n_pos:] = w_upper
-    rows = []
-    for i in range(n_pos):
-        covering = np.flatnonzero(pos_cover[i]) if K else np.zeros(0, dtype=np.int64)
-        idx = np.concatenate([[i], n_pos + covering])
-        rows.append(Row(idx, np.ones(len(idx)), ">=", 1.0))
+    # cover row i holds xi_i, then the clauses covering positive i in order
+    rows_i, cols_k = np.nonzero(pos_cover)
+    order = np.argsort(np.concatenate([np.arange(n_pos), rows_i]), kind="stable")
+    idx = np.concatenate([np.arange(n_pos), n_pos + cols_k])[order]
+    ends = np.cumsum(np.bincount(rows_i, minlength=n_pos) + 1).tolist()
+    ones = np.ones(len(idx))
+    rows = [Row(idx[s:e], ones[s:e], ">=", 1.0) for s, e in zip([0] + ends, ends)]
     rows.append(Row(np.arange(n_pos, n_pos + K),
                     np.asarray(complexities, dtype=float), "<=", float(budget)))
     return LinearProgram(objective, lower, upper, rows)

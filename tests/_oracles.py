@@ -31,17 +31,18 @@ def lp_minimum_by_vertex_enumeration(objective, lower, upper, rows, tol=1e-7):
         a = np.zeros(n)
         a[list(idx)] = coef
         dense.append((a, float(rhs), sense))
+    row_A = np.array([a for a, _, _ in dense]).reshape(len(dense), n)
+    row_b = np.array([rhs for _, rhs, _ in dense])
+    row_le = np.array([sense == "<=" for _, _, sense in dense], dtype=bool)
 
-    def feasible(x):
-        if np.any(x < lower - tol) or np.any(x > upper + tol):
-            return False
-        for a, rhs, sense in dense:
-            act = a @ x
-            if sense == "<=" and act > rhs + tol:
-                return False
-            if sense == ">=" and act < rhs - tol:
-                return False
-        return True
+    def feasible(X):
+        """Which rows of X (one candidate point per row) satisfy every
+        bound and every row, all checked at once."""
+        act = X @ row_A.T
+        rows_ok = np.where(row_le, act <= row_b + tol, act >= row_b - tol)
+        return (np.all(X >= lower - tol, axis=1)
+                & np.all(X <= upper + tol, axis=1)
+                & np.all(rows_ok, axis=1))
 
     candidates = []
     for a, rhs, _ in dense:
@@ -71,11 +72,14 @@ def lp_minimum_by_vertex_enumeration(objective, lower, upper, rows, tol=1e-7):
         X = np.linalg.solve(A[keep], b[keep][:, :, None])[:, :, 0]
         # reject ill-conditioned systems the solver "solved" anyway
         resid = np.max(np.abs(np.einsum("kij,kj->ki", A[keep], X) - b[keep]), axis=1)
-        for x in X[np.isfinite(X).all(axis=1) & (resid <= 1e-6)]:
-            if feasible(x):
-                v = objective @ x
-                if best_val is None or v < best_val:
-                    best_val, best_x = v, x.copy()
+        X = X[np.isfinite(X).all(axis=1) & (resid <= 1e-6)]
+        X = X[feasible(X)]
+        if len(X):
+            # argmin takes the first of equal values, as a strict < scan would
+            k = int(np.argmin(X @ objective))
+            v = objective @ X[k]
+            if best_val is None or v < best_val:
+                best_val, best_x = v, X[k].copy()
     if best_val is None:
         return "infeasible", None, None
     return "optimal", float(best_val), best_x

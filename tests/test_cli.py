@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import boolrules
 from boolrules.cli import METRICS_HEADER, SWEEP_HEADER, main
 from boolrules.ruleset import RuleSet
 
@@ -223,3 +227,27 @@ def test_sweep_rejects_unordered_grid(tmp_path, runner):
                              "label", "--c-grid", "4,2"])
     assert r.exit_code == 2
     assert "strictly increasing" in r.output
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env_after_import(**preset):
+    """The BLAS thread variables as a fresh interpreter sees them after
+    `import boolrules`, starting from an environment without them plus
+    `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = str(Path(boolrules.__file__).parents[1])
+    code = ("import os, boolrules; "
+            f"print(*(os.environ.get(v) for v in {BLAS_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return dict(zip(BLAS_VARS, out.split()))
+
+
+def test_import_pins_one_blas_thread_unless_set():
+    assert blas_env_after_import() == dict.fromkeys(BLAS_VARS, "1")
+    got = blas_env_after_import(OPENBLAS_NUM_THREADS="2")
+    assert got == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from boolrules.lp_engine import (
     AT_LOWER,
@@ -8,6 +9,7 @@ from boolrules.lp_engine import (
     LinearProgram,
     Row,
     _grow_basis,
+    _Simplex,
     build_restricted_mlp,
     master_start_basis,
     solve_lp,
@@ -277,3 +279,81 @@ def test_grow_basis_shifts_slacks_and_pads_new_columns():
     assert vstat2[:3].tolist() == [BASIC, AT_LOWER, BASIC]
     assert vstat2[3:5].tolist() == [AT_LOWER, AT_LOWER]
     assert vstat2[5:].tolist() == [AT_LOWER, AT_UPPER, BASIC]
+
+
+def matrix_by_rows(lp):
+    """The solver's internal matrix built the plain way: each row's entries
+    in the row's <= orientation, then one slack column per row."""
+    n, m = lp.n_vars, lp.n_rows
+    data, rows_ix, cols_ix = [], [], []
+    for r, row in enumerate(lp.rows):
+        sign = 1.0 if row.sense == "<=" else -1.0
+        for j, a in zip(row.indices, row.coeffs):
+            data.append(sign * a)
+            rows_ix.append(r)
+            cols_ix.append(j)
+    for r in range(m):
+        data.append(1.0)
+        rows_ix.append(r)
+        cols_ix.append(n + r)
+    return sp.csc_matrix((data, (rows_ix, cols_ix)), shape=(m, n + m),
+                         dtype=np.float64)
+
+
+def test_simplex_matrix_equals_row_by_row_reference():
+    # test_no_rows_analytic solves the LP with no rows; here it is assembled
+    rng = np.random.default_rng(11)
+    no_rows = LinearProgram(np.array([2.0, -3.0, 0.0]),
+                            np.array([-1.0, -1.0, 4.0]),
+                            np.array([5.0, 2.0, 4.0]), rows=[])
+    cover = (rng.random((7, 5)) < 0.4).astype(float)
+    master = build_restricted_mlp(cover, np.arange(5.0), np.full(5, 2.0), 6.0)
+    for lp in [random_lp(rng) for _ in range(60)] + [no_rows, master]:
+        A, ref = _Simplex(lp).A, matrix_by_rows(lp)
+        assert A.shape == ref.shape
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, field), getattr(ref, field)), field
+
+
+def master_rows_by_loop(pos_cover):
+    """Cover rows of the restricted master, one positive at a time."""
+    n_pos = pos_cover.shape[0]
+    return [np.concatenate([[i], n_pos + np.flatnonzero(pos_cover[i])])
+            for i in range(n_pos)]
+
+
+def test_build_restricted_mlp_rows_match_per_row_construction():
+    rng = np.random.default_rng(5)
+    covers = [
+        np.zeros((4, 0)),                              # empty pool, K=0
+        np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]]),   # uncovered, full rows
+        np.ones((3, 2)),                               # every row covered
+        np.zeros((0, 3)),                              # no positives
+    ] + [(rng.random((int(rng.integers(1, 15)), int(rng.integers(1, 9))))
+          < 0.3).astype(float) for _ in range(30)]
+    for cover in covers:
+        n_pos, K = cover.shape
+        comp = np.arange(2.0, 2.0 + K)
+        lp = build_restricted_mlp(cover, np.zeros(K), comp, 5.0)
+        assert len(lp.rows) == n_pos + 1
+        for row, idx in zip(lp.rows, master_rows_by_loop(cover)):
+            assert row.indices.dtype == np.int64
+            assert row.indices.tolist() == idx.tolist()
+            assert row.coeffs.tolist() == [1.0] * len(idx)
+            assert (row.sense, row.rhs) == (">=", 1.0)
+        budget = lp.rows[-1]
+        assert budget.indices.tolist() == list(range(n_pos, n_pos + K))
+        assert budget.coeffs.tolist() == comp.tolist()
+        assert (budget.sense, budget.rhs) == ("<=", 5.0)
+
+
+def test_column_read_matches_sparse_slicing_after_artificials():
+    rng = np.random.default_rng(3)
+    with_artificials = 0
+    for _ in range(80):
+        sx = _Simplex(random_lp(rng))
+        with_artificials += sx._start_cold()
+        for q in range(sx.A.shape[1]):
+            assert np.array_equal(sx._column(q),
+                                  sx.A[:, [q]].toarray().ravel())
+    assert with_artificials >= 20
