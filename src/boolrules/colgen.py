@@ -193,8 +193,8 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     index), exploring the rounded direction first.  The incumbent is seeded
     once, by a greedy selection at the root, and improves only through
     integral node LPs.  A time limit turns the result into a best-effort
-    incumbent with optimal=False.  `start` warm starts the root LP, which is
-    the same LP the column generation loop solved last, so passing that
+    incumbent with optimal=False.  `start` warm starts the root LP from a
+    master basis over this pool or a prefix of it; the column generation
     loop's final basis makes the root free.
     """
     t0 = time.perf_counter()
@@ -277,7 +277,9 @@ class ColGenResult:
     None when no pricing round produced a certificate.  optimal is claimed
     only when the master LP was priced out AND its rounded value meets the
     integer objective; a weaker certificate that happens to close the gap
-    stays unclaimed.
+    stays unclaimed.  mip_nodes counts the branch-and-bound nodes spent on
+    the selection, and basis is the last finished master's basis (None if
+    no master finished), which warm starts a later selection over the pool.
     """
 
     clauses: list
@@ -292,6 +294,8 @@ class ColGenResult:
     trace: list = field(repr=False)
     seconds: float = 0.0
     regime: str = ""
+    mip_nodes: int = 0
+    basis: tuple | None = field(default=None, repr=False)
 
 
 def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
@@ -436,6 +440,8 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         trace=trace,
         seconds=time.perf_counter() - t0,
         regime=regime,
+        mip_nodes=mip.nodes,
+        basis=basis,
     )
 
 
@@ -451,9 +457,10 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
 
     Budgets run in ascending order so cheap models seed the pool for the
     richer ones.  A second pass then re-solves every budget's integer
-    selection against the full union pool and keeps whichever selection is
-    better; with the larger pool the final loss can only improve or stay
-    put relative to the first pass.  A budget whose first-pass loss already
+    selection against the full union pool, its root warm started from that
+    budget's last master basis, and keeps whichever selection is better;
+    with the larger pool the final loss can only improve or stay put
+    relative to the first pass.  A budget whose first-pass loss already
     meets its certified lower bound is skipped: no selection can beat it.
     Each first-pass run has its own `time_limit`; the second pass shares
     one more.
@@ -475,7 +482,9 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
         if not certified:
             time_left = max(deadline - time.perf_counter(), 0.0)
             mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
-                                       float(C), time_limit=time_left)
+                                       float(C), time_limit=time_left,
+                                       start=res.basis)
+            res = replace(res, mip_nodes=res.mip_nodes + mip.nodes)
             if mip.objective < res.objective:
                 res = replace(res, objective=mip.objective,
                               clauses=[pool.clauses[k] for k in mip.selected],

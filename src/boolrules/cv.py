@@ -87,6 +87,7 @@ def _training_record(res, cfg: ColGenConfig) -> dict:
         "optimal": res.optimal,
         "converged": res.rmlp_converged,
         "selection_optimal": res.mip_optimal,
+        "selection_nodes": res.mip_nodes,
         "iterations": res.iterations,
         "pool_size": res.pool_size,
         "seed": cfg.seed,

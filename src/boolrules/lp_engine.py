@@ -204,8 +204,9 @@ class _Simplex:
 
     def _try_warm(self, start) -> bool:
         basis, vstat = start
-        basis = np.asarray(basis, dtype=np.int64)
-        vstat = np.asarray(vstat, dtype=np.int8).copy()
+        # own copies: the pivot loop rewrites both in place
+        basis = np.array(basis, dtype=np.int64)
+        vstat = np.array(vstat, dtype=np.int8)
         nm = self.n + self.m
         if len(basis) != self.m or len(vstat) != nm:
             return False

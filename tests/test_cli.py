@@ -47,6 +47,7 @@ def test_train_writes_model_trace_and_rules(tmp_path, runner):
     assert rs.form == "dnf"
     assert rs.training["objective"] == 0
     assert rs.training["lower_bound"] <= rs.training["objective"]
+    assert rs.training["selection_nodes"] >= 1
 
     trace = list(csv.reader(open(model.parent / "model.trace.csv")))
     assert trace[0] == ["iteration", "master_value", "best_reduced_cost",

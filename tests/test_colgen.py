@@ -448,6 +448,107 @@ def test_sweep_skips_certified_budgets(monkeypatch):
             assert p.result.objective == p.first_pass_objective
 
 
+def recording_sweep(monkeypatch, cold=False):
+    """Record each first-pass result by budget and every integer solve as
+    (budget, start, nodes); `cold` drops every root start."""
+    first, solves = {}, []
+    real_run = colgen.run_column_generation
+    real_mip = colgen.solve_restricted_mip
+
+    def run(ds, cfg, **kw):
+        res = real_run(ds, cfg, **kw)
+        first[cfg.complexity_bound] = res
+        return res
+
+    def mip(pos_cover, neg_counts, complexities, budget, start=None, **kw):
+        out = real_mip(pos_cover, neg_counts, complexities, budget,
+                       start=None if cold else start, **kw)
+        solves.append((budget, start, out.nodes))
+        return out
+
+    monkeypatch.setattr(colgen, "run_column_generation", run)
+    monkeypatch.setattr(colgen, "solve_restricted_mip", mip)
+    return first, solves
+
+
+def test_sweep_resolves_from_each_budgets_own_basis(monkeypatch):
+    first, solves = recording_sweep(monkeypatch)
+    ds = two_triangles()
+    budgets = [2, 3, 5, 7]
+    real_run = colgen.run_column_generation
+    kept = {}
+
+    def run(ds, cfg, **kw):
+        res = real_run(ds, cfg, **kw)
+        kept[cfg.complexity_bound] = tuple(a.copy() for a in res.basis)
+        return res
+
+    monkeypatch.setattr(colgen, "run_column_generation", run)
+    points = sweep_complexity(ds, budgets, small_config(6, 2))
+    second = solves[len(budgets):]
+    assert [b for b, _, _ in second] == [3.0, 5.0, 7.0]
+    for budget, start, nodes in second:
+        C = int(budget)
+        assert start is first[C].basis is not None
+        # no solve rewrote the stored basis
+        assert all(np.array_equal(a, b) for a, b in zip(start, kept[C]))
+    pass2_nodes = {int(b): n for b, _, n in second}
+    for p in points:
+        C = p.complexity_bound
+        assert p.result.mip_nodes == (first[C].mip_nodes
+                                      + pass2_nodes.get(C, 0))
+        assert first[C].mip_nodes >= 1
+
+
+def test_warm_sweep_matches_cold_root_and_enumeration(monkeypatch):
+    budgets = [3, 5, 7]
+    rng = np.random.default_rng(7)
+    resolved = 0
+    for _ in range(40):
+        ds = random_instance(rng)
+        with monkeypatch.context() as m:
+            _, solves = recording_sweep(m)
+            warm = sweep_complexity(ds, budgets, small_config(7, 2))
+        resolved += sum(s is not None for _, s, _ in solves[len(budgets):])
+        with monkeypatch.context() as m:
+            recording_sweep(m, cold=True)
+            cold = sweep_complexity(ds, budgets, small_config(7, 2))
+        for pw, pc in zip(warm, cold):
+            opt, _ = best_ruleset_by_enumeration(ds.X, ds.y,
+                                                 pw.complexity_bound, 2)
+            assert pw.result.objective == pc.result.objective == opt
+            assert selection_loss(pw.result.clauses, ds) == opt
+    # the draw must exercise warm re-solves at all
+    assert resolved >= 3
+
+
+def test_sweep_resolves_cold_without_a_first_pass_basis(monkeypatch):
+    # every master of the C = 3 run fails, so that run ends "master-failed"
+    # with no basis, and its re-solve must start from the analytic basis
+    real = colgen.solve_restricted_mlp
+
+    def failing(pos_cover, neg_counts, complexities, budget, **kw):
+        ms = real(pos_cover, neg_counts, complexities, budget, **kw)
+        if budget == 3.0 and kw.get("w_lower") is None:
+            ms.status = "iteration-limit"
+        return ms
+
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", failing)
+    first, solves = recording_sweep(monkeypatch)
+    ds = two_triangles()
+    budgets = [2, 3, 5, 7]
+    points = sweep_complexity(ds, budgets, small_config(6, 2))
+    assert first[3].trace[-1].mode == "master-failed"
+    assert first[3].basis is None
+    starts = {int(b): s for b, s, _ in solves[len(budgets):]}
+    assert 3 in starts and starts[3] is None
+    assert all(starts[C] is first[C].basis is not None
+               for C in starts if C != 3)
+    for p in points:
+        opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
+        assert p.result.objective == opt
+
+
 def test_sweep_deduplicates_budgets():
     ds = tiny_example()
     points = sweep_complexity(ds, [4, 2, 4], small_config(4))

@@ -14,6 +14,7 @@ from boolrules.cv import (
     pareto_front,
     select_budget,
     stratified_folds,
+    sweep_rows,
     sweep_validate,
 )
 from boolrules.dataset import DatasetError, binarize_table, read_csv_table
@@ -158,6 +159,17 @@ def test_sweep_validate_aggregates_and_flags(tmp_path):
         assert len(o.folds) == 5
         assert all(f.budget == o.budget for f in o.folds)
         assert o.pareto  # equal points stay efficient together
+
+
+def test_sweep_rows_record_selection_nodes(tmp_path):
+    table = conjunction_table(tmp_path / "conj.csv")
+    _, fitted = sweep_rows(table, np.arange(table.n), [2, 6], "dnf",
+                           quick_config(6))
+    nodes = [rs.training["selection_nodes"] for _, rs, _ in fitted]
+    assert nodes == [res.mip_nodes for _, _, res in fitted]
+    # at C = 2 no single condition pays for itself, so that pool stays
+    # empty and its selection needs no node; C = 6 searches at least a root
+    assert nodes[-1] >= 1
 
 
 def test_fold_dataset_reuses_training_conditions(tmp_path):

@@ -192,6 +192,42 @@ def test_warm_start_matches_cold_solve():
         assert warm.objective <= ms0.objective + 1e-9
 
 
+def test_warm_solves_leave_the_start_untouched():
+    # a start is reused across solves (a budget's last master basis seeds
+    # both its own and the sweep's integer roots), so pivoting must not
+    # rewrite the caller's arrays
+    def snapshot(start):
+        return tuple(np.array(a) for a in start)
+
+    lp = LinearProgram(
+        objective=np.array([-1.0, -2.0, -1.0]),
+        lower=np.zeros(3), upper=np.full(3, 4.0),
+        rows=[Row((0, 1, 2), (1.0, 1.0, 1.0), "<=", 6.0),
+              Row((0, 1), (1.0, 3.0), "<=", 9.0)])
+    slack_start = (np.array([3, 4], dtype=np.int64),
+                   np.array([AT_LOWER] * 3 + [BASIC] * 2, dtype=np.int8))
+    before = snapshot(slack_start)
+    sol = solve_lp(lp, start=slack_start)
+    assert sol.status == "optimal" and sol.iterations > 0
+    for a, b in zip(slack_start, before):
+        assert np.array_equal(a, b)
+
+    rng = np.random.default_rng(11)
+    pivoted = 0
+    for _ in range(10):
+        cov = (rng.random((30, 8)) < 0.3).astype(float)
+        negc = rng.integers(0, 4, size=8).astype(float)
+        comp = rng.integers(2, 5, size=8).astype(float)
+        start = master_start_basis(cov)
+        before = snapshot(start)
+        ms = solve_restricted_mlp(cov, negc, comp, 8.0, start=start)
+        assert ms.status == "optimal"
+        pivoted += ms.iterations > 0
+        for a, b in zip(start, before):
+            assert np.array_equal(a, b)
+    assert pivoted == 10
+
+
 def test_master_empty_pool_analytic():
     ms = solve_restricted_mlp(
         pos_cover=np.zeros((2, 0)), neg_counts=np.zeros(0),
