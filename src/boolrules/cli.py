@@ -50,13 +50,12 @@ def _load_table(input_path, label_column, positive_label, missing):
         _fail(str(exc))
 
 
-def _colgen_config(complexity_bound, clause_bound, kappa, time_limit,
+def _colgen_config(complexity_bound, clause_bound, time_limit,
                    pricing_time_limit, seed) -> ColGenConfig:
     try:
         return ColGenConfig(
             complexity_bound=complexity_bound,
             clause_bound=clause_bound,
-            kappa=kappa,
             time_limit=time_limit,
             pricing_time_limit=pricing_time_limit,
             seed=seed,
@@ -109,8 +108,6 @@ model_options = [
                  "ORs learned on the negated problem."),
     click.option("--clause-bound", default=None, type=int,
                  help="Max conditions per clause (default: budget - 1)."),
-    click.option("--kappa", default=5, show_default=True,
-                 help="Clause size cap for heuristic pricing."),
     click.option("--seed", default=0, show_default=True,
                  help="Master random seed; folds use seed + fold index."),
 ]
@@ -142,11 +139,11 @@ def main():
               type=click.Path(dir_okay=False, writable=True),
               help="Model file; a trace CSV and rules text go next to it.")
 def train(input_path, label_column, positive_label, missing, quantiles,
-          form, clause_bound, kappa, seed, complexity_bound, time_limit,
+          form, clause_bound, seed, complexity_bound, time_limit,
           pricing_time_limit, output):
     """Fit one rule set on the whole file and write the model."""
     table = _load_table(input_path, label_column, positive_label, missing)
-    cfg = _colgen_config(complexity_bound, clause_bound, kappa, time_limit,
+    cfg = _colgen_config(complexity_bound, clause_bound, time_limit,
                          pricing_time_limit, seed)
     t0 = time.perf_counter()
     try:
@@ -265,7 +262,7 @@ def _write_metrics(path, tag, outcomes, zero_seconds):
               type=click.Path(dir_okay=False, writable=True),
               help="Where to write the per-fold metrics CSV.")
 def cv(input_path, label_column, positive_label, missing, quantiles, form,
-       clause_bound, kappa, seed, complexity_bound, c_grid, folds,
+       clause_bound, seed, complexity_bound, c_grid, folds,
        inner_folds, jobs, time_limit, pricing_time_limit, metrics):
     """Stratified cross-validation with nested budget selection."""
     if folds < 2:
@@ -277,7 +274,7 @@ def cv(input_path, label_column, positive_label, missing, quantiles, form,
     else:
         _fail("pass --c-grid or --complexity-bound")
     table = _load_table(input_path, label_column, positive_label, missing)
-    proto = _colgen_config(max(grid), clause_bound, kappa, time_limit,
+    proto = _colgen_config(max(grid), clause_bound, time_limit,
                            pricing_time_limit, seed)
     try:
         outcomes = cross_validate(table, grid, form=form, folds=folds,
@@ -314,14 +311,14 @@ def cv(input_path, label_column, positive_label, missing, quantiles, form,
               type=click.Path(dir_okay=False, writable=True),
               help="Where to write the per-budget results CSV.")
 def sweep(input_path, label_column, positive_label, missing, quantiles, form,
-          clause_bound, kappa, seed, c_grid, folds, jobs, time_limit,
+          clause_bound, seed, c_grid, folds, jobs, time_limit,
           pricing_time_limit, metrics):
     """Trade accuracy against complexity across a list of budgets."""
     grid = _parse_grid(c_grid, "--c-grid")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         _fail("--c-grid must be strictly increasing")
     table = _load_table(input_path, label_column, positive_label, missing)
-    proto = _colgen_config(max(grid), clause_bound, kappa, time_limit,
+    proto = _colgen_config(max(grid), clause_bound, time_limit,
                            pricing_time_limit, seed)
     try:
         points = sweep_validate(table, grid, form=form, folds=folds,

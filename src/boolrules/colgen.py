@@ -3,12 +3,13 @@ then pick the final rule set with a small branch-and-bound over the pool.
 
 The loop alternates between solving the restricted master LP over the pool
 (warm-started from the previous basis) and pricing new clauses against its
-duals.  Instance size decides the pricing strategy: a "small" instance runs
-the exact search on the full data, a "large" one (pricing nnz above
-`large_nnz`) prices on a row/feature sample first.  Whenever the exact
-search finishes, or times out with a usable bound, the dual information
-yields a certified lower bound on the best achievable training loss; those
-certificates are kept across iterations and reported with the final model.
+duals.  A "small" instance runs the exact search on the full data.  A
+"large" one (pricing nnz above `large_nnz`) prices on a row/feature sample
+first and runs the full-data exact search only when none of the sample's
+candidates prices negative on the full data.  Every full-data exact search,
+finished or timed out, yields a certified lower bound on the best
+achievable training loss; those certificates are kept across iterations
+and reported with the final model.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .pricing import (
     NEGATIVE_EPS,
     DualContext,
     price_exact,
-    price_greedy,
     restrict_pricing,
 )
 from .ruleset import Clause
@@ -44,17 +44,17 @@ class ColGenConfig:
 
     complexity_bound is the total complexity budget C; clause_bound caps
     features per clause and defaults to C - 1 (a larger clause could never
-    fit the budget anyway).  kappa caps the greedy pricer's clause size.
-    Time limits are wall-clock seconds: the overall limit covers the whole
-    loop including the final integer solve, which gets whatever time is
-    left; the pricing limit applies to each exact pricing call.  At most
-    max_columns clauses enter the pool per round.  An instance whose
-    pricing nnz exceeds large_nnz prices on samples and certifies nothing.
+    fit the budget anyway).  Time limits are wall-clock seconds: the
+    overall limit covers the whole loop including the final integer solve,
+    which gets whatever time is left; the pricing limit applies to each
+    exact pricing call.  At most max_columns clauses enter the pool per
+    round.  An instance whose pricing nnz exceeds large_nnz prices on a
+    sample first and falls back to the full data when the sample's
+    candidates all fail.
     """
 
     complexity_bound: int
     clause_bound: int | None = None
-    kappa: int = 5
     time_limit: float = 300.0
     pricing_time_limit: float = 45.0
     max_columns: int = 10
@@ -67,8 +67,8 @@ class ColGenConfig:
                              "(the cheapest clause costs 2)")
         if self.clause_bound is not None and self.clause_bound < 1:
             raise ValueError("clause_bound must be at least 1")
-        if self.kappa < 1:
-            raise ValueError("kappa must be at least 1")
+        if self.max_columns < 1:
+            raise ValueError("max_columns must be at least 1")
         if self.time_limit <= 0 or self.pricing_time_limit <= 0:
             raise ValueError("time limits must be positive")
 
@@ -81,8 +81,9 @@ class ColGenConfig:
 
 @dataclass
 class TraceEntry:
-    """One round of the loop.  The pricing fields describe the round's
-    first pricing call; a round that ends before pricing leaves them zero."""
+    """One round of the loop.  The pricing fields add up the round's
+    pricing calls, and pricing_proven says a full-data exact call proved
+    its minimum; a round that ends before pricing leaves them zero."""
 
     iteration: int
     master_value: float
@@ -305,7 +306,7 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
     An external pool may be passed in (the complexity sweep shares one); it
     is grown in place.  Returns the chosen clauses as pool indices resolved
     to Clause objects, the integer training objective, and the best
-    certified lower bound (0 when nothing could be certified).
+    certified lower bound (None when nothing could be certified).
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -326,6 +327,22 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
     z_rmlp = float(n_pos)
     converged = False
     iteration = 0
+
+    def price_budget():
+        left = cfg.time_limit - (time.perf_counter() - t0)
+        return min(cfg.pricing_time_limit, max(left, 0.0))
+
+    def admit(res):
+        """The result's clauses outside the pool that price negative
+        on the full data, most negative first."""
+        found = []
+        for feats, _ in res.clauses:
+            if feats not in pool:
+                rc = reduced_cost_dense(ds.X, ds.y, mu, lam, feats)
+                if rc < -NEGATIVE_EPS:
+                    found.append((feats, rc))
+        found.sort(key=lambda t: (t[1], t[0]))
+        return found[:cfg.max_columns]
 
     loop_deadline = t0 + cfg.time_limit
     while True:
@@ -349,61 +366,44 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         basis = ms.basis
         mu, lam = ms.mu, ms.lam
 
-        elapsed = time.perf_counter() - t0
-        remaining = cfg.time_limit - elapsed
-        if remaining <= 0:
+        if time.perf_counter() - t0 >= cfg.time_limit:
             trace.append(TraceEntry(iteration, z_rmlp, math.nan, "time-up",
                                     0, len(pool), time.perf_counter() - it_t0))
             break
-        price_budget = min(cfg.pricing_time_limit, remaining)
 
         # Pricing minimizes over clauses outside the pool.  A pool clause
         # sitting at its upper bound prices negative at a perfectly optimal
         # master (the bound's own dual absorbs the difference), so it proves
-        # nothing and would only stall termination.
+        # nothing and would only stall termination.  A sampled round whose
+        # candidates all fail on the full data prices the full data next.
         results = []
+        admitted = []
         if regime == "large":
             rp = restrict_pricing(ds.X, ds.y, mu, lam, depth, rng)
-            results.append(rp.lift(price_exact(rp.ctx,
-                                               time_limit=price_budget)))
-        else:
-            ctx = DualContext(ds.X, ds.y, mu, lam, depth)
-            results.append(price_exact(ctx, time_limit=price_budget,
-                                       exclude=pool.index.keys()))
+            results.append(rp.lift(price_exact(
+                rp.ctx, time_limit=price_budget(),
+                max_returned=cfg.max_columns)))
+            admitted = admit(results[-1])
+        if not admitted:
+            results.append(price_exact(
+                DualContext(ds.X, ds.y, mu, lam, depth),
+                time_limit=price_budget(), max_returned=cfg.max_columns,
+                exclude=pool.index.keys()))
+            admitted = admit(results[-1])
 
-        # certificates: only full-data exact searches may claim a floor
-        head = results[0]
-        if head.mode == "exact" and head.certified_floor is not None:
-            floor = head.certified_floor
+        # certificates: only full-data exact searches carry a floor
+        for res in results:
+            if res.certified_floor is None:
+                continue
+            floor = res.certified_floor
             if floor >= -NEGATIVE_EPS:
                 lb = guarded_ceil(z_rmlp)
             else:
                 lb = guarded_ceil(z_rmlp + (budget / 2.0) * floor)
             lb = max(lb, 0)  # the objective is a count
             best_lb = lb if best_lb is None else max(best_lb, lb)
-            if head.proven_optimal and head.best_value >= -NEGATIVE_EPS:
+            if res.proven_optimal and res.best_value >= -NEGATIVE_EPS:
                 converged = True
-
-        # candidate admission, re-priced on the full data
-        def admissions():
-            seen = []
-            for res in results:
-                for feats, _ in res.clauses:
-                    if feats in pool or feats in (f for f, _ in seen):
-                        continue
-                    rc = reduced_cost_dense(ds.X, ds.y, mu, lam, feats)
-                    if rc < -NEGATIVE_EPS:
-                        seen.append((feats, rc))
-            seen.sort(key=lambda t: (t[1], t[0]))
-            return seen[:cfg.max_columns]
-
-        admitted = admissions()
-        if not admitted and not converged:
-            if regime == "large":
-                ctx = DualContext(ds.X, ds.y, mu, lam, depth)
-            results.append(price_greedy(ctx, kappa=cfg.kappa,
-                                        exclude=pool.index.keys()))
-            admitted = admissions()
 
         mode = "+".join(r.mode for r in results)
         added = 0
@@ -411,11 +411,12 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
             if pool.add(feats):
                 added += 1
         best_rc = min((rc for _, rc in admitted),
-                      default=head.best_value)
+                      default=results[-1].best_value)
         trace.append(TraceEntry(iteration, z_rmlp, best_rc, mode, added,
                                 len(pool), time.perf_counter() - it_t0,
-                                head.elapsed, head.explored,
-                                head.proven_optimal))
+                                sum(r.elapsed for r in results),
+                                sum(r.explored for r in results),
+                                any(r.proven_optimal for r in results)))
         if added == 0:
             break
 

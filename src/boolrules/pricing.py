@@ -9,11 +9,10 @@ reduced cost of a clause K is
 subsets and is the source of optimality certificates.  It works on batches
 of same-size clauses held as row masks, scoring all their one-feature
 extensions with two matrix products, and returns the true most negative
-clauses, ties broken by features.  `price_greedy` is a
-beam-style fallback with hard evaluation caps for instances where the exact
-search cannot finish.  `restrict_pricing` shrinks the instance by row and
-feature sampling first; anything it finds must be re-priced on the full data
-by the caller, and nothing it proves counts as a certificate.
+clauses, ties broken by features.  `restrict_pricing` shrinks the instance
+by row and feature sampling first, for large instances; anything it finds
+must be re-priced on the full data by the caller, and nothing it proves
+counts as a certificate.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ class DualContext:
     Xn: np.ndarray = field(init=False, repr=False)
     mu_w: np.ndarray = field(init=False, repr=False)
     root_mu: np.ndarray = field(init=False, repr=False)
-    root_neg: np.ndarray = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -72,8 +70,6 @@ class DualContext:
         self.mu_w = mu[live]
         self.Xn = X[neg]
         self.root_mu = self.mu_w @ self.Xp if self.Xp.size else np.zeros(X.shape[1])
-        self.root_neg = (self.Xn.sum(axis=0, dtype=np.int64)
-                         if self.Xn.size else np.zeros(X.shape[1], dtype=np.int64))
         # most promising features first: ties fall back to column order
         self.order = np.argsort(-self.root_mu, kind="stable")
 
@@ -101,16 +97,6 @@ class PricingResult:
     explored: int
     elapsed: float
     mode: str
-
-
-def reduced_cost(ctx: DualContext, features) -> float:
-    feats = list(features)
-    value = ctx.lam * (1 + len(feats))
-    if ctx.Xn.size:
-        value += float(ctx.Xn[:, feats].all(axis=1).sum())
-    if ctx.Xp.size:
-        value -= float(ctx.mu_w[ctx.Xp[:, feats].all(axis=1)].sum())
-    return value
 
 
 class _TopK:
@@ -253,107 +239,6 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
         explored=evals,
         elapsed=time.perf_counter() - t0,
         mode="exact",
-    )
-
-
-def price_greedy(ctx: DualContext, kappa: int = 5,
-                 level_evals: int = 50000, max_returned: int = 10,
-                 time_limit: float | None = None,
-                 exclude=None) -> PricingResult:
-    """Beam-style pricing without optimality claims.
-
-    Level 1 scores every single feature.  Features whose one-feature bound
-    2 lam - (mu mass covered) is negative become seeds; each later level
-    extends the current clauses in ascending reduced-cost order with
-    higher-indexed features, keeping children whose extension bound stays
-    negative.  Every level evaluates at most `level_evals` candidates and
-    clause size is capped by kappa and the depth limit.  Clauses listed in
-    `exclude` are extended but never reported.
-    """
-    t0 = time.perf_counter()
-    deadline = None if time_limit is None else t0 + float(time_limit)
-    exclude = frozenset(exclude) if exclude else frozenset()
-    depth_cap = max(1, min(int(kappa), ctx.depth_limit))
-    top = _TopK(max_returned)
-    lam = ctx.lam
-    Xp, Xn, mu_w = ctx.Xp, ctx.Xn, ctx.mu_w
-
-    best_val = math.inf
-    best_clause = None
-
-    def record(rc, make_feats):
-        nonlocal best_val, best_clause
-        worth = np.flatnonzero(rc < max(best_val, -NEGATIVE_EPS))
-        for k in worth[np.argsort(rc[worth], kind="stable")]:
-            feats = make_feats(int(k))
-            if feats in exclude:
-                continue
-            v = float(rc[k])
-            if v < best_val:
-                best_val = v
-                best_clause = feats
-            top.offer(v, feats)
-
-    rc1 = ctx.root_neg - ctx.root_mu + 2.0 * lam
-    evals = ctx.d
-    record(rc1, lambda k: (k,))
-
-    frontier = []
-    for j in np.flatnonzero(2.0 * lam - ctx.root_mu < 0):
-        j = int(j)
-        rows_p = np.flatnonzero(Xp[:, j] == 1) if Xp.size else np.arange(0)
-        rows_n = np.flatnonzero(Xn[:, j] == 1) if Xn.size else np.arange(0)
-        frontier.append((float(rc1[j]), (j,), rows_p, rows_n))
-
-    for level in range(1, depth_cap):
-        if not frontier:
-            break
-        frontier.sort(key=lambda t: (t[0], t[1]))
-        next_frontier = []
-        used = 0
-        for rc_parent, feats, rows_p, rows_n in frontier:
-            if used >= level_evals:
-                break
-            if deadline is not None and time.perf_counter() > deadline:
-                break
-            cand = np.arange(feats[-1] + 1, ctx.d)
-            if cand.size == 0:
-                continue
-            if cand.size > level_evals - used:
-                cand = cand[:level_evals - used]
-            used += cand.size
-            evals += cand.size
-            if rows_p.size:
-                mu_cov = mu_w[rows_p] @ Xp[np.ix_(rows_p, cand)]
-            else:
-                mu_cov = np.zeros(cand.size)
-            if rows_n.size:
-                neg_cov = Xn[np.ix_(rows_n, cand)].sum(axis=0, dtype=np.int64)
-            else:
-                neg_cov = np.zeros(cand.size, dtype=np.int64)
-            rc = neg_cov - mu_cov + lam * (2 + level)
-            record(rc, lambda k: feats + (int(cand[k]),))
-            if level + 1 >= depth_cap:
-                continue
-            ext_bound = lam * (3 + level) - mu_cov
-            for k in np.flatnonzero(ext_bound < 0):
-                j = int(cand[k])
-                next_frontier.append((
-                    float(rc[k]), feats + (j,),
-                    rows_p[Xp[rows_p, j] == 1] if rows_p.size else rows_p,
-                    rows_n[Xn[rows_n, j] == 1] if rows_n.size else rows_n,
-                ))
-        frontier = next_frontier
-
-    return PricingResult(
-        clauses=top.sorted_clauses(),
-        best_value=best_val,
-        best_clause=best_clause,
-        certified_floor=None,
-        proven_optimal=False,
-        explored=evals,
-        elapsed=time.perf_counter() - t0,
-        mode="greedy",
     )
 
 

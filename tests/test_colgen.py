@@ -63,8 +63,8 @@ def test_config_validation():
         ColGenConfig(complexity_bound=1)
     with pytest.raises(ValueError, match="clause_bound"):
         ColGenConfig(complexity_bound=4, clause_bound=0)
-    with pytest.raises(ValueError, match="kappa"):
-        ColGenConfig(complexity_bound=4, kappa=0)
+    with pytest.raises(ValueError, match="max_columns"):
+        ColGenConfig(complexity_bound=4, max_columns=0)
     with pytest.raises(ValueError, match="time limits"):
         ColGenConfig(complexity_bound=4, time_limit=0.0)
     with pytest.raises(ValueError, match="time limits"):
@@ -198,17 +198,32 @@ def test_max_columns_one_still_reaches_optimum():
     check_against_enumeration(ds, res, 6, 2)
 
 
+def test_max_columns_above_ten_is_honored():
+    rng = np.random.default_rng(31)
+    ds = make_binary_dataset((rng.random((40, 8)) < 0.5).astype(np.uint8),
+                             (rng.random(40) < 0.5).astype(np.int8))
+    res = run_column_generation(ds, small_config(8, 3, max_columns=15))
+    # the empty pool's first duals leave far more than 15 negative clauses
+    assert res.trace[0].added == 15
+    assert all(t.added <= 15 for t in res.trace)
+    assert res.rmlp_converged
+
+
 def test_forced_large_regime_samples_and_still_solves():
     rng = np.random.default_rng(23)
     ds = random_instance(rng)
     # thresholds pushed down so this tiny instance takes the sampling path;
-    # the sample targets keep every row and feature, so the pool still ends
-    # up rich enough for the exact optimum
+    # once the sample's candidates all fail on the full data, the round
+    # prices the full data exactly and certifies like the small regime
     cfg = small_config(6, 2, large_nnz=2, seed=3)
     res = run_column_generation(ds, cfg)
     assert res.regime == "large"
-    assert any("restricted-exact" in t.mode for t in res.trace)
-    assert not res.rmlp_converged  # sampled pricing never certifies
+    assert res.trace[0].mode == "restricted-exact"
+    last = res.trace[-1]
+    assert last.mode == "restricted-exact+exact"
+    assert last.added == 0 and last.pricing_proven
+    assert res.rmlp_converged
+    assert res.lower_bound == guarded_ceil(res.z_rmlp)
     check_against_enumeration(ds, res, 6, 2)
 
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from boolrules import pricing
+from boolrules.colgen import reduced_cost_dense
 from boolrules.pricing import (
     DualContext,
     price_exact,
-    price_greedy,
-    reduced_cost,
     restrict_pricing,
 )
 from _data import make_binary_dataset, random_dataset, tiny_example
@@ -17,32 +16,16 @@ from _oracles import best_clause_by_enumeration, clause_reduced_cost
 
 def test_worked_example_reduced_costs():
     ds = tiny_example()
-    ctx = DualContext(ds.X, ds.y, mu=np.array([1.0, 1.0]), lam=0.0,
-                      depth_limit=3)
+    mu = np.array([1.0, 1.0])
     # raw column c0 covers both positives and no negative
-    assert reduced_cost(ctx, (0,)) == -2.0
-    ctx_lam = DualContext(ds.X, ds.y, mu=np.array([1.0, 1.0]), lam=0.5,
-                          depth_limit=3)
+    assert reduced_cost_dense(ds.X, ds.y, mu, 0.0, (0,)) == -2.0
     # c1 covers one positive and one negative; the size penalty tips it up
-    assert reduced_cost(ctx_lam, (1,)) == 1.0
-    res = price_exact(ctx)
+    assert reduced_cost_dense(ds.X, ds.y, mu, 0.5, (1,)) == 1.0
+    res = price_exact(DualContext(ds.X, ds.y, mu, lam=0.0, depth_limit=3))
     assert res.proven_optimal
     assert res.best_value == -2.0
     assert res.best_clause == (0,)
     assert res.certified_floor == -2.0
-
-
-def test_reduced_cost_matches_definition():
-    rng = np.random.default_rng(42)
-    for _ in range(40):
-        ds = random_dataset(rng, n_max=25, k_max=6)
-        mu = rng.random(len(ds.pos)) * 2.0
-        lam = float(rng.choice([0.0, 0.1, 0.5]))
-        ctx = DualContext(ds.X, ds.y, mu, lam, 4)
-        size = int(rng.integers(1, 4))
-        feats = tuple(sorted(rng.choice(ds.d, size=size, replace=False)))
-        assert reduced_cost(ctx, feats) == pytest.approx(
-            clause_reduced_cost(feats, ds.X, ds.y, mu, lam), abs=1e-12)
 
 
 def test_exact_matches_enumeration():
@@ -173,51 +156,6 @@ def test_exact_is_deterministic():
     assert a.clauses == b.clauses
     assert a.best_value == b.best_value
     assert a.explored == b.explored
-
-
-def test_greedy_values_and_determinism():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        ds = random_dataset(rng, n_max=30, k_max=7)
-        mu = rng.random(len(ds.pos)) * 1.5
-        lam = float(rng.choice([0.0, 0.1, 0.4]))
-        ctx = DualContext(ds.X, ds.y, mu, lam, 4)
-        res = price_greedy(ctx)
-        assert not res.proven_optimal
-        assert res.certified_floor is None
-        assert res.mode == "greedy"
-        for feats, rc in res.clauses:
-            assert rc == pytest.approx(
-                clause_reduced_cost(feats, ds.X, ds.y, mu, lam), abs=1e-9)
-            assert rc < -1e-9
-            assert len(feats) <= 4
-        again = price_greedy(ctx)
-        assert res.clauses == again.clauses
-
-
-def test_greedy_kappa_caps_size():
-    rng = np.random.default_rng(12)
-    ds = random_dataset(rng, n_max=25, k_max=6)
-    mu = np.full(len(ds.pos), 2.0)
-    res = price_greedy(DualContext(ds.X, ds.y, mu, 0.0, 6), kappa=2)
-    assert all(len(f) <= 2 for f, _ in res.clauses)
-
-
-def test_greedy_finds_an_obvious_clause():
-    ds = tiny_example()
-    res = price_greedy(DualContext(ds.X, ds.y, np.array([1.0, 1.0]), 0.0, 3))
-    assert res.best_value == -2.0
-    assert res.best_clause == (0,)
-    assert ((0,), -2.0) in res.clauses
-
-
-def test_greedy_no_seeds_when_bound_says_no():
-    # lam large enough that 2 lam exceeds total mu: no clause can be
-    # negative and the frontier never forms
-    ds = tiny_example()
-    res = price_greedy(DualContext(ds.X, ds.y, np.array([0.3, 0.3]), 1.0, 3))
-    assert res.clauses == []
-    assert res.best_value >= 0
 
 
 def test_restricted_sampling_and_lift():
