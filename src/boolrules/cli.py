@@ -77,12 +77,14 @@ def _write_trace(path, trace):
         w = csv.writer(fh)
         w.writerow(["iteration", "master_value", "best_reduced_cost", "mode",
                     "added", "pool_size", "seconds", "pricing_seconds",
-                    "pricing_explored", "pricing_proven"])
+                    "pricing_explored", "pricing_proven", "master_seconds",
+                    "master_pivots"])
         for t in trace:
             w.writerow([t.iteration, t.master_value, t.best_reduced_cost,
                         t.mode, t.added, t.pool_size, f"{t.seconds:.3f}",
                         f"{t.pricing_seconds:.3f}", t.pricing_explored,
-                        int(t.pricing_proven)])
+                        int(t.pricing_proven), f"{t.master_seconds:.3f}",
+                        t.master_pivots])
 
 
 data_options = [

@@ -81,9 +81,11 @@ class ColGenConfig:
 
 @dataclass
 class TraceEntry:
-    """One round of the loop.  The pricing fields add up the round's
-    pricing calls, and pricing_proven says a full-data exact call proved
-    its minimum; a round that ends before pricing leaves them zero."""
+    """One round of the loop.  master_seconds and master_pivots add up the
+    round's master solves, a cold retry included.  The pricing fields add
+    up the round's pricing calls, and pricing_proven says a full-data exact
+    call proved its minimum; a round that ends before pricing leaves them
+    zero."""
 
     iteration: int
     master_value: float
@@ -92,6 +94,8 @@ class TraceEntry:
     added: int
     pool_size: int
     seconds: float
+    master_seconds: float = 0.0
+    master_pivots: int = 0
     pricing_seconds: float = 0.0
     pricing_explored: int = 0
     pricing_proven: bool = False
@@ -351,16 +355,20 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         pos_cover, neg_counts, complexities = pool.arrays()
         ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
                                   budget, start=basis, deadline=loop_deadline)
+        master_pivots = ms.iterations
         if ms.status not in ("optimal", "time-limit"):
             ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
                                       budget, deadline=loop_deadline)
+            master_pivots += ms.iterations
+        master = (time.perf_counter() - it_t0, master_pivots)
         if ms.status != "optimal":
             # the master outlived the budget or failed outright; keep the
             # last finished master's value and basis, claim no convergence
             # and fall through to the integer stage
             mode = "time-up" if ms.status == "time-limit" else "master-failed"
             trace.append(TraceEntry(iteration, z_rmlp, math.nan, mode,
-                                    0, len(pool), time.perf_counter() - it_t0))
+                                    0, len(pool), time.perf_counter() - it_t0,
+                                    *master))
             break
         z_rmlp = ms.objective
         basis = ms.basis
@@ -368,7 +376,8 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
 
         if time.perf_counter() - t0 >= cfg.time_limit:
             trace.append(TraceEntry(iteration, z_rmlp, math.nan, "time-up",
-                                    0, len(pool), time.perf_counter() - it_t0))
+                                    0, len(pool), time.perf_counter() - it_t0,
+                                    *master))
             break
 
         # Pricing minimizes over clauses outside the pool.  A pool clause
@@ -382,7 +391,8 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
             rp = restrict_pricing(ds.X, ds.y, mu, lam, depth, rng)
             results.append(rp.lift(price_exact(
                 rp.ctx, time_limit=price_budget(),
-                max_returned=cfg.max_columns)))
+                max_returned=cfg.max_columns,
+                exclude=rp.restrict(pool.index.keys()))))
             admitted = admit(results[-1])
         if not admitted:
             results.append(price_exact(
@@ -414,6 +424,7 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
                       default=results[-1].best_value)
         trace.append(TraceEntry(iteration, z_rmlp, best_rc, mode, added,
                                 len(pool), time.perf_counter() - it_t0,
+                                *master,
                                 sum(r.elapsed for r in results),
                                 sum(r.explored for r in results),
                                 any(r.proven_optimal for r in results)))

@@ -5,13 +5,16 @@ primal simplex over
 
     min c'x   s.t.  a_r'x {<=,>=} b_r,   l <= x <= u,
 
-with every row given a slack internally.  The basis is kept as a sparse LU
-factorization (scipy splu) plus a product-form eta file that is rebuilt every
-few dozen pivots.  Entering variables are picked by largest dual infeasibility
-(Dantzig); after 50 consecutive degenerate steps the rule switches to Bland's
-smallest-index rule until a nondegenerate pivot happens, which guarantees
-termination.  Duals are reported per row in the row's own sense: for a
-minimization, a >= row gets a nonnegative dual and a <= row a nonpositive one.
+with every row given a slack internally.  A `LinearProgram` holds its rows
+as one sparse CSC matrix with a sign per row (+1 for <=, -1 for >=) and the
+right-hand sides; callers that build rows one by one pass a list of `Row`.
+The basis is kept as a sparse LU factorization (scipy splu) plus a
+product-form eta file that is rebuilt every few dozen pivots.  Entering
+variables are picked by largest dual infeasibility (Dantzig); after 50
+consecutive degenerate steps the rule switches to Bland's smallest-index
+rule until a nondegenerate pivot happens, which guarantees termination.
+Duals are reported per row in the row's own sense: for a minimization, a >=
+row gets a nonnegative dual and a <= row a nonpositive one.
 
 Appending columns does not disturb the row space, so a restricted master
 that grew by a few clauses re-solves from the previous master's basis, padded
@@ -62,23 +65,35 @@ class Row:
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
 
 
-@dataclass
 class LinearProgram:
     """min objective'x subject to rows and variable bounds (inf allowed on
-    one side of a bound, never both)."""
+    one side of a bound, never both).
 
-    objective: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    rows: list
+    The rows live in `A`, an (m, n) CSC matrix, with `sign` (+1.0 for a <=
+    row, -1.0 for a >= row) and `rhs`.  Pass them as `matrix=(A, sign,
+    rhs)`, or pass `rows`, a list of `Row`, to have them assembled."""
 
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=np.float64)
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
+    def __init__(self, objective, lower, upper, rows=(), matrix=None):
+        self.objective = np.asarray(objective, dtype=np.float64)
+        self.lower = np.asarray(lower, dtype=np.float64)
+        self.upper = np.asarray(upper, dtype=np.float64)
         n = len(self.objective)
+        if matrix is None:
+            rows = list(rows)
+            ix = np.repeat(np.arange(len(rows)), [len(r.indices) for r in rows])
+            jx = np.concatenate([r.indices for r in rows] + [np.zeros(0, int)])
+            vals = np.concatenate([r.coeffs for r in rows] + [np.zeros(0)])
+            matrix = (sp.csc_matrix((vals, (ix, jx)), shape=(len(rows), n)),
+                      [1.0 if r.sense == "<=" else -1.0 for r in rows],
+                      [r.rhs for r in rows])
+        self.A = sp.csc_matrix(matrix[0], dtype=np.float64)
+        self.A.sum_duplicates()  # sorted, duplicate-free columns
+        self.sign = np.asarray(matrix[1], dtype=np.float64)
+        self.rhs = np.asarray(matrix[2], dtype=np.float64)
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("objective and bounds must have the same length")
+        if self.A.shape != (len(self.rhs), n) or len(self.sign) != len(self.rhs):
+            raise ValueError("row matrix, signs and rhs do not fit")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound above upper bound")
         if np.any(np.isinf(self.lower) & np.isinf(self.upper)):
@@ -90,7 +105,16 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
+
+    @property
+    def rows(self) -> list:
+        """The rows as `Row` objects, read back from the matrix."""
+        R = self.A.tocsr()
+        return [Row(R.indices[s:e], R.data[s:e], "<=" if g > 0 else ">=",
+                    float(b))
+                for s, e, g, b in zip(R.indptr[:-1], R.indptr[1:],
+                                      self.sign, self.rhs)]
 
 
 @dataclass
@@ -105,32 +129,48 @@ class LPSolution:
 
 
 class _Factor:
-    """splu factorization of the basis plus a product-form eta file."""
+    """splu factorization of the basis plus a product-form eta file.  Each
+    eta is (column, pivot row, pivot entry as a Python float)."""
 
     def __init__(self, A: sp.csc_matrix):
         self.A = A
         self.lu = None
         self.etas = []
+        self.buf = np.empty(A.shape[0])
 
     def refresh(self, basis: np.ndarray):
-        B = sp.csc_matrix(self.A[:, basis])
-        self.lu = splu(B.sorted_indices(), permc_spec="COLAMD",
+        # gather the basis columns straight from the CSC arrays; they come
+        # out sorted, as A's own columns are
+        A = self.A
+        start = A.indptr[basis]
+        lens = A.indptr[basis + 1] - start
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        take = np.repeat(start - indptr[:-1], lens) + np.arange(indptr[-1])
+        B = sp.csc_matrix((A.data[take], A.indices[take], indptr),
+                          shape=(len(basis), len(basis)))
+        self.lu = splu(B, permc_spec="COLAMD",
                        options={"SymmetricMode": False})
         self.etas = []
 
+    def push(self, eta: np.ndarray, r: int):
+        self.etas.append((eta, r, float(eta[r])))
+
     def ftran(self, a: np.ndarray) -> np.ndarray:
         v = self.lu.solve(a)
-        for eta, r in self.etas:
-            piv = v[r] / eta[r]
-            v -= piv * eta
+        buf = self.buf
+        for eta, r, er in self.etas:
+            piv = v.item(r) / er
+            if piv:  # a zero pivot changes no nonzero entry, at most a zero's sign
+                np.multiply(eta, piv, buf)
+                np.subtract(v, buf, v)
             v[r] = piv
         return v
 
     def btran(self, c: np.ndarray) -> np.ndarray:
         v = np.array(c, dtype=np.float64)
-        for eta, r in reversed(self.etas):
-            t = np.dot(eta, v)
-            v[r] = (v[r] - (t - eta[r] * v[r])) / eta[r]
+        for eta, r, er in reversed(self.etas):
+            vr = v.item(r)
+            v[r] = (vr - (float(eta.dot(v)) - er * vr)) / er
         return self.lu.solve(v, trans="T")
 
 
@@ -143,18 +183,15 @@ class _Simplex:
         self.deadline = deadline
         n, m = lp.n_vars, lp.n_rows
         self.n, self.m = n, m
-        self.sign = np.array([1.0 if r.sense == "<=" else -1.0 for r in lp.rows])
-        self.b = self.sign * np.array([r.rhs for r in lp.rows], dtype=np.float64)
+        self.b = lp.sign * lp.rhs
 
-        # COO triplets row by row, then one slack per row
-        lens = np.array([len(r.indices) for r in lp.rows], dtype=np.int64)
-        slack = np.arange(m)
-        data = np.concatenate([r.coeffs for r in lp.rows] + [np.ones(m)])
-        data[:lens.sum()] *= np.repeat(self.sign, lens)
-        rows_ix = np.concatenate([np.repeat(slack, lens), slack])
-        cols_ix = np.concatenate([r.indices for r in lp.rows] + [n + slack])
+        # the rows in <= orientation, then one slack column per row
+        A = lp.A
         self.A = sp.csc_matrix(
-            (data, (rows_ix, cols_ix)), shape=(m, n + m), dtype=np.float64)
+            (np.concatenate([A.data * lp.sign[A.indices], np.ones(m)]),
+             np.concatenate([A.indices, np.arange(m)]),
+             np.concatenate([A.indptr, A.indptr[-1] + 1 + np.arange(m)])),
+            shape=(m, n + m))
 
         self.lower = np.concatenate([lp.lower, np.zeros(m)])
         self.upper = np.concatenate([lp.upper, np.full(m, np.inf)])
@@ -257,6 +294,14 @@ class _Simplex:
         m = self.m
         degen_streak = 0
         movable = self.lower < self.upper
+        # -1 at a movable variable resting at its lower bound, +1 at its
+        # upper bound, else 0: times a reduced cost, the dual infeasibility.
+        # Kept in step with every pivot, as are the basic costs and bounds.
+        dirn = np.where(movable & (self.vstat == AT_LOWER), -1.0,
+                        np.where(movable & (self.vstat == AT_UPPER), 1.0, 0.0))
+        cb = cost[self.basis]
+        lb, ub = self.lower[self.basis], self.upper[self.basis]
+        lim = np.empty(m)
         AT = self.A.T
         while True:
             if self.iterations >= self.max_iter:
@@ -264,34 +309,22 @@ class _Simplex:
             if (self.deadline is not None and self.iterations & 127 == 0
                     and time.perf_counter() > self.deadline):
                 return TIME_LIMIT
-            y = self.factor.btran(cost[self.basis])
-            d = cost - AT @ y
+            y = self.factor.btran(cb)
+            score = (cost - AT @ y) * dirn
             bland = degen_streak >= DEGENERATE_STREAK
-
-            viol_lo = (self.vstat == AT_LOWER) & movable & (d < -DUAL_TOL)
-            viol_up = (self.vstat == AT_UPPER) & movable & (d > DUAL_TOL)
-            viol = viol_lo | viol_up
-            if not viol.any():
+            # Bland: the first violation; Dantzig: the first largest one
+            q = int((score > DUAL_TOL).argmax() if bland else score.argmax())
+            if not score[q] > DUAL_TOL:
                 return OPTIMAL
-            cand = np.flatnonzero(viol)
-            if bland:
-                q = int(cand[0])
-            else:
-                q = int(cand[np.argmax(np.abs(d[cand]))])
-            sigma = 1.0 if self.vstat[q] == AT_LOWER else -1.0
+            sigma = -dirn.item(q)
 
             w = self.factor.ftran(self._column(q))
             denom = sigma * w
             xb = self.x[self.basis]
-            lim = np.full(m, np.inf)
-            dec = denom > PIVOT_TOL
-            if dec.any():
-                lim[dec] = (xb[dec] - self.lower[self.basis[dec]]) / denom[dec]
-            inc = denom < -PIVOT_TOL
-            if inc.any():
-                ub = self.upper[self.basis[inc]]
-                with np.errstate(invalid="ignore"):
-                    lim[inc] = np.where(np.isfinite(ub), (xb[inc] - ub) / denom[inc], np.inf)
+            # each basic variable's step to the bound it moves towards
+            lim.fill(np.inf)
+            np.divide(xb - lb, denom, out=lim, where=denom > PIVOT_TOL)
+            np.divide(xb - ub, denom, out=lim, where=denom < -PIVOT_TOL)
             np.maximum(lim, 0.0, out=lim)
 
             t_rows = lim.min() if m else np.inf
@@ -304,14 +337,15 @@ class _Simplex:
                 self.x[q] += sigma * t_flip
                 self.x[self.basis] = xb - sigma * t_flip * w
                 self.vstat[q] = AT_UPPER if self.vstat[q] == AT_LOWER else AT_LOWER
+                dirn[q] = -dirn[q]
                 step = t_flip
             else:
-                tie = np.flatnonzero(lim <= t_rows + 1e-9)
+                tie = lim <= t_rows + 1e-9
                 if bland:
-                    p = int(tie[np.argmin(self.basis[tie])])
+                    p = int(np.where(tie, self.basis, len(self.x)).argmin())
                 else:
                     # among tied ratios take the sturdiest pivot
-                    p = int(tie[np.argmax(np.abs(denom[tie]))])
+                    p = int(np.where(tie, np.abs(denom), -1.0).argmax())
                 step = lim[p]
                 leaving = int(self.basis[p])
                 self.x[q] += sigma * step
@@ -320,8 +354,12 @@ class _Simplex:
                 self.x[leaving] = self.upper[leaving] if to_upper else self.lower[leaving]
                 self.vstat[leaving] = AT_UPPER if to_upper else AT_LOWER
                 self.vstat[q] = BASIC
+                dirn[q] = 0.0
+                if movable[leaving]:
+                    dirn[leaving] = 1.0 if to_upper else -1.0
                 self.basis[p] = q
-                self.factor.etas.append((w, p))
+                cb[p], lb[p], ub[p] = cost[q], self.lower[q], self.upper[q]
+                self.factor.push(w, p)
                 if len(self.factor.etas) >= REFACTOR_EVERY or abs(w[p]) < ETA_GUARD:
                     self._refactor()
             degen_streak = degen_streak + 1 if step <= 1e-9 else 0
@@ -372,7 +410,7 @@ class _Simplex:
         x_struct = x[:n].copy()
         if status == OPTIMAL and m > 0:
             y = self.factor.btran(self.cost[self.basis])
-            duals = self.sign * y
+            duals = self.lp.sign * y
         else:
             duals = np.zeros(m)
         # the internal slack value is already the surplus in the row's own
@@ -422,38 +460,23 @@ def verify_solution(lp: LinearProgram, sol: LPSolution) -> dict:
     for a correct optimal solution of a well-scaled LP.
     """
     x, duals = sol.x, sol.duals
-    out = {
+    # each row's surplus in its own sense, and the reduced costs
+    slack = lp.sign * (lp.rhs - lp.A @ x)
+    rc = lp.objective - lp.A.T @ duals
+    at_lo = x <= lp.lower + 1e-7
+    at_hi = np.isfinite(lp.upper) & (x >= lp.upper - 1e-7)
+    cs_var = np.where(at_lo & ~at_hi, -rc, np.where(at_hi & ~at_lo, rc, 0.0))
+    return {
         "bound_low": float(np.max(lp.lower - x, initial=0.0)),
         "bound_high": float(np.max(x - lp.upper, initial=0.0)),
+        "row": float(np.max(-slack, initial=0.0)),
+        "dual_sign": float(np.max(np.abs(duals)[lp.sign * duals > 0],
+                                  initial=0.0)),
+        "cs_row": float(np.max(np.abs(duals * slack), initial=0.0)),
+        "cs_var": float(np.max(cs_var, initial=0.0)),
+        "stationarity": float(np.max(np.abs(rc[~at_lo & ~at_hi]),
+                                     initial=0.0)),
     }
-    row_viol = dual_sign = cs_row = 0.0
-    y_user = np.zeros(lp.n_rows)
-    for r, row in enumerate(lp.rows):
-        act = float(row.coeffs @ x[row.indices])
-        slack = row.rhs - act if row.sense == "<=" else act - row.rhs
-        row_viol = max(row_viol, -slack)
-        y = duals[r]
-        y_user[r] = y
-        sign_ok = y <= 0 if row.sense == "<=" else y >= 0
-        if not sign_ok:
-            dual_sign = max(dual_sign, abs(y))
-        cs_row = max(cs_row, abs(y * slack))
-    rc = lp.objective.copy()
-    for r, row in enumerate(lp.rows):
-        rc[row.indices] -= y_user[r] * row.coeffs
-    stat = cs_var = 0.0
-    for j in range(lp.n_vars):
-        at_lo = x[j] <= lp.lower[j] + 1e-7
-        at_hi = np.isfinite(lp.upper[j]) and x[j] >= lp.upper[j] - 1e-7
-        if at_lo and rc[j] < 0 and not at_hi:
-            cs_var = max(cs_var, -rc[j])
-        elif at_hi and rc[j] > 0 and not at_lo:
-            cs_var = max(cs_var, rc[j])
-        elif not at_lo and not at_hi:
-            stat = max(stat, abs(rc[j]))
-    out.update({"row": row_viol, "dual_sign": dual_sign, "cs_row": cs_row,
-                "cs_var": cs_var, "stationarity": stat})
-    return out
 
 
 # ----- restricted master construction ------------------------------------
@@ -499,16 +522,22 @@ def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
         lower[n_pos:] = w_lower
     if w_upper is not None:
         upper[n_pos:] = w_upper
-    # cover row i holds xi_i, then the clauses covering positive i in order
-    rows_i, cols_k = np.nonzero(pos_cover)
-    order = np.argsort(np.concatenate([np.arange(n_pos), rows_i]), kind="stable")
-    idx = np.concatenate([np.arange(n_pos), n_pos + cols_k])[order]
-    ends = np.cumsum(np.bincount(rows_i, minlength=n_pos) + 1).tolist()
-    ones = np.ones(len(idx))
-    rows = [Row(idx[s:e], ones[s:e], ">=", 1.0) for s, e in zip([0] + ends, ends)]
-    rows.append(Row(np.arange(n_pos, n_pos + K),
-                    np.asarray(complexities, dtype=float), "<=", float(budget)))
-    return LinearProgram(objective, lower, upper, rows)
+    # column by column: xi_i sits in cover row i; clause k in the cover rows
+    # of the positives it covers, then in the budget row
+    ks, rows_i = np.nonzero(pos_cover.T)
+    ends = n_pos + np.cumsum(np.bincount(ks, minlength=K) + 1)
+    indptr = np.concatenate([np.arange(n_pos + 1), ends])
+    indices = np.full(indptr[-1], n_pos)
+    indices[:n_pos] = np.arange(n_pos)
+    # a cover entry is preceded by the xi entries, the cover entries before
+    # it and one budget entry per earlier clause
+    indices[n_pos + np.arange(len(ks)) + ks] = rows_i
+    data = np.ones(indptr[-1])
+    data[ends - 1] = complexities
+    A = sp.csc_matrix((data, indices, indptr), shape=(n_pos + 1, n_pos + K))
+    sign = np.concatenate([np.full(n_pos, -1.0), [1.0]])
+    rhs = np.concatenate([np.ones(n_pos), [float(budget)]])
+    return LinearProgram(objective, lower, upper, matrix=(A, sign, rhs))
 
 
 def master_start_basis(pos_cover, w_lower=None):

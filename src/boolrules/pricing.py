@@ -255,6 +255,13 @@ class RestrictedPricing:
     rows: np.ndarray
     features: np.ndarray
 
+    def restrict(self, clauses) -> list:
+        """The clauses whose features all survive the sample, re-indexed
+        to the sample's features (which keep their order)."""
+        local = {int(j): i for i, j in enumerate(self.features)}
+        return [tuple(local[j] for j in feats) for feats in clauses
+                if all(j in local for j in feats)]
+
     def lift(self, result: PricingResult) -> PricingResult:
         fmap = self.features
         lifted = [(tuple(int(fmap[j]) for j in feats), rc)

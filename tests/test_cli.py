@@ -53,10 +53,13 @@ def test_train_writes_model_trace_and_rules(tmp_path, runner):
     assert trace[0] == ["iteration", "master_value", "best_reduced_cost",
                        "mode", "added", "pool_size", "seconds",
                        "pricing_seconds", "pricing_explored",
-                       "pricing_proven"]
+                       "pricing_proven", "master_seconds", "master_pivots"]
     assert len(trace) > 1
+    last = dict(zip(trace[0], trace[-1]))
     # the run is certified optimal, so its last pricing call proved it
-    assert trace[-1][-1] == "1" and int(trace[-1][-2]) > 0
+    assert last["pricing_proven"] == "1" and int(last["pricing_explored"]) > 0
+    assert all(int(row[-1]) >= 0 for row in trace[1:])
+    assert float(last["master_seconds"]) <= float(last["seconds"])
 
     rules = (model.parent / "model.rules.txt").read_text()
     assert "THEN pos" in rules and "ELSE neg" in rules

@@ -16,6 +16,7 @@ from boolrules.colgen import (
     solve_restricted_mip,
     sweep_complexity,
 )
+from boolrules.pricing import RestrictedPricing
 from boolrules.ruleset import selection_loss
 
 from _data import make_binary_dataset, tiny_example
@@ -224,6 +225,59 @@ def test_forced_large_regime_samples_and_still_solves():
     assert last.added == 0 and last.pricing_proven
     assert res.rmlp_converged
     assert res.lower_bound == guarded_ceil(res.z_rmlp)
+    check_against_enumeration(ds, res, 6, 2)
+
+
+def test_sampled_pricing_skips_pool_clauses(monkeypatch):
+    # a pool clause at its upper bound prices negative on the sample too;
+    # excluded, it cannot take one of the sampled call's max_columns slots
+    real_lift = RestrictedPricing.lift
+    returned = []
+
+    def recording_lift(self, result):
+        lifted = real_lift(self, result)
+        returned.append([feats in pool for feats, _ in lifted.clauses])
+        return lifted
+
+    monkeypatch.setattr(RestrictedPricing, "lift", recording_lift)
+    for seed in range(5):
+        rng = np.random.default_rng(100 + seed)
+        ds = make_binary_dataset(
+            (rng.random((60, 5)) < 0.5).astype(np.uint8),
+            (rng.random(60) < 0.5).astype(np.int8))
+        pool = ClausePool(ds)
+        cfg = small_config(8, 3, large_nnz=2, max_columns=3, seed=seed)
+        res = run_column_generation(ds, cfg, pool=pool)
+        assert res.regime == "large"
+        check_against_enumeration(ds, res, 8, 3)
+    assert sum(len(r) for r in returned) >= 20
+    assert not any(in_pool for r in returned for in_pool in r)
+
+
+def test_trace_sums_each_rounds_master_pivots(monkeypatch):
+    # the loop's masters are the solves without clause bounds; round 2's
+    # warm master is made to fail once, so its cold retry counts as well
+    real = colgen.solve_restricted_mlp
+    pivots = []
+
+    def recording(*args, **kw):
+        ms = real(*args, **kw)
+        if kw.get("w_lower") is None:
+            pivots.append(ms.iterations)
+            if len(pivots) == 2:
+                ms.status = "iteration-limit"
+        return ms
+
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", recording)
+    rng = np.random.default_rng(31)
+    ds = make_binary_dataset((rng.random((40, 5)) < 0.5).astype(np.uint8),
+                             (rng.random(40) < 0.5).astype(np.int8))
+    res = run_column_generation(ds, small_config(6, 2, max_columns=2))
+    assert res.iterations >= 3 and len(pivots) == res.iterations + 1
+    assert res.trace[1].master_pivots == pivots[1] + pivots[2] > pivots[1]
+    assert [t.master_pivots for t in res.trace[2:]] == pivots[3:]
+    assert sum(t.master_pivots for t in res.trace) == sum(pivots)
+    assert all(0.0 <= t.master_seconds <= t.seconds for t in res.trace)
     check_against_enumeration(ds, res, 6, 2)
 
 

@@ -8,6 +8,7 @@ from boolrules.lp_engine import (
     BASIC,
     LinearProgram,
     Row,
+    _Factor,
     _grow_basis,
     _Simplex,
     build_restricted_mlp,
@@ -16,12 +17,23 @@ from boolrules.lp_engine import (
     solve_restricted_mlp,
     verify_solution,
 )
-from _oracles import lp_minimum_by_vertex_enumeration
+from _oracles import (
+    btran_by_etas,
+    ftran_by_etas,
+    lp_minimum_by_vertex_enumeration,
+    master_rows,
+    slack_form,
+)
 
 KKT_TOL = 1e-7
 
 
 def random_lp(rng, n_max=8, m_max=6):
+    return LinearProgram(*random_lp_parts(rng, n_max, m_max))
+
+
+def random_lp_parts(rng, n_max=8, m_max=6):
+    """objective, lower, upper and the list of Row of a random LP."""
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     lower = rng.integers(-3, 1, size=n).astype(float)
@@ -42,7 +54,7 @@ def random_lp(rng, n_max=8, m_max=6):
         sense = "<=" if rng.random() < 0.5 else ">="
         rhs = float(rng.integers(-8, 9))
         rows.append(Row(idx, tuple(coeffs[list(idx)]), sense, rhs))
-    return LinearProgram(objective, lower, upper, rows)
+    return objective, lower, upper, rows
 
 
 def check_against_oracle(lp, tol_obj=1e-6):
@@ -317,70 +329,95 @@ def test_grow_basis_shifts_slacks_and_pads_new_columns():
     assert vstat2[5:].tolist() == [AT_LOWER, AT_UPPER, BASIC]
 
 
-def matrix_by_rows(lp):
-    """The solver's internal matrix built the plain way: each row's entries
-    in the row's <= orientation, then one slack column per row."""
-    n, m = lp.n_vars, lp.n_rows
-    data, rows_ix, cols_ix = [], [], []
-    for r, row in enumerate(lp.rows):
-        sign = 1.0 if row.sense == "<=" else -1.0
-        for j, a in zip(row.indices, row.coeffs):
-            data.append(sign * a)
-            rows_ix.append(r)
-            cols_ix.append(j)
-    for r in range(m):
-        data.append(1.0)
-        rows_ix.append(r)
-        cols_ix.append(n + r)
-    return sp.csc_matrix((data, (rows_ix, cols_ix)), shape=(m, n + m),
-                         dtype=np.float64)
+def assert_same_csc(A, B):
+    assert A.shape == B.shape
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, field), getattr(B, field)), field
 
 
 def test_simplex_matrix_equals_row_by_row_reference():
     # test_no_rows_analytic solves the LP with no rows; here it is assembled
     rng = np.random.default_rng(11)
-    no_rows = LinearProgram(np.array([2.0, -3.0, 0.0]),
-                            np.array([-1.0, -1.0, 4.0]),
-                            np.array([5.0, 2.0, 4.0]), rows=[])
-    cover = (rng.random((7, 5)) < 0.4).astype(float)
-    master = build_restricted_mlp(cover, np.arange(5.0), np.full(5, 2.0), 6.0)
-    for lp in [random_lp(rng) for _ in range(60)] + [no_rows, master]:
-        A, ref = _Simplex(lp).A, matrix_by_rows(lp)
-        assert A.shape == ref.shape
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(A, field), getattr(ref, field)), field
-
-
-def master_rows_by_loop(pos_cover):
-    """Cover rows of the restricted master, one positive at a time."""
-    n_pos = pos_cover.shape[0]
-    return [np.concatenate([[i], n_pos + np.flatnonzero(pos_cover[i])])
-            for i in range(n_pos)]
+    no_rows = (np.array([2.0, -3.0, 0.0]), np.array([-1.0, -1.0, 4.0]),
+               np.array([5.0, 2.0, 4.0]), [])
+    for parts in [random_lp_parts(rng) for _ in range(60)] + [no_rows]:
+        rows = [(r.indices, r.coeffs, r.sense, r.rhs) for r in parts[3]]
+        ref = sp.csc_matrix(slack_form(rows, len(parts[0])))
+        assert_same_csc(_Simplex(LinearProgram(*parts)).A, ref)
 
 
 def test_build_restricted_mlp_rows_match_per_row_construction():
     rng = np.random.default_rng(5)
-    covers = [
-        np.zeros((4, 0)),                              # empty pool, K=0
-        np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]]),   # uncovered, full rows
-        np.ones((3, 2)),                               # every row covered
-        np.zeros((0, 3)),                              # no positives
-    ] + [(rng.random((int(rng.integers(1, 15)), int(rng.integers(1, 9))))
-          < 0.3).astype(float) for _ in range(30)]
-    for cover in covers:
+    cases = [
+        (np.zeros((4, 0)), None),                              # K=0
+        (np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]]), None),   # uncovered
+        (np.ones((3, 2)), None),                               # all covered
+        (np.zeros((0, 3)), None),                              # no positives
+        # clauses fixed to 1 and to 0 change bounds, never the matrix
+        (np.array([[1, 0, 1], [0, 1, 1]]),
+         (np.array([1.0, 0, 0]), np.array([1.0, 0, 1]))),
+    ] + [((rng.random((int(rng.integers(1, 15)), int(rng.integers(1, 9))))
+           < 0.3).astype(float), None) for _ in range(30)]
+    for cover, fixed in cases:
         n_pos, K = cover.shape
         comp = np.arange(2.0, 2.0 + K)
-        lp = build_restricted_mlp(cover, np.zeros(K), comp, 5.0)
-        assert len(lp.rows) == n_pos + 1
-        for row, idx in zip(lp.rows, master_rows_by_loop(cover)):
+        w_lower, w_upper = fixed or (None, None)
+        lp = build_restricted_mlp(cover, np.zeros(K), comp, 5.0,
+                                  w_lower=w_lower, w_upper=w_upper)
+        ref = master_rows(cover, comp, 5.0)
+        # the solver's <= form with slacks, array for array
+        assert_same_csc(_Simplex(lp).A,
+                        sp.csc_matrix(slack_form(ref, n_pos + K)))
+        assert lp.sign.tolist() == [-1.0] * n_pos + [1.0]
+        assert lp.rhs.tolist() == [1.0] * n_pos + [5.0]
+        # the row view read back from the matrix is the per-row build
+        assert len(lp.rows) == len(ref)
+        for row, (idx, coeffs, sense, rhs) in zip(lp.rows, ref):
             assert row.indices.dtype == np.int64
-            assert row.indices.tolist() == idx.tolist()
-            assert row.coeffs.tolist() == [1.0] * len(idx)
-            assert (row.sense, row.rhs) == (">=", 1.0)
-        budget = lp.rows[-1]
-        assert budget.indices.tolist() == list(range(n_pos, n_pos + K))
-        assert budget.coeffs.tolist() == comp.tolist()
-        assert (budget.sense, budget.rhs) == ("<=", 5.0)
+            assert row.indices.tolist() == idx
+            assert row.coeffs.tolist() == coeffs
+            assert (row.sense, row.rhs) == (sense, rhs)
+        if fixed:
+            assert lp.lower[n_pos:].tolist() == w_lower.tolist()
+            assert lp.upper[n_pos:].tolist() == w_upper.tolist()
+
+
+def random_factor(rng, density):
+    """A factor of a random nonsingular basis with 0 to 70 random etas."""
+    m = int(rng.integers(1, 40))
+    A = sp.random(m, m, density=density, random_state=rng, format="csc")
+    A = sp.csc_matrix(A + 4.0 * sp.identity(m))
+    factor = _Factor(A)
+    factor.refresh(np.arange(m))
+    etas = []
+    for _ in range(int(rng.integers(0, 71))):
+        eta = rng.standard_normal(m) * (rng.random(m) < 0.4)
+        r = int(rng.integers(m))
+        eta[r] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        factor.push(eta, r)
+        etas.append((eta, r))
+    return factor, etas
+
+
+def test_eta_kernels_match_plain_formulas():
+    rng = np.random.default_rng(17)
+    zero_pivots = 0
+    for trial in range(60):
+        # a diagonal basis and a sparse column put many pivots at zero,
+        # which ftran skips
+        sparse = trial % 2 == 1
+        factor, etas = random_factor(rng, 0.0 if sparse else 0.2)
+        m = factor.A.shape[0]
+        a = rng.standard_normal(m) * (rng.random(m) < (0.1 if sparse else 1))
+        c = rng.standard_normal(m)
+        v0 = factor.lu.solve(a)
+        want = ftran_by_etas(v0, etas)
+        assert np.array_equal(factor.ftran(a), want)
+        zero_pivots += sum(ftran_by_etas(v0, etas[:k])[r] == 0
+                           for k, (_, r) in enumerate(etas))
+        want = factor.lu.solve(btran_by_etas(c, etas), trans="T")
+        assert np.array_equal(factor.btran(c), want)
+    assert zero_pivots >= 100
 
 
 def test_column_read_matches_sparse_slicing_after_artificials():

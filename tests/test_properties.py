@@ -1,15 +1,28 @@
 """Property tests: the certificate holds on random instances in both pricing
-regimes, checked against the enumeration oracle.
+regimes, checked against the enumeration oracle, and a rule set predicts
+the same on raw cells, on binarized rows and after a JSON round trip.
 
 Hypothesis runs derandomized and without deadlines, so every run of the
 suite draws the same instances."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boolrules.colgen import ColGenConfig, run_column_generation
-from boolrules.ruleset import selection_loss
+from boolrules.dataset import (
+    BinaryDataset,
+    DatasetError,
+    binarize_table,
+    build_matrix,
+    read_csv_table,
+)
+from boolrules.ruleset import Clause, RuleSet, build_ruleset, predict, \
+    selection_loss
 
 from _data import make_binary_dataset
 from _oracles import best_ruleset_by_enumeration
@@ -47,3 +60,65 @@ def test_certificate_brackets_the_enumerated_optimum(ds, C, D, seed):
         assert res.lower_bound <= opt <= res.objective
         if res.optimal:
             assert res.lower_bound == opt == res.objective
+
+
+HEADER = ["num", "cat", "label"]
+
+
+@st.composite
+def tables(draw):
+    """Training rows with no missing cell, and scoring rows whose
+    categorical cells may be missing ("" or "?") or a category training
+    never saw.  Both row sets start with one row of each label."""
+    def rows(n, cats):
+        nums = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        cells = draw(st.lists(st.sampled_from(cats), min_size=n, max_size=n))
+        labels = ["no", "yes"] + draw(st.lists(
+            st.sampled_from(["no", "yes"]), min_size=n - 2, max_size=n - 2))
+        return [[str(v), c, lab] for v, c, lab in zip(nums, cells, labels)]
+    train = rows(draw(st.integers(4, 12)), ["a", "b", "c"])
+    score = rows(draw(st.integers(2, 12)), ["a", "b", "c", "d", "", "?"])
+    return train, score
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([HEADER] + rows)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=tables(), form=st.sampled_from(["dnf", "cnf"]),
+       picks=st.lists(st.lists(st.integers(0, 99), min_size=1, max_size=3),
+                      max_size=3))
+def test_raw_binarized_and_reloaded_predictions_agree(data, form, picks):
+    train, score = data
+    with tempfile.TemporaryDirectory() as tmp:
+        write_rows(Path(tmp) / "train.csv", train)
+        write_rows(Path(tmp) / "score.csv", score)
+        try:
+            ds = binarize_table(read_csv_table(Path(tmp) / "train.csv",
+                                               "label"))
+        except DatasetError:
+            assume(False)  # every training column was constant
+        # missing categorical cells become the category "?", which the
+        # training features compare against like any unseen category
+        table = read_csv_table(Path(tmp) / "score.csv", "label",
+                               missing="category")
+    assert table.n == len(score)
+    clauses = [Clause(tuple(j % ds.d for j in pick)) for pick in picks]
+    if form == "dnf":
+        rs = build_ruleset(clauses, ds, "dnf")
+    else:
+        rs = build_ruleset(clauses, ds.negated(), "cnf", original=ds)
+    scored = BinaryDataset(X=build_matrix(table, np.arange(table.n),
+                                          ds.features),
+                           y=table.y, features=ds.features,
+                           partner=ds.partner)
+    binarized = predict(rs, scored).tolist()
+    back = RuleSet.from_json(rs.to_json())
+    assert back == rs
+    for model in (rs, back):
+        raw = model.predict_rows(HEADER, score)
+        assert [lab == rs.positive_label for lab in raw] == \
+            [bool(b) for b in binarized]
+        assert predict(model, scored).tolist() == binarized
