@@ -10,6 +10,10 @@ candidates prices negative on the full data.  Every full-data exact search,
 finished or timed out, yields a certified lower bound on the best
 achievable training loss; those certificates are kept across iterations
 and reported with the final model.
+
+The branch-and-bound's node LPs go through the same `solve_restricted_mlp`
+as the masters; a node that fixes clauses has its LP presolved there, down
+to the free clauses and the positives they leave to cover.
 """
 
 from __future__ import annotations
@@ -159,6 +163,7 @@ class MIPResult:
     nodes: int
     lp_value: float
     elapsed: float
+    pivots: int
 
 
 def _selection_objective(pos_cover, neg_counts, chosen) -> int:
@@ -195,12 +200,17 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     """Best integer clause selection within the pool, by branch and bound.
 
     Branches on the most fractional clause variable (ties to the lowest
-    index), exploring the rounded direction first.  The incumbent is seeded
-    once, by a greedy selection at the root, and improves only through
-    integral node LPs.  A time limit turns the result into a best-effort
-    incumbent with optimal=False.  `start` warm starts the root LP from a
-    master basis over this pool or a prefix of it; the column generation
-    loop's final basis makes the root free.
+    index), exploring the rounded direction first.  Each child carries its
+    parent's rounded-up LP value, a floor on its own, and is dropped unsolved
+    once the incumbent reaches it.  The incumbent is seeded once, by a
+    greedy selection at the root, and improves only through integral node
+    LPs.  A time limit turns the result into a best-effort incumbent with
+    optimal=False.  `start` warm starts the root LP from a master basis over
+    this pool or a prefix of it; the column generation loop's final basis
+    makes the root free.  Every other node fixes clauses, so
+    `solve_restricted_mlp` presolves its LP down to the free clauses and
+    the distinct cover patterns they leave.  `pivots` sums the node LPs'
+    simplex iterations.
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
@@ -211,10 +221,11 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
 
     best_obj = n_pos
     best_sel: list = []
-    nodes = 0
+    nodes = pivots = 0
     lp_root = float(n_pos)
     if K == 0:
-        return MIPResult(best_obj, [], True, 0, lp_root, time.perf_counter() - t0)
+        return MIPResult(best_obj, [], True, 0, lp_root,
+                         time.perf_counter() - t0, 0)
 
     def try_incumbent(chosen):
         nonlocal best_obj, best_sel
@@ -226,13 +237,15 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     try_incumbent(_greedy_selection(pos_cover, neg_counts, complexities,
                                     budget))
 
-    stack = [(np.zeros(K), np.ones(K))]
+    stack = [(np.zeros(K), np.ones(K), -math.inf)]
     optimal = True
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
             optimal = False
             break
-        w_lower, w_upper = stack.pop()
+        w_lower, w_upper, floor = stack.pop()
+        if floor >= best_obj:
+            continue
         fixed_cost = complexities[w_lower >= 1.0].sum()
         if fixed_cost > budget + 1e-9:
             continue
@@ -241,6 +254,7 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
             start=start if nodes == 0 else None,
             w_lower=w_lower, w_upper=w_upper, deadline=deadline)
         nodes += 1
+        pivots += ms.iterations
         if nodes == 1:
             lp_root = ms.objective
         if ms.status == "infeasible":
@@ -250,7 +264,8 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
             # stays unexplored, so the final answer is only an incumbent
             optimal = False
             continue
-        if guarded_ceil(ms.objective) >= best_obj:
+        floor = guarded_ceil(ms.objective)
+        if floor >= best_obj:
             continue
 
         w = ms.w
@@ -266,12 +281,13 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         up0[k] = 0.0
         lo1, up1 = w_lower.copy(), w_upper.copy()
         lo1[k] = 1.0
-        children = [(lo1, up1), (lo0, up0)] if up_first else [(lo0, up0), (lo1, up1)]
+        down, up = (lo0, up0, floor), (lo1, up1, floor)
+        children = [up, down] if up_first else [down, up]
         stack.append(children[1])
         stack.append(children[0])
 
     return MIPResult(best_obj, sorted(best_sel), optimal, nodes, lp_root,
-                     time.perf_counter() - t0)
+                     time.perf_counter() - t0, pivots)
 
 
 @dataclass
@@ -282,9 +298,10 @@ class ColGenResult:
     None when no pricing round produced a certificate.  optimal is claimed
     only when the master LP was priced out AND its rounded value meets the
     integer objective; a weaker certificate that happens to close the gap
-    stays unclaimed.  mip_nodes counts the branch-and-bound nodes spent on
-    the selection, and basis is the last finished master's basis (None if
-    no master finished), which warm starts a later selection over the pool.
+    stays unclaimed.  mip_nodes and mip_pivots count the branch-and-bound
+    nodes and their LP pivots spent on the selection, and basis is the last
+    finished master's basis (None if no master finished), which warm starts
+    a later selection over the pool.
     """
 
     clauses: list
@@ -300,6 +317,7 @@ class ColGenResult:
     seconds: float = 0.0
     regime: str = ""
     mip_nodes: int = 0
+    mip_pivots: int = 0
     basis: tuple | None = field(default=None, repr=False)
 
 
@@ -453,6 +471,7 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         seconds=time.perf_counter() - t0,
         regime=regime,
         mip_nodes=mip.nodes,
+        mip_pivots=mip.pivots,
         basis=basis,
     )
 
@@ -496,7 +515,8 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
             mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
                                        float(C), time_limit=time_left,
                                        start=res.basis)
-            res = replace(res, mip_nodes=res.mip_nodes + mip.nodes)
+            res = replace(res, mip_nodes=res.mip_nodes + mip.nodes,
+                          mip_pivots=res.mip_pivots + mip.pivots)
             if mip.objective < res.objective:
                 res = replace(res, objective=mip.objective,
                               clauses=[pool.clauses[k] for k in mip.selected],

@@ -88,6 +88,7 @@ def _training_record(res, cfg: ColGenConfig) -> dict:
         "converged": res.rmlp_converged,
         "selection_optimal": res.mip_optimal,
         "selection_nodes": res.mip_nodes,
+        "selection_pivots": res.mip_pivots,
         "iterations": res.iterations,
         "pool_size": res.pool_size,
         "seed": cfg.seed,

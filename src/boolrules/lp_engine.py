@@ -19,6 +19,12 @@ row gets a nonnegative dual and a <= row a nonpositive one.
 Appending columns does not disturb the row space, so a restricted master
 that grew by a few clauses re-solves from the previous master's basis, padded
 by `solve_restricted_mlp`, usually in a handful of pivots.
+
+A branch-and-bound node LP that fixes clauses is presolved first: clauses
+fixed to 0 or 1 leave it, the positives a clause fixed to 1 covers lose
+their rows, and the other positives share one row per cover pattern over
+the free clauses (the duplicate-row reduction of Andersen & Andersen, Math.
+Programming 71, 1995).  Column-generation masters are solved unreduced.
 """
 
 from __future__ import annotations
@@ -488,7 +494,8 @@ class MasterSolution:
     to cover rows xi_i + sum_{k covers i} w_k >= 1 and the complexity budget.
 
     mu holds the cover-row duals aligned with the dataset's positive samples;
-    lam is the budget dual stored as a nonnegative magnitude."""
+    lam is the budget dual stored as a nonnegative magnitude.  basis is over
+    the LP that was solved, so a presolved node LP reports none."""
 
     status: str
     objective: float
@@ -502,26 +509,23 @@ class MasterSolution:
 
 def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
                          complexities: np.ndarray, budget: float,
-                         w_lower=None, w_upper=None) -> LinearProgram:
+                         xi_cost=None) -> LinearProgram:
     """Assemble the restricted master LP.
 
     pos_cover is an (n_pos, K) 0/1 matrix (clause k covers positive i),
     neg_counts the per-clause count of covered negatives, complexities the
-    per-clause cost against `budget`.  Optional w bounds let a
-    branch-and-bound caller fix individual clauses.  Variable order is the
-    n_pos xi slack variables first, then the K clause variables.
+    per-clause cost against `budget`.  xi_cost is each cover row's cost for
+    leaving it uncovered, 1 by default; a row that stands for m merged
+    positives costs m.  Variable order is the n_pos xi slack variables
+    first, then the K clause variables, all in [0, 1].
     """
     pos_cover = np.asarray(pos_cover)
     if pos_cover.ndim != 2:
         raise ValueError("pos_cover must be a 2-d (n_pos, K) matrix")
     n_pos, K = pos_cover.shape
-    objective = np.concatenate([np.ones(n_pos), np.asarray(neg_counts, dtype=float)])
-    lower = np.zeros(n_pos + K)
-    upper = np.ones(n_pos + K)
-    if w_lower is not None:
-        lower[n_pos:] = w_lower
-    if w_upper is not None:
-        upper[n_pos:] = w_upper
+    objective = np.concatenate([np.ones(n_pos) if xi_cost is None else
+                                np.asarray(xi_cost, dtype=float),
+                                np.asarray(neg_counts, dtype=float)])
     # column by column: xi_i sits in cover row i; clause k in the cover rows
     # of the positives it covers, then in the budget row
     ks, rows_i = np.nonzero(pos_cover.T)
@@ -537,22 +541,18 @@ def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
     A = sp.csc_matrix((data, indices, indptr), shape=(n_pos + 1, n_pos + K))
     sign = np.concatenate([np.full(n_pos, -1.0), [1.0]])
     rhs = np.concatenate([np.ones(n_pos), [float(budget)]])
-    return LinearProgram(objective, lower, upper, matrix=(A, sign, rhs))
+    return LinearProgram(objective, np.zeros(n_pos + K), np.ones(n_pos + K),
+                         matrix=(A, sign, rhs))
 
 
-def master_start_basis(pos_cover, w_lower=None):
+def master_start_basis(pos_cover):
     """The analytic feasible basis for a restricted master: each cover row
-    keeps its xi basic at 1, or its slack basic when the clauses fixed to 1
-    by `w_lower` already cover it; the budget slack is basic and everything
-    else rests at its lower bound.  Lets every master and node solve skip
+    keeps its xi basic at 1, the budget slack is basic and everything else
+    rests at its lower bound.  Lets every master and node solve skip
     phase 1."""
     n_pos, K = pos_cover.shape
-    covered = np.zeros(n_pos, dtype=bool)
-    if w_lower is not None and K:
-        covered = (pos_cover @ w_lower) >= 1.0 - 1e-9
     n = n_pos + K
-    basis = np.where(covered, n + np.arange(n_pos), np.arange(n_pos))
-    basis = np.concatenate([basis, [n + n_pos]]).astype(np.int64)
+    basis = np.append(np.arange(n_pos), n + n_pos).astype(np.int64)
     vstat = np.full(n + n_pos + 1, AT_LOWER, dtype=np.int8)
     vstat[basis] = BASIC
     return basis, vstat
@@ -570,6 +570,29 @@ def _grow_basis(basis, n_pos: int, k_old: int, k_new: int):
     return bidx2, vstat2
 
 
+def _presolve_node(pos_cover, neg_counts, complexities, budget, one, free):
+    """Reduce a node LP whose clauses are fixed to 1 (`one`), fixed to 0 or
+    `free`.  Fixed clauses leave the LP: those fixed to 1 spend their
+    complexity and pay their negatives up front, and the positives they
+    cover lose their rows.  The other positives are grouped by their cover
+    pattern over the free clauses; a group of m shares one row whose xi
+    costs m, which leaves the LP value unchanged.  Returns the reduced
+    (cover, neg_counts, complexities, budget, xi_cost), the constant to add
+    to its objective, the uncovered positives and the group of each."""
+    rest = np.flatnonzero(~pos_cover[:, one].any(axis=1))
+    patterns = np.packbits(pos_cover[np.ix_(rest, free)] > 0.5, axis=1)
+    _, first, group, sizes = np.unique(patterns, axis=0, return_index=True,
+                                       return_inverse=True,
+                                       return_counts=True)
+    # number the groups by their first positive, so rows keep their order
+    order = np.argsort(first)
+    reduced = (pos_cover[np.ix_(rest[first[order]], free)],
+               neg_counts[free], complexities[free],
+               budget - complexities[one].sum(), sizes[order])
+    return (reduced, neg_counts[one].sum(), rest,
+            np.argsort(order)[group.reshape(-1)])
+
+
 def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
                          start=None, w_lower=None, w_upper=None,
                          max_iter=None, deadline=None) -> MasterSolution:
@@ -577,27 +600,58 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
 
     `start` is the basis of an earlier master over a prefix of this pool's
     clauses; it is padded for the clauses appended since.  Without one the
-    solve starts from `master_start_basis` for the given `w_lower`.
+    solve starts from `master_start_basis`.
+
+    `w_lower`/`w_upper` are a branch-and-bound node's clause bounds, each
+    clause free in [0, 1] or fixed to 0 or to 1.  A node that fixes any
+    clause is presolved by `_presolve_node` and solved from the reduced
+    LP's own start basis (`start` does not fit it); its solution is
+    expanded back to the full pool, each merged row's dual split evenly
+    over its positives.
     """
-    lp = build_restricted_mlp(pos_cover, neg_counts, complexities, budget,
-                              w_lower=w_lower, w_upper=w_upper)
     n_pos, K = pos_cover.shape
-    if start is None:
-        start = master_start_basis(pos_cover, w_lower)
+    lower = np.zeros(K) if w_lower is None else np.asarray(w_lower, float)
+    upper = np.ones(K) if w_upper is None else np.asarray(w_upper, float)
+    one = (lower == 1.0) & (upper == 1.0)
+    free = (lower == 0.0) & (upper == 1.0)
+    if not (one | free | (lower == 0.0) & (upper == 0.0)).all():
+        raise ValueError("clause bounds must leave each clause in [0, 1] or "
+                         "fix it to 0 or to 1")
+    presolve = not free.all()
+    if not presolve:
+        reduced = (pos_cover, neg_counts, complexities, budget, None)
+        constant, rest = 0.0, np.arange(n_pos)
+        group, sizes = rest, np.ones(n_pos)
+        if start is None:
+            start = master_start_basis(pos_cover)
+        else:
+            k_old = len(start[1]) - 2 * n_pos - 1
+            if 0 <= k_old < K:
+                start = _grow_basis(start, n_pos, k_old, K - k_old)
     else:
-        k_old = len(start[1]) - 2 * n_pos - 1
-        if 0 <= k_old < K:
-            start = _grow_basis(start, n_pos, k_old, K - k_old)
-    sol = solve_lp(lp, start=start, max_iter=max_iter, deadline=deadline)
-    mu = np.maximum(sol.duals[:n_pos], 0.0) if sol.status == OPTIMAL else np.zeros(n_pos)
-    lam = max(0.0, -float(sol.duals[n_pos])) if sol.status == OPTIMAL else 0.0
+        reduced, constant, rest, group = _presolve_node(
+            pos_cover, np.asarray(neg_counts, dtype=float),
+            np.asarray(complexities, dtype=float), float(budget), one, free)
+        sizes = reduced[4]
+        start = master_start_basis(reduced[0])
+    sol = solve_lp(build_restricted_mlp(*reduced), start=start,
+                   max_iter=max_iter, deadline=deadline)
+    ok = sol.status == OPTIMAL
+    G = len(sizes)
+    xi = np.zeros(n_pos)
+    xi[rest] = sol.x[group]
+    w = one.astype(float)
+    w[free] = sol.x[G:]
+    mu = np.zeros(n_pos)
+    if ok:
+        mu[rest] = np.maximum(sol.duals[group], 0.0) / sizes[group]
     return MasterSolution(
         status=sol.status,
-        objective=sol.objective,
-        xi=sol.x[:n_pos].copy(),
-        w=sol.x[n_pos:].copy(),
+        objective=sol.objective + constant,
+        xi=xi,
+        w=w,
         mu=mu,
-        lam=lam,
+        lam=max(0.0, -float(sol.duals[G])) if ok else 0.0,
         iterations=sol.iterations,
-        basis=sol.basis,
+        basis=None if presolve else sol.basis,
     )

@@ -1,7 +1,9 @@
 """Column generation end to end: random instances against exhaustive search,
 certificate behavior, the restricted integer solve, and the budget sweep."""
 
+import itertools
 import time
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -472,6 +474,77 @@ def test_mip_time_limit_returns_incumbent():
     assert mip.nodes == 0
     assert mip.objective == 1
     assert mip.selected == [0]
+
+
+def record_node_lps(monkeypatch):
+    """Record every node LP of the integer stage, the solves that carry
+    clause bounds, as (budget, fixings, result); a fixing is 0 for a clause
+    fixed to 0, 1 for a free one and 2 for one fixed to 1."""
+    real = colgen.solve_restricted_mlp
+    nodes = []
+
+    def recording(pos_cover, neg_counts, complexities, budget, **kw):
+        ms = real(pos_cover, neg_counts, complexities, budget, **kw)
+        if kw.get("w_lower") is not None:
+            fixings = tuple((kw["w_lower"] + kw["w_upper"]).astype(int))
+            nodes.append((budget, fixings, ms))
+        return ms
+
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", recording)
+    return nodes
+
+
+def test_mip_drops_children_at_their_parents_bound(monkeypatch):
+    # every clause of at most two literals over a 16-row instance; at C = 6
+    # and 7 an integral node improves the incumbent while its sibling
+    # waits on the stack with a parent bound the new incumbent meets
+    X_half = [[int(c) for c in row] for row in (
+        "0111", "0001", "1101", "1100", "1011", "0111", "0011", "0111",
+        "0101", "0010", "0011", "0001", "1011", "0010", "0010", "1100")]
+    ds = make_binary_dataset(X_half, [int(c) for c in "1110110010011100"])
+    pool = ClausePool(ds)
+    for size in (1, 2):
+        for features in itertools.combinations(range(ds.d), size):
+            pool.add(features)
+    cover, negc, comp = pool.arrays()
+    solved = record_node_lps(monkeypatch)
+    dropped = 0
+    for C in (6, 7):
+        solved.clear()
+        mip = solve_restricted_mip(cover, negc, comp, float(C))
+        opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
+        assert mip.objective == opt and mip.optimal
+        assert mip.nodes == len(solved)
+        # a branching node has at least one child solved; its sibling, if
+        # within the budget and never solved, was dropped by the bound
+        seen = {fixings: ms for _, fixings, ms in solved}
+        for fixings, ms in seen.items():
+            for k in np.flatnonzero(np.array(fixings) == 1):
+                for v, other in ((0, 2), (2, 0)):
+                    child = fixings[:k] + (v,) + fixings[k + 1:]
+                    sibling = fixings[:k] + (other,) + fixings[k + 1:]
+                    if child not in seen or sibling in seen:
+                        continue
+                    if comp[np.array(sibling) == 2].sum() > C:
+                        continue
+                    assert guarded_ceil(ms.objective) >= mip.objective
+                    dropped += 1
+    # without the parent bound each dropped child costs one more node LP
+    assert dropped >= 2
+
+
+def test_mip_pivots_sum_the_node_lps(monkeypatch):
+    # the sweep's count covers each budget's first-pass selection and its
+    # re-solve over the union pool
+    solved = record_node_lps(monkeypatch)
+    points = sweep_complexity(two_triangles(), [2, 3, 5, 7],
+                              small_config(6, 2))
+    pivots = defaultdict(int)
+    for budget, _, ms in solved:
+        pivots[budget] += ms.iterations
+    for p in points:
+        assert p.result.mip_pivots == pivots[float(p.complexity_bound)]
+    assert sum(pivots.values()) > 0
 
 
 # -- the budget sweep --------------------------------------------------------

@@ -167,6 +167,8 @@ def test_sweep_rows_record_selection_nodes(tmp_path):
                            quick_config(6))
     nodes = [rs.training["selection_nodes"] for _, rs, _ in fitted]
     assert nodes == [res.mip_nodes for _, _, res in fitted]
+    pivots = [rs.training["selection_pivots"] for _, rs, _ in fitted]
+    assert pivots == [res.mip_pivots for _, _, res in fitted]
     # at C = 2 no single condition pays for itself, so that pool stays
     # empty and its selection needs no node; C = 6 searches at least a root
     assert nodes[-1] >= 1

@@ -277,14 +277,25 @@ def test_master_budget_binding_dual():
 
 
 def test_master_w_upper_fixing():
-    # forcing the only useful clause out reverts to paying every positive
+    # forcing the only useful clause out reverts to paying every positive;
+    # both fixings leave the presolved node LP with no clause at all
     cov = np.ones((3, 1))
     ms = solve_restricted_mlp(cov, np.zeros(1), np.array([2.0]), 8.0,
                               w_upper=np.zeros(1))
+    assert ms.status == "optimal"
     assert ms.objective == pytest.approx(3.0)
-    ms2 = solve_restricted_mlp(cov, np.zeros(1), np.array([2.0]), 8.0,
+    assert ms.w.tolist() == [0.0] and ms.xi.tolist() == [1.0, 1.0, 1.0]
+    assert ms.basis is None
+    ms2 = solve_restricted_mlp(cov, np.ones(1), np.array([2.0]), 8.0,
                                w_lower=np.ones(1))
-    assert ms2.objective == pytest.approx(0.0)
+    assert ms2.status == "optimal"
+    # the fixed clause's one negative comes back as a constant
+    assert ms2.objective == pytest.approx(1.0)
+    assert ms2.w.tolist() == [1.0] and ms2.xi.tolist() == [0.0, 0.0, 0.0]
+    # a clause fixed to 1 past the budget leaves no feasible point
+    ms3 = solve_restricted_mlp(cov, np.zeros(1), np.array([2.0]), 1.0,
+                               w_lower=np.ones(1))
+    assert ms3.status == "infeasible"
 
 
 def test_build_restricted_mlp_shapes():
@@ -305,15 +316,98 @@ def test_start_basis_is_consistent():
     assert (vstat[list(bidx)] == BASIC).all()
     assert (vstat == BASIC).sum() == 5
 
-    # fixing clause 0 to 1 covers rows 0 and 1: their slacks turn basic
-    bidx, vstat = master_start_basis(cover, w_lower=np.array([1.0, 0, 0]))
-    assert bidx.tolist() == [7, 8, 2, 3, 11]
-    assert (vstat[list(bidx)] == BASIC).all()
-    assert (vstat == BASIC).sum() == 5
+    # fixing clause 0 to 1 covers rows 0 and 1, so the presolve drops
+    # them and spends 2 of the budget; what is left buys clause 1 for
+    # positive 2, and positive 3 stays uncovered
     ms = solve_restricted_mlp(cover, np.zeros(3), np.full(3, 2.0), 4.0,
                               w_lower=np.array([1.0, 0, 0]))
     assert ms.status == "optimal"
-    assert ms.w[0] == 1.0
+    assert ms.w.tolist() == [1.0, 1.0, 0.0]
+    assert ms.xi.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert ms.objective == pytest.approx(1.0)
+
+
+def unreduced_node_lp(cover, negc, comp, budget, w_lower, w_upper):
+    """A node LP with every positive's row and every clause, its fixings
+    held by the clause bounds alone."""
+    n_pos, K = cover.shape
+    return LinearProgram(
+        np.concatenate([np.ones(n_pos), negc]),
+        np.concatenate([np.zeros(n_pos), w_lower]),
+        np.concatenate([np.ones(n_pos), w_upper]),
+        rows=[Row(*r) for r in master_rows(cover, comp, budget)])
+
+
+def random_node(rng):
+    """A random cover whose rows are drawn from a few patterns, so they
+    repeat, and random clause fixings, at least one of them."""
+    n_pos, K = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+    patterns = rng.random((int(rng.integers(1, 4)), K)) < 0.4
+    cover = patterns[rng.integers(len(patterns), size=n_pos)].astype(float)
+    negc = rng.integers(0, 4, size=K).astype(float)
+    comp = rng.integers(2, 5, size=K).astype(float)
+    fix = rng.integers(0, 3, size=K)  # free, fixed to 0, fixed to 1
+    fix[rng.integers(K)] = rng.integers(1, 3)
+    return (cover, negc, comp, float(rng.integers(2, 12)),
+            (fix == 2).astype(float), (fix != 1).astype(float))
+
+
+def test_presolved_node_lp_matches_the_unreduced_lp():
+    rng = np.random.default_rng(808)
+    two = np.array([2.0, 3.0])
+    cases = [random_node(rng) for _ in range(200)] + [
+        # clause 0 fixed to 1 covers every row
+        (np.array([[1, 0], [1, 1], [1, 0]], dtype=float), np.array([2.0, 0]),
+         two, 6.0, np.array([1.0, 0]), np.ones(2)),
+        # no free clause; rows 1 and 2 repeat and are left uncovered
+        (np.array([[1, 0], [0, 1], [0, 1]], dtype=float), np.array([1.0, 0]),
+         two, 6.0, np.array([1.0, 0]), np.array([1.0, 0])),
+        # four identical rows of two free clauses, the budget binding
+        (np.ones((4, 2)), np.array([1.0, 0]), np.array([2.0, 4.0]), 3.0,
+         np.zeros(2), np.array([1.0, 0])),
+        # the clause fixed to 1 alone overruns the budget
+        (np.ones((2, 2)), np.zeros(2), two, 2.5, np.array([0.0, 1]),
+         np.ones(2)),
+    ]
+    statuses = []
+    for cover, negc, comp, budget, w_lower, w_upper in cases:
+        ms = solve_restricted_mlp(cover, negc, comp, budget,
+                                  w_lower=w_lower, w_upper=w_upper)
+        lp = unreduced_node_lp(cover, negc, comp, budget, w_lower, w_upper)
+        ref = solve_lp(lp)
+        statuses.append(ref.status)
+        assert ms.status == ref.status
+        if lp.n_vars <= 6:
+            status, value, _ = lp_minimum_by_vertex_enumeration(
+                lp.objective, lp.lower, lp.upper,
+                master_rows(cover, comp, budget))
+            assert status == ref.status
+            if value is not None:
+                assert ms.objective == pytest.approx(value, abs=1e-7)
+        if ref.status != "optimal":
+            continue
+        assert ms.objective == pytest.approx(ref.objective, abs=1e-7)
+        # the expanded point keeps the fixings, fits the budget, covers
+        # every positive and attains the value
+        w, xi = ms.w, ms.xi
+        assert w.shape == w_lower.shape and xi.shape == (cover.shape[0],)
+        assert np.all(w >= w_lower) and np.all(w <= w_upper)
+        assert np.all(xi >= 0.0) and np.all(xi <= 1.0)
+        assert comp @ w <= budget + 1e-9
+        assert np.all(xi + cover @ w >= 1.0 - 1e-9)
+        assert xi.sum() + negc @ w == pytest.approx(ms.objective, abs=1e-7)
+    assert statuses.count("infeasible") >= 5
+    assert statuses.count("optimal") >= 150
+
+
+def test_node_bounds_must_be_fixings():
+    cov = np.ones((2, 2))
+    with pytest.raises(ValueError):
+        solve_restricted_mlp(cov, np.zeros(2), np.full(2, 2.0), 4.0,
+                             w_lower=np.array([0.5, 0.0]))
+    with pytest.raises(ValueError):
+        solve_restricted_mlp(cov, np.zeros(2), np.full(2, 2.0), 4.0,
+                             w_lower=np.ones(2), w_upper=np.array([1.0, 0]))
 
 
 def test_grow_basis_shifts_slacks_and_pads_new_columns():
@@ -353,17 +447,15 @@ def test_build_restricted_mlp_rows_match_per_row_construction():
         (np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]]), None),   # uncovered
         (np.ones((3, 2)), None),                               # all covered
         (np.zeros((0, 3)), None),                              # no positives
-        # clauses fixed to 1 and to 0 change bounds, never the matrix
-        (np.array([[1, 0, 1], [0, 1, 1]]),
-         (np.array([1.0, 0, 0]), np.array([1.0, 0, 1]))),
+        # merged rows cost their group sizes, which changes no row
+        (np.array([[1, 0, 1], [0, 1, 1]]), np.array([3.0, 2.0])),
     ] + [((rng.random((int(rng.integers(1, 15)), int(rng.integers(1, 9))))
            < 0.3).astype(float), None) for _ in range(30)]
-    for cover, fixed in cases:
+    for cover, xi_cost in cases:
         n_pos, K = cover.shape
         comp = np.arange(2.0, 2.0 + K)
-        w_lower, w_upper = fixed or (None, None)
         lp = build_restricted_mlp(cover, np.zeros(K), comp, 5.0,
-                                  w_lower=w_lower, w_upper=w_upper)
+                                  xi_cost=xi_cost)
         ref = master_rows(cover, comp, 5.0)
         # the solver's <= form with slacks, array for array
         assert_same_csc(_Simplex(lp).A,
@@ -377,9 +469,10 @@ def test_build_restricted_mlp_rows_match_per_row_construction():
             assert row.indices.tolist() == idx
             assert row.coeffs.tolist() == coeffs
             assert (row.sense, row.rhs) == (sense, rhs)
-        if fixed:
-            assert lp.lower[n_pos:].tolist() == w_lower.tolist()
-            assert lp.upper[n_pos:].tolist() == w_upper.tolist()
+        assert lp.objective[:n_pos].tolist() == (
+            [1.0] * n_pos if xi_cost is None else xi_cost.tolist())
+        assert lp.lower.tolist() == [0.0] * (n_pos + K)
+        assert lp.upper.tolist() == [1.0] * (n_pos + K)
 
 
 def random_factor(rng, density):

@@ -1,6 +1,7 @@
 """Property tests: the certificate holds on random instances in both pricing
-regimes, checked against the enumeration oracle, and a rule set predicts
-the same on raw cells, on binarized rows and after a JSON round trip.
+regimes, checked against the enumeration oracle, a rule set predicts the
+same on raw cells, on binarized rows and after a JSON round trip, and a CNF
+model is the DNF model of the negated data, complemented.
 
 Hypothesis runs derandomized and without deadlines, so every run of the
 suite draws the same instances."""
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boolrules.colgen import ColGenConfig, run_column_generation
+from boolrules.cv import fit_rows
 from boolrules.dataset import (
     BinaryDataset,
     DatasetError,
@@ -122,3 +124,32 @@ def test_raw_binarized_and_reloaded_predictions_agree(data, form, picks):
         assert [lab == rs.positive_label for lab in raw] == \
             [bool(b) for b in binarized]
         assert predict(model, scored).tolist() == binarized
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=tables(), C=st.integers(2, 6), D=st.integers(1, 2),
+       seed=st.integers(0, 3))
+def test_cnf_fit_is_the_complemented_dnf_fit_of_the_negation(data, C, D,
+                                                             seed):
+    train, _ = data
+    with tempfile.TemporaryDirectory() as tmp:
+        write_rows(Path(tmp) / "train.csv", train)
+        table = read_csv_table(Path(tmp) / "train.csv", "label")
+    rows = np.arange(table.n)
+    cfg = ColGenConfig(complexity_bound=C, clause_bound=D, time_limit=60.0,
+                       pricing_time_limit=10.0, seed=seed)
+    try:
+        rs_cnf, res_cnf, ds = fit_rows(table, rows, "cnf", cfg)
+    except DatasetError:
+        assume(False)  # every training column was constant
+    neg = ds.negated()
+    res_dnf = run_column_generation(neg, cfg)
+    rs_dnf = build_ruleset(res_dnf.clauses, neg, "dnf")
+    assert (res_cnf.objective, res_cnf.lower_bound, res_cnf.optimal) == \
+        (res_dnf.objective, res_dnf.lower_bound, res_dnf.optimal)
+    assert predict(rs_cnf, ds).tolist() == \
+        (1 - predict(rs_dnf, neg)).tolist()
+    # the negation swaps the label names, so on raw cells the complemented
+    # verdict reads as the same label
+    assert rs_cnf.predict_rows(HEADER, train) == \
+        rs_dnf.predict_rows(HEADER, train)
