@@ -11,6 +11,11 @@ finished or timed out, yields a certified lower bound on the best
 achievable training loss; those certificates are kept across iterations
 and reported with the final model.
 
+Growth and selection are two steps.  `run_column_generation` grows a pool
+and selects over it; `sweep_complexity` grows one shared pool for every
+budget first, then selects each budget once over the final pool.  Either
+way a budget's time limit covers its growth and its selection.
+
 The branch-and-bound's node LPs go through the same `solve_restricted_mlp`
 as the masters; a node that fixes clauses has its LP presolved there, down
 to the free clauses and the positives they leave to cover.
@@ -298,10 +303,9 @@ class ColGenResult:
     None when no pricing round produced a certificate.  optimal is claimed
     only when the master LP was priced out AND its rounded value meets the
     integer objective; a weaker certificate that happens to close the gap
-    stays unclaimed.  mip_nodes and mip_pivots count the branch-and-bound
-    nodes and their LP pivots spent on the selection, and basis is the last
-    finished master's basis (None if no master finished), which warm starts
-    a later selection over the pool.
+    stays unclaimed.  pool_size is the pool the selection chose from, and
+    mip_nodes and mip_pivots count the branch-and-bound nodes and their LP
+    pivots spent on it.
     """
 
     clauses: list
@@ -318,22 +322,29 @@ class ColGenResult:
     regime: str = ""
     mip_nodes: int = 0
     mip_pivots: int = 0
-    basis: tuple | None = field(default=None, repr=False)
 
 
-def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
-                          pool: ClausePool | None = None) -> ColGenResult:
-    """Train one rule selection on a binarized dataset.
+@dataclass
+class _Growth:
+    """One budget's column generation up to its integer stage.  basis is
+    the last finished master's basis, None if no master finished."""
 
-    An external pool may be passed in (the complexity sweep shares one); it
-    is grown in place.  Returns the chosen clauses as pool indices resolved
-    to Clause objects, the integer training objective, and the best
-    certified lower bound (None when nothing could be certified).
-    """
+    z_rmlp: float
+    lower_bound: int | None
+    converged: bool
+    iterations: int
+    trace: list
+    regime: str
+    basis: tuple | None
+    seconds: float
+
+
+def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
+               pool: ClausePool) -> _Growth:
+    """Grow `pool` in place until the budget's master LP is priced out or
+    its time limit is spent."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    if pool is None:
-        pool = ClausePool(ds)
     if pool.ds is not ds:
         raise ValueError("pool was built for a different dataset")
     n_pos = len(ds.pos)
@@ -449,81 +460,76 @@ def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
         if added == 0:
             break
 
-    pos_cover, neg_counts, complexities = pool.arrays()
-    time_left = max(cfg.time_limit - (time.perf_counter() - t0), 0.0)
-    mip = solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
-                               time_limit=time_left, start=basis)
-    chosen = [pool.clauses[k] for k in mip.selected]
     if converged:
         ceiling = guarded_ceil(z_rmlp)
         best_lb = ceiling if best_lb is None else max(best_lb, ceiling)
+    return _Growth(z_rmlp, best_lb, converged, iteration, trace, regime,
+                   basis, time.perf_counter() - t0)
+
+
+def _select(pool: ClausePool, cfg: ColGenConfig,
+            growth: _Growth) -> ColGenResult:
+    """Pick the best selection within the budget from the whole pool, its
+    root warm started from the growth's last master basis.  The selection
+    gets what the growth left of `cfg.time_limit`."""
+    t0 = time.perf_counter()
+    pos_cover, neg_counts, complexities = pool.arrays()
+    time_left = max(cfg.time_limit - growth.seconds
+                    - (time.perf_counter() - t0), 0.0)
+    mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
+                               float(cfg.complexity_bound),
+                               time_limit=time_left, start=growth.basis)
     return ColGenResult(
-        clauses=chosen,
+        clauses=[pool.clauses[k] for k in mip.selected],
         objective=mip.objective,
-        z_rmlp=z_rmlp,
-        lower_bound=best_lb,
-        optimal=converged and best_lb == mip.objective,
-        rmlp_converged=converged,
+        z_rmlp=growth.z_rmlp,
+        lower_bound=growth.lower_bound,
+        optimal=growth.converged and growth.lower_bound == mip.objective,
+        rmlp_converged=growth.converged,
         mip_optimal=mip.optimal,
-        iterations=iteration,
+        iterations=growth.iterations,
         pool_size=len(pool),
-        trace=trace,
-        seconds=time.perf_counter() - t0,
-        regime=regime,
+        trace=growth.trace,
+        seconds=growth.seconds + time.perf_counter() - t0,
+        regime=growth.regime,
         mip_nodes=mip.nodes,
         mip_pivots=mip.pivots,
-        basis=basis,
     )
+
+
+def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
+                          pool: ClausePool | None = None) -> ColGenResult:
+    """Train one rule selection on a binarized dataset.
+
+    An external pool may be passed in; it is grown in place.  Returns the
+    chosen clauses as pool indices resolved to Clause objects, the integer
+    training objective, and the best certified lower bound (None when
+    nothing could be certified).  `cfg.time_limit` covers the growth and
+    the selection, which gets whatever time is left.
+    """
+    if pool is None:
+        pool = ClausePool(ds)
+    return _select(pool, cfg, _grow_pool(ds, cfg, pool))
 
 
 @dataclass
 class SweepPoint:
     complexity_bound: int
     result: ColGenResult
-    first_pass_objective: int
 
 
 def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
     """Train across several complexity budgets, sharing one clause pool.
 
-    Budgets run in ascending order so cheap models seed the pool for the
-    richer ones.  A second pass then re-solves every budget's integer
-    selection against the full union pool, its root warm started from that
-    budget's last master basis, and keeps whichever selection is better;
-    with the larger pool the final loss can only improve or stay put
-    relative to the first pass.  A budget whose first-pass loss already
-    meets its certified lower bound is skipped: no selection can beat it.
-    Each first-pass run has its own `time_limit`; the second pass shares
-    one more.
+    Every budget grows the pool in ascending order, so cheap models seed it
+    for the richer ones.  Then each budget selects once over the final
+    pool, its root warm started from that budget's last master basis.  A
+    budget's `time_limit` covers its own growth and its selection, which
+    gets what the growth left of it.
     """
-    budgets = sorted(set(int(b) for b in budgets))
     pool = ClausePool(ds)
-    first: dict[int, ColGenResult] = {}
-    for C in budgets:
-        cfg_c = replace(cfg, complexity_bound=C)
-        first[C] = run_column_generation(ds, cfg_c, pool=pool)
-
-    points = []
-    pos_cover, neg_counts, complexities = pool.arrays()
-    deadline = time.perf_counter() + cfg.time_limit
-    for C in budgets:
-        res = first[C]
-        certified = (res.lower_bound is not None
-                     and res.objective <= res.lower_bound)
-        if not certified:
-            time_left = max(deadline - time.perf_counter(), 0.0)
-            mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
-                                       float(C), time_limit=time_left,
-                                       start=res.basis)
-            res = replace(res, mip_nodes=res.mip_nodes + mip.nodes,
-                          mip_pivots=res.mip_pivots + mip.pivots)
-            if mip.objective < res.objective:
-                res = replace(res, objective=mip.objective,
-                              clauses=[pool.clauses[k] for k in mip.selected],
-                              optimal=(res.rmlp_converged
-                                       and res.lower_bound == mip.objective),
-                              mip_optimal=mip.optimal,
-                              pool_size=len(pool))
-        points.append(SweepPoint(complexity_bound=C, result=res,
-                                 first_pass_objective=first[C].objective))
-    return points
+    cfgs = [replace(cfg, complexity_bound=C)
+            for C in sorted(set(int(b) for b in budgets))]
+    grown = [_grow_pool(ds, cfg_c, pool) for cfg_c in cfgs]
+    return [SweepPoint(cfg_c.complexity_bound, _select(pool, cfg_c, growth))
+            for cfg_c, growth in zip(cfgs, grown)]

@@ -18,7 +18,7 @@ row gets a nonnegative dual and a <= row a nonpositive one.
 
 Appending columns does not disturb the row space, so a restricted master
 that grew by a few clauses re-solves from the previous master's basis, padded
-by `solve_restricted_mlp`, usually in a handful of pivots.
+by `solve_lp`, usually in a handful of pivots.
 
 A branch-and-bound node LP that fixes clauses is presolved first: clauses
 fixed to 0 or 1 leave it, the positives a clause fixed to 1 covers lose
@@ -202,7 +202,6 @@ class _Simplex:
         self.lower = np.concatenate([lp.lower, np.zeros(m)])
         self.upper = np.concatenate([lp.upper, np.full(m, np.inf)])
         self.cost = np.concatenate([lp.objective, np.zeros(m)])
-        self.n_art = 0
         self.max_iter = max_iter if max_iter is not None else 50 * (m + n) + 10_000
         self.iterations = 0
 
@@ -232,7 +231,6 @@ class _Simplex:
             self.lower = np.concatenate([self.lower, np.zeros(len(need_art))])
             self.upper = np.concatenate([self.upper, np.full(len(need_art), np.inf)])
             self.cost = np.concatenate([self.cost, np.zeros(len(need_art))])
-            self.n_art = len(need_art)
             vstat = np.concatenate([vstat, np.full(len(need_art), AT_LOWER, dtype=np.int8)])
             basis = basis.copy()
             for k, r in enumerate(need_art):
@@ -247,12 +245,18 @@ class _Simplex:
 
     def _try_warm(self, start) -> bool:
         basis, vstat = start
-        # own copies: the pivot loop rewrites both in place
-        basis = np.array(basis, dtype=np.int64)
-        vstat = np.array(vstat, dtype=np.int8)
         nm = self.n + self.m
-        if len(basis) != self.m or len(vstat) != nm:
+        grown = nm - len(vstat)
+        if len(basis) != self.m or not 0 <= grown <= self.n:
             return False
+        # a start over a prefix of the columns: the slacks shift right past
+        # the appended columns, which rest at their lower bound.  Both are
+        # own copies, as the pivot loop rewrites them in place.
+        cut = self.n - grown
+        basis = np.asarray(basis, dtype=np.int64)
+        basis = np.where(basis < cut, basis, basis + grown)
+        vstat = np.concatenate([vstat[:cut], np.full(grown, AT_LOWER),
+                                vstat[cut:]]).astype(np.int8)
         if basis.min(initial=0) < 0 or basis.max(initial=-1) >= nm:
             return False
         vstat[basis] = BASIC
@@ -438,7 +442,8 @@ class _Simplex:
 
 def solve_lp(lp: LinearProgram, start=None, max_iter=None, deadline=None) -> LPSolution:
     """Solve an LP.  `start` is a (basis, statuses) pair from a previous
-    solution of a compatible LP (same rows, possibly more columns); if it is
+    solution of an LP with the same rows over a prefix of these columns;
+    the columns appended since start at their lower bound.  If the start is
     unusable the solver silently falls back to a cold start.
 
     `deadline` is an absolute time.perf_counter() value; a solve still
@@ -558,18 +563,6 @@ def master_start_basis(pos_cover):
     return basis, vstat
 
 
-def _grow_basis(basis, n_pos: int, k_old: int, k_new: int):
-    """Remap a master basis after appending k_new clause columns: slack
-    indices shift right, new columns start at their lower bound."""
-    bidx, vstat = basis
-    cut = n_pos + k_old
-    bidx2 = np.where(bidx < cut, bidx, bidx + k_new)
-    vstat2 = np.full(len(vstat) + k_new, AT_LOWER, dtype=vstat.dtype)
-    vstat2[:cut] = vstat[:cut]
-    vstat2[cut + k_new:] = vstat[cut:]
-    return bidx2, vstat2
-
-
 def _presolve_node(pos_cover, neg_counts, complexities, budget, one, free):
     """Reduce a node LP whose clauses are fixed to 1 (`one`), fixed to 0 or
     `free`.  Fixed clauses leave the LP: those fixed to 1 spend their
@@ -599,8 +592,8 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
     """Build and solve the restricted master, extracting (mu, lam) duals.
 
     `start` is the basis of an earlier master over a prefix of this pool's
-    clauses; it is padded for the clauses appended since.  Without one the
-    solve starts from `master_start_basis`.
+    clauses, which `solve_lp` pads for the clauses appended since.  Without
+    one the solve starts from `master_start_basis`.
 
     `w_lower`/`w_upper` are a branch-and-bound node's clause bounds, each
     clause free in [0, 1] or fixed to 0 or to 1.  A node that fixes any
@@ -624,10 +617,6 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
         group, sizes = rest, np.ones(n_pos)
         if start is None:
             start = master_start_basis(pos_cover)
-        else:
-            k_old = len(start[1]) - 2 * n_pos - 1
-            if 0 <= k_old < K:
-                start = _grow_basis(start, n_pos, k_old, K - k_old)
     else:
         reduced, constant, rest, group = _presolve_node(
             pos_cover, np.asarray(neg_counts, dtype=float),

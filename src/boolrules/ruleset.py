@@ -2,10 +2,9 @@
 
 A clause is a conjunction of binary features, identified by sorted feature
 indices; its complexity is 1 + number of features.  A DNF rule set predicts
-positive when any clause is satisfied.  A CNF rule set is represented the way
-it is trained: as clauses over the negated feature space, evaluated through
-De Morgan (prediction is the negated DNF prediction on flipped inputs, which
-works out to an AND of ORs over the original features).
+positive when any clause is satisfied.  A CNF rule set is trained as a DNF
+over the negated feature space and stored, through De Morgan, as an AND of
+ORs over the original features.
 """
 
 from __future__ import annotations
@@ -195,26 +194,19 @@ def _index_clauses(rs: RuleSet, ds: BinaryDataset):
 
 
 def predict(rs: RuleSet, ds: BinaryDataset) -> np.ndarray:
-    """0/1 predictions of a rule set on a binarized dataset.
-
-    The CNF path reuses the DNF machinery on flipped inputs and negates the
-    outcome; rs conditions must exist in ds's feature space (for CNF, in the
-    original orientation).
+    """0/1 predictions of a rule set on a binarized dataset: an OR of ANDs
+    for DNF, an AND of ORs for CNF.  rs conditions must exist in ds's
+    feature space.
     """
-    if rs.form == "cnf":
-        flipped = BinaryDataset(X=1 - ds.X, y=ds.y.copy(),
-                                features=None if ds.features is None else
-                                [f.complement() for f in ds.features],
-                                partner=None if ds.partner is None else ds.partner.copy())
-        comp = RuleSet(form="dnf",
-                       clauses=tuple(tuple(c.complement() for c in cl) for cl in rs.clauses),
-                       positive_label=rs.positive_label,
-                       negative_label=rs.negative_label)
-        return 1 - predict(comp, flipped)
     clauses = _index_clauses(rs, ds)
-    hit = np.zeros(ds.n, dtype=bool)
-    for cl in clauses:
-        hit |= cl.covers(ds.X)
+    if rs.form == "cnf":
+        hit = np.ones(ds.n, dtype=bool)
+        for cl in clauses:
+            hit &= ds.X[:, list(cl.features)].any(axis=1)
+    else:
+        hit = np.zeros(ds.n, dtype=bool)
+        for cl in clauses:
+            hit |= cl.covers(ds.X)
     return hit.astype(np.uint8)
 
 

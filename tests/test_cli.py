@@ -225,6 +225,32 @@ def test_sweep_writes_table_and_marks_efficiency(tmp_path, runner):
     assert "efficient point" in r.output
 
 
+def test_sweep_table_is_reproducible(tmp_path, runner):
+    # noisy labels over three numeric columns leave the larger budgets'
+    # selections something to choose between
+    rng = np.random.default_rng(5)
+    data = tmp_path / "noisy.csv"
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "c", "label"])
+        for a, b, c in rng.random((60, 3)):
+            hit = (a > 0.5 and b > 0.3) or c > 0.8
+            w.writerow([f"{a:.3f}", f"{b:.3f}", f"{c:.3f}",
+                        "pos" if hit != (rng.random() < 0.15) else "neg"])
+    tables = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
+    for path in tables:
+        r = runner.invoke(main, ["sweep", "--input", str(data),
+                                 "--label-column", "label", "--c-grid",
+                                 "3,5,8", "--clause-bound", "2", "--folds",
+                                 "3", "--seed", "4", "--jobs", "1",
+                                 "--metrics", str(path)])
+        assert r.exit_code == 0, r.output
+    first, second = (p.read_bytes() for p in tables)
+    assert first == second
+    assert [row[1] for row in csv.reader(open(tables[0]))][1:] == [
+        "3", "5", "8"]
+
+
 def test_sweep_rejects_unordered_grid(tmp_path, runner):
     data = write_color_csv(tmp_path / "toy.csv")
     r = runner.invoke(main, ["sweep", "--input", str(data), "--label-column",

@@ -368,36 +368,31 @@ def two_triangles():
     return make_binary_dataset(np.array(rows, dtype=np.uint8), y)
 
 
-def certified(point):
-    res = point.result
-    return (res.lower_bound is not None
-            and point.first_pass_objective <= res.lower_bound)
+def test_sweep_selection_gets_what_its_growth_left(monkeypatch):
+    # each loop master sleeps, so every growth takes a measurable share of
+    # the limit, and each selection sleeps after it, so a limit shared by
+    # the selections would shrink from one budget to the next
+    real_mlp = colgen.solve_restricted_mlp
 
+    def slow_master(*args, **kw):
+        ms = real_mlp(*args, **kw)
+        if kw.get("w_lower") is None:
+            time.sleep(0.05)
+        return ms
 
-def test_sweep_shares_one_deadline_per_pass(monkeypatch):
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", slow_master)
     calls = recording_mip(monkeypatch, 0.2)
-    starts = []
-    real_run = colgen.run_column_generation
-
-    def run(*args, **kw):
-        starts.append(time.perf_counter())
-        return real_run(*args, **kw)
-
-    monkeypatch.setattr(colgen, "run_column_generation", run)
+    grown, _, _ = recording_sweep(monkeypatch)
     budgets = [2, 3, 5, 7]
     cfg = small_config(6, 2, time_limit=30.0)
     points = sweep_complexity(two_triangles(), budgets, cfg)
-    uncertified = [p for p in points if not certified(p)]
-    assert len(uncertified) == 3
-    assert len(calls) == len(budgets) + len(uncertified)
-    first_pass, second_pass = calls[:len(budgets)], calls[len(budgets):]
-    # each first-pass run owns a full limit, counted from its own start
-    for t_run, (t_call, granted) in zip(starts, first_pass):
-        assert granted <= cfg.time_limit - (t_call - t_run) + TIME_SLACK
-    # the second pass shares one limit, counted from its first solve
-    t_pass = second_pass[0][0]
-    for t_call, granted in second_pass:
-        assert granted <= cfg.time_limit - (t_call - t_pass) + TIME_SLACK
+    assert len(calls) == len(budgets)
+    for p, (_, granted) in zip(points, calls):
+        growth = grown[p.complexity_bound]
+        assert growth.seconds >= 0.05
+        assert granted <= cfg.time_limit - growth.seconds
+        assert granted >= cfg.time_limit - growth.seconds - TIME_SLACK
+        assert p.result.seconds >= growth.seconds + 0.2 - TIME_SLACK
 
 
 # -- the restricted integer solve ------------------------------------------
@@ -534,8 +529,7 @@ def test_mip_drops_children_at_their_parents_bound(monkeypatch):
 
 
 def test_mip_pivots_sum_the_node_lps(monkeypatch):
-    # the sweep's count covers each budget's first-pass selection and its
-    # re-solve over the union pool
+    # each budget's count covers its one selection over the final pool
     solved = record_node_lps(monkeypatch)
     points = sweep_complexity(two_triangles(), [2, 3, 5, 7],
                               small_config(6, 2))
@@ -560,98 +554,100 @@ def test_sweep_matches_per_budget_optimum_and_never_degrades():
     for p in points:
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
         assert p.result.objective == opt
-        assert p.result.objective <= p.first_pass_objective
         assert sum(c.complexity for c in p.result.clauses) <= p.complexity_bound
         if prev is not None:
             assert p.result.objective <= prev
         prev = p.result.objective
 
 
-def test_sweep_skips_certified_budgets(monkeypatch):
-    solved = []
-    real = colgen.solve_restricted_mip
-
-    def recording(pos_cover, neg_counts, complexities, budget, **kw):
-        solved.append(budget)
-        return real(pos_cover, neg_counts, complexities, budget, **kw)
-
-    monkeypatch.setattr(colgen, "solve_restricted_mip", recording)
-    ds = two_triangles()
-    budgets = [2, 3, 5, 7]
-    points = sweep_complexity(ds, budgets, small_config(6, 2))
-    # the second pass re-solves exactly the budgets the first left open
-    assert solved[len(budgets):] == [float(p.complexity_bound)
-                                     for p in points if not certified(p)]
-    assert [p.complexity_bound for p in points if certified(p)] == [2]
-    for p in points:
-        opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
-        assert p.result.objective == opt
-        if certified(p):
-            assert p.result.objective == p.first_pass_objective
-
-
 def recording_sweep(monkeypatch, cold=False):
-    """Record each first-pass result by budget and every integer solve as
-    (budget, start, nodes); `cold` drops every root start."""
-    first, solves = {}, []
-    real_run = colgen.run_column_generation
+    """Record each budget's growth by budget, every integer solve as
+    (budget, pool columns, start, nodes), and the order of both as
+    ("grow" | "select", budget); `cold` drops every root start."""
+    grown, solves, order = {}, [], []
+    real_grow = colgen._grow_pool
     real_mip = colgen.solve_restricted_mip
 
-    def run(ds, cfg, **kw):
-        res = real_run(ds, cfg, **kw)
-        first[cfg.complexity_bound] = res
-        return res
+    def grow(ds, cfg, pool):
+        growth = real_grow(ds, cfg, pool)
+        grown[cfg.complexity_bound] = growth
+        order.append(("grow", cfg.complexity_bound))
+        return growth
 
     def mip(pos_cover, neg_counts, complexities, budget, start=None, **kw):
         out = real_mip(pos_cover, neg_counts, complexities, budget,
                        start=None if cold else start, **kw)
-        solves.append((budget, start, out.nodes))
+        solves.append((int(budget), pos_cover.shape[1], start, out.nodes))
+        order.append(("select", int(budget)))
         return out
 
-    monkeypatch.setattr(colgen, "run_column_generation", run)
+    monkeypatch.setattr(colgen, "_grow_pool", grow)
     monkeypatch.setattr(colgen, "solve_restricted_mip", mip)
-    return first, solves
+    return grown, solves, order
 
 
 def test_sweep_resolves_from_each_budgets_own_basis(monkeypatch):
-    first, solves = recording_sweep(monkeypatch)
-    ds = two_triangles()
-    budgets = [2, 3, 5, 7]
-    real_run = colgen.run_column_generation
+    grown, solves, order = recording_sweep(monkeypatch)
+    real_grow = colgen._grow_pool
     kept = {}
 
-    def run(ds, cfg, **kw):
-        res = real_run(ds, cfg, **kw)
-        kept[cfg.complexity_bound] = tuple(a.copy() for a in res.basis)
-        return res
+    def grow(ds, cfg, pool):
+        growth = real_grow(ds, cfg, pool)
+        kept[cfg.complexity_bound] = tuple(a.copy() for a in growth.basis)
+        return growth
 
-    monkeypatch.setattr(colgen, "run_column_generation", run)
+    monkeypatch.setattr(colgen, "_grow_pool", grow)
+    # the pool grows at C = 3 and again at C = 7
+    ds = random_instance(np.random.default_rng(10))
+    budgets = [2, 3, 5, 7]
     points = sweep_complexity(ds, budgets, small_config(6, 2))
-    second = solves[len(budgets):]
-    assert [b for b, _, _ in second] == [3.0, 5.0, 7.0]
-    for budget, start, nodes in second:
-        C = int(budget)
-        assert start is first[C].basis is not None
+    # every budget grows the pool, then each selects once over the final one
+    assert order == ([("grow", C) for C in budgets]
+                     + [("select", C) for C in budgets])
+    final = grown[7].trace[-1].pool_size
+    assert grown[2].trace[-1].pool_size < final
+    for p, (C, columns, start, nodes) in zip(points, solves):
+        assert C == p.complexity_bound
+        assert columns == p.result.pool_size == final
+        assert start is grown[C].basis is not None
         # no solve rewrote the stored basis
         assert all(np.array_equal(a, b) for a, b in zip(start, kept[C]))
-    pass2_nodes = {int(b): n for b, _, n in second}
-    for p in points:
-        C = p.complexity_bound
-        assert p.result.mip_nodes == (first[C].mip_nodes
-                                      + pass2_nodes.get(C, 0))
-        assert first[C].mip_nodes >= 1
+        assert p.result.mip_nodes == nodes >= 1
+        opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
+        assert p.result.objective == opt
+
+
+def test_single_budget_sweep_is_run_column_generation():
+    rng = np.random.default_rng(3)
+    instances = [two_triangles()] + [random_instance(rng) for _ in range(6)]
+    for ds in instances:
+        for C in (3, 5):
+            swept, = sweep_complexity(ds, [C], small_config(7, 2))
+            alone = run_column_generation(ds, small_config(C, 2))
+            a, b = swept.result, alone
+            assert swept.complexity_bound == C
+            assert a.objective == b.objective
+            assert a.clauses == b.clauses
+            assert a.lower_bound == b.lower_bound
+            assert a.z_rmlp == b.z_rmlp
+            assert a.optimal == b.optimal
+            assert (a.mip_nodes, a.mip_pivots) == (b.mip_nodes, b.mip_pivots)
+            assert (a.iterations, a.pool_size) == (b.iterations, b.pool_size)
 
 
 def test_warm_sweep_matches_cold_root_and_enumeration(monkeypatch):
     budgets = [3, 5, 7]
     rng = np.random.default_rng(7)
-    resolved = 0
+    padded = 0
     for _ in range(40):
         ds = random_instance(rng)
+        n_pos = len(ds.pos)
         with monkeypatch.context() as m:
-            _, solves = recording_sweep(m)
+            _, solves, _ = recording_sweep(m)
             warm = sweep_complexity(ds, budgets, small_config(7, 2))
-        resolved += sum(s is not None for _, s, _ in solves[len(budgets):])
+        # a start over fewer clauses than the final pool is padded
+        padded += sum(s is not None and len(s[1]) < 2 * n_pos + 1 + k
+                      for _, k, s, _ in solves)
         with monkeypatch.context() as m:
             recording_sweep(m, cold=True)
             cold = sweep_complexity(ds, budgets, small_config(7, 2))
@@ -660,13 +656,13 @@ def test_warm_sweep_matches_cold_root_and_enumeration(monkeypatch):
                                                  pw.complexity_bound, 2)
             assert pw.result.objective == pc.result.objective == opt
             assert selection_loss(pw.result.clauses, ds) == opt
-    # the draw must exercise warm re-solves at all
-    assert resolved >= 3
+    # the draw must exercise warm roots over a grown pool at all
+    assert padded >= 3
 
 
 def test_sweep_resolves_cold_without_a_first_pass_basis(monkeypatch):
-    # every master of the C = 3 run fails, so that run ends "master-failed"
-    # with no basis, and its re-solve must start from the analytic basis
+    # every master of the C = 3 growth fails, so it ends "master-failed"
+    # with no basis, and its selection must start from the analytic basis
     real = colgen.solve_restricted_mlp
 
     def failing(pos_cover, neg_counts, complexities, budget, **kw):
@@ -676,16 +672,16 @@ def test_sweep_resolves_cold_without_a_first_pass_basis(monkeypatch):
         return ms
 
     monkeypatch.setattr(colgen, "solve_restricted_mlp", failing)
-    first, solves = recording_sweep(monkeypatch)
+    grown, solves, _ = recording_sweep(monkeypatch)
     ds = two_triangles()
     budgets = [2, 3, 5, 7]
     points = sweep_complexity(ds, budgets, small_config(6, 2))
-    assert first[3].trace[-1].mode == "master-failed"
-    assert first[3].basis is None
-    starts = {int(b): s for b, s, _ in solves[len(budgets):]}
-    assert 3 in starts and starts[3] is None
-    assert all(starts[C] is first[C].basis is not None
-               for C in starts if C != 3)
+    assert grown[3].trace[-1].mode == "master-failed"
+    assert grown[3].basis is None
+    starts = {C: s for C, _, s, _ in solves}
+    assert sorted(starts) == budgets and starts[3] is None
+    assert all(starts[C] is grown[C].basis is not None
+               for C in budgets if C != 3)
     for p in points:
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
         assert p.result.objective == opt

@@ -9,7 +9,6 @@ from boolrules.lp_engine import (
     LinearProgram,
     Row,
     _Factor,
-    _grow_basis,
     _Simplex,
     build_restricted_mlp,
     master_start_basis,
@@ -410,17 +409,44 @@ def test_node_bounds_must_be_fixings():
                              w_lower=np.ones(2), w_upper=np.array([1.0, 0]))
 
 
-def test_grow_basis_shifts_slacks_and_pads_new_columns():
-    # two positives, one clause column: variables [xi0, xi1, w0, s0, s1, sb]
-    bidx = np.array([0, 2, 5], dtype=np.int64)
-    vstat = np.array([BASIC, AT_LOWER, BASIC, AT_LOWER, AT_UPPER, BASIC],
-                     dtype=np.int8)
-    bidx2, vstat2 = _grow_basis((bidx, vstat), n_pos=2, k_old=1, k_new=2)
-    assert bidx2.tolist() == [0, 2, 7]
-    assert len(vstat2) == 8
-    assert vstat2[:3].tolist() == [BASIC, AT_LOWER, BASIC]
-    assert vstat2[3:5].tolist() == [AT_LOWER, AT_LOWER]
-    assert vstat2[5:].tolist() == [AT_LOWER, AT_UPPER, BASIC]
+def test_warm_start_pads_a_prefix_basis():
+    # three positives and two clauses: variables [xi0-2, w0, w1, s0-2, sb];
+    # the optimal basis keeps w0, w1 and the slacks of rows 1 and budget
+    cov = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    negc, comp = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+    L, U, B = AT_LOWER, AT_UPPER, BASIC
+    start = (np.array([6, 4, 3, 8]),
+             np.array([L, L, U, B, B, L, B, L, B], dtype=np.int8))
+    prefix = solve_lp(build_restricted_mlp(cov, negc, comp, 3.0), start=start)
+    assert prefix.status == "optimal" and prefix.iterations == 0
+    assert prefix.objective == pytest.approx(1.0)
+
+    # two appended clauses that price positive: the padded start is optimal
+    # as it stands, its slacks shifted right past the new columns
+    cov2 = np.hstack([cov, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
+    grown = build_restricted_mlp(cov2, np.concatenate([negc, [2.0, 1.0]]),
+                                 np.concatenate([comp, [2.0, 2.0]]), 3.0)
+    sol = solve_lp(grown, start=start)
+    assert sol.status == "optimal" and sol.iterations == 0
+    assert sol.objective == pytest.approx(1.0)
+    assert sol.basis[0].tolist() == [8, 4, 3, 10]
+    assert sol.basis[1].tolist() == [L, L, U, B, B, L, L, L, B, L, B]
+
+    # an appended clause that prices negative pivots in from the padded start
+    cov3 = np.hstack([cov, [[0.0], [0.0], [1.0]]])
+    lp3 = build_restricted_mlp(cov3, np.concatenate([negc, [0.0]]),
+                               np.concatenate([comp, [2.0]]), 5.0)
+    warm, cold = solve_lp(lp3, start=start), solve_lp(lp3)
+    assert warm.status == cold.status == "optimal"
+    assert 0 < warm.iterations < cold.iterations
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert warm.objective == pytest.approx(0.0, abs=1e-9)
+
+    # a start over more columns than the LP has falls back to a cold start
+    back = solve_lp(build_restricted_mlp(cov, negc, comp, 3.0),
+                    start=sol.basis)
+    assert back.status == "optimal" and back.iterations > 0
+    assert back.objective == pytest.approx(1.0)
 
 
 def assert_same_csc(A, B):
