@@ -5,12 +5,16 @@ threshold t yields the pair of features [X <= t] and [X > t].  Categorical
 columns yield an equality/inequality pair per category.  Every feature
 therefore has a complement at a known index, which is what lets a CNF model
 be trained as a DNF model on the negated dataset.
+
+`evaluate_conditions` evaluates every stored condition: on training rows
+(`binarize_table`), held-out folds (`build_matrix`) and raw rows parsed by
+`read_columns` for `RuleSet.predict_rows`.  A missing numeric cell is NaN
+there and fails both threshold tests; a missing categorical cell is "?".
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -59,22 +63,6 @@ class FeatureMeta:
         else:
             shown = str(self.value)
         return f"{self.column} {_KIND_SYMBOL[self.kind]} {shown}"
-
-    def evaluate(self, cell):
-        """Evaluate the condition on one raw cell (string or None for missing).
-
-        Missing cells fail <=, > and = tests and pass != tests.  A cell that
-        cannot be parsed as a number under a numeric kind raises ValueError.
-        """
-        if cell is None or (isinstance(cell, str) and cell.strip() in MISSING_TOKENS):
-            return self.kind == KIND_CATEGORICAL_NEQ
-        if self.kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT):
-            v = float(cell)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value {cell!r}")
-            return v <= self.value if self.kind == KIND_NUMERIC_LEQ else v > self.value
-        cell = str(cell).strip()
-        return (cell == self.value) == (self.kind == KIND_CATEGORICAL_EQ)
 
 
 @dataclass
@@ -156,15 +144,16 @@ class BinaryDataset:
 class TypedTable:
     """Parsed CSV with inferred column types, before binarization.
 
-    Numeric columns hold float arrays, categorical columns hold string lists.
-    Rows that had to be dropped (missing values under the active policy) are
-    already gone.  Kept separate from BinaryDataset so cross-validation can
-    re-binarize per training fold without re-reading the file.
+    Numeric columns hold float arrays, categorical columns object arrays of
+    strings.  Rows that had to be dropped (missing values under the active
+    policy) are already gone.  Kept separate from BinaryDataset so
+    cross-validation can re-binarize per training fold without re-reading
+    the file.
     """
 
     columns: list[str]
     kinds: dict  # column -> "numeric" | "categorical"
-    values: dict  # column -> np.ndarray(float) | list[str]
+    values: dict  # column -> np.ndarray of float or of str objects
     y: np.ndarray
     label_column: str
     positive_label: str
@@ -266,7 +255,8 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
         if c in numeric_cols:
             values[c] = np.array([float(row[i]) for row in kept])
         else:
-            values[c] = [row[i] if not _is_missing(row[i]) else "?" for row in kept]
+            values[c] = np.array([row[i] if not _is_missing(row[i]) else "?"
+                                  for row in kept], dtype=object)
     y = np.array([1 if row[label_idx] == positive_label else 0 for row in kept],
                  dtype=np.uint8)
     kinds = {c: ("numeric" if c in numeric_cols else "categorical") for c in feature_cols}
@@ -275,48 +265,52 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
                       negative_label=negative_label, dropped_rows=dropped)
 
 
-def binarize_numeric(values: np.ndarray, column: str, quantile_count: int = 9):
-    """Cut a numeric column at its empirical quantiles.
+def numeric_features(values: np.ndarray, column: str, quantile_count: int = 9):
+    """Threshold features of a numeric column cut at its empirical quantiles.
 
     Thresholds are the k/(quantile_count+1) quantiles (linear interpolation),
     deduplicated.  Each kept threshold t yields [X <= t] and [X > t]; a
     threshold equal to the column maximum would make both constant, so that
-    pair is dropped.  Returns (list of 0/1 columns, list of FeatureMeta).
+    pair is dropped.
     """
-    values = np.asarray(values, dtype=float)
     if quantile_count < 1:
         raise DatasetError("quantile_count must be at least 1")
     probs = np.arange(1, quantile_count + 1) / (quantile_count + 1)
-    thresholds = np.unique(np.quantile(values, probs))
     vmax = values.max()
-    cols, metas = [], []
-    for t in thresholds:
-        if t >= vmax:
-            continue
-        leq = (values <= t).astype(np.uint8)
-        cols.append(leq)
-        cols.append(1 - leq)
-        metas.append(FeatureMeta(column, KIND_NUMERIC_LEQ, float(t)))
-        metas.append(FeatureMeta(column, KIND_NUMERIC_GT, float(t)))
-    return cols, metas
+    return [FeatureMeta(column, kind, float(t))
+            for t in np.unique(np.quantile(values, probs)) if t < vmax
+            for kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)]
 
 
-def binarize_categorical(values, column: str):
+def categorical_features(values, column: str):
     """One equality/inequality feature pair per category, categories in
     lexicographic order.  A single-category column yields nothing."""
-    values = list(values)
     cats = sorted(set(values))
     if len(cats) < 2:
-        return [], []
-    arr = np.array(values, dtype=object)
-    cols, metas = [], []
-    for cat in cats:
-        eq = (arr == cat).astype(np.uint8)
-        cols.append(eq)
-        cols.append(1 - eq)
-        metas.append(FeatureMeta(column, KIND_CATEGORICAL_EQ, cat))
-        metas.append(FeatureMeta(column, KIND_CATEGORICAL_NEQ, cat))
-    return cols, metas
+        return []
+    return [FeatureMeta(column, kind, cat) for cat in cats
+            for kind in (KIND_CATEGORICAL_EQ, KIND_CATEGORICAL_NEQ)]
+
+
+def evaluate_conditions(columns: dict, metas: list[FeatureMeta], n: int) -> np.ndarray:
+    """The (n, len(metas)) 0/1 matrix of stored conditions on n rows.
+
+    `columns` maps every column the conditions read to its n cells: a float
+    array for a numeric column, where a missing cell is NaN and fails both
+    <= and >, or an object array of strings for a categorical one, where a
+    missing cell is the category "?".
+    """
+    out = np.empty((n, len(metas)), dtype=np.uint8)
+    for j, m in enumerate(metas):
+        vals = columns[m.column]
+        if m.kind == KIND_NUMERIC_LEQ:
+            out[:, j] = vals <= m.value
+        elif m.kind == KIND_NUMERIC_GT:
+            out[:, j] = vals > m.value
+        else:
+            eq = vals == m.value
+            out[:, j] = eq if m.kind == KIND_CATEGORICAL_EQ else ~eq
+    return out
 
 
 def binarize_table(table: TypedTable, rows: np.ndarray | None = None,
@@ -331,18 +325,16 @@ def binarize_table(table: TypedTable, rows: np.ndarray | None = None,
     if rows is None:
         rows = np.arange(table.n)
     rows = np.asarray(rows)
-    cols, metas = [], []
+    columns = {c: table.values[c][rows] for c in table.columns}
+    metas = []
     for c in table.columns:
         if table.kinds[c] == "numeric":
-            block, meta = binarize_numeric(table.values[c][rows], c, quantile_count)
+            metas += numeric_features(columns[c], c, quantile_count)
         else:
-            vals = [table.values[c][i] for i in rows]
-            block, meta = binarize_categorical(vals, c)
-        cols.extend(block)
-        metas.extend(meta)
-    if not cols:
+            metas += categorical_features(columns[c], c)
+    if not metas:
         raise DatasetError("no usable features: every column is constant")
-    X = np.column_stack(cols).astype(np.uint8)
+    X = evaluate_conditions(columns, metas, len(rows))
     partner = np.arange(len(metas)) ^ 1
     ds = BinaryDataset(X=X, y=table.y[rows].copy(), features=metas, partner=partner,
                        positive_label=table.positive_label,
@@ -359,17 +351,52 @@ def build_matrix(table: TypedTable, rows: np.ndarray, metas: list[FeatureMeta]) 
     training fold; nothing is recomputed from the given rows.
     """
     rows = np.asarray(rows)
-    out = np.empty((len(rows), len(metas)), dtype=np.uint8)
-    for j, m in enumerate(metas):
-        vals = table.values[m.column]
-        if m.kind == KIND_NUMERIC_LEQ:
-            out[:, j] = vals[rows] <= m.value
-        elif m.kind == KIND_NUMERIC_GT:
-            out[:, j] = vals[rows] > m.value
+    columns = {c: table.values[c][rows] for c in {m.column for m in metas}}
+    return evaluate_conditions(columns, metas, len(rows))
+
+
+def _read_number(cell: str, k: int, column: str) -> float:
+    """Raw numeric cell of data row k + 1 as a float; missing is NaN."""
+    cell = cell.strip()
+    if cell in MISSING_TOKENS:
+        return math.nan
+    v = _parse_number(cell)
+    if v is None:
+        raise ValueError(f"data row {k + 1}, column {column}: "
+                         f"{cell!r} is not a finite number")
+    return v
+
+
+def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
+    """Parse the columns that `metas` read from raw CSV rows (lists of
+    string cells aligned with `header`) for `evaluate_conditions`.
+
+    Cells are stripped; "" and "?" are missing.  Raises ValueError for a
+    column absent from the header, a row shorter than the header, or an
+    unreadable or non-finite numeric cell, naming the data row (the first
+    row after the header is row 1).
+    """
+    needed = {m.column for m in metas}
+    absent = sorted(needed - set(header))
+    if absent:
+        raise ValueError(f"input is missing columns required by the model: "
+                         f"{', '.join(absent)}")
+    for k, row in enumerate(rows):
+        if len(row) < len(header):
+            raise ValueError(f"data row {k + 1} has {len(row)} cells, "
+                             f"fewer than the header's {len(header)}")
+    numeric = {m.column for m in metas if m.kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)}
+    columns = {}
+    for c in sorted(needed):
+        i = header.index(c)
+        if c in numeric:
+            columns[c] = np.array([_read_number(row[i], k, c) for k, row in enumerate(rows)],
+                                  dtype=float)
         else:
-            eq = np.array([vals[i] == m.value for i in rows], dtype=np.uint8)
-            out[:, j] = eq if m.kind == KIND_CATEGORICAL_EQ else 1 - eq
-    return out
+            cells = [row[i].strip() for row in rows]
+            columns[c] = np.array([v if v not in MISSING_TOKENS else "?" for v in cells],
+                                  dtype=object)
+    return columns
 
 
 def ingest_csv(path, label_column: str, positive_label: str | None = None,
@@ -378,27 +405,3 @@ def ingest_csv(path, label_column: str, positive_label: str | None = None,
     table = read_csv_table(path, label_column, positive_label, missing)
     return binarize_table(table, quantile_count=quantile_count)
 
-
-def export_debug(ds: BinaryDataset, descriptor_path, matrix_path) -> None:
-    """Write the feature descriptor as JSON and the 0/1 matrix as text.
-
-    Debugging aid; one matrix row per sample, features space-separated with
-    the label after a '|'.
-    """
-    desc = {
-        "n": ds.n,
-        "d": ds.d,
-        "positive_label": ds.positive_label,
-        "negative_label": ds.negative_label,
-        "features": None if ds.features is None else [
-            {"column": f.column, "kind": f.kind, "value": f.value,
-             "partner": int(ds.partner[j])}
-            for j, f in enumerate(ds.features)
-        ],
-    }
-    with open(descriptor_path, "w") as fh:
-        json.dump(desc, fh, indent=2)
-        fh.write("\n")
-    with open(matrix_path, "w") as fh:
-        for i in range(ds.n):
-            fh.write(" ".join(str(v) for v in ds.X[i]) + " | " + str(ds.y[i]) + "\n")

@@ -588,7 +588,7 @@ def _presolve_node(pos_cover, neg_counts, complexities, budget, one, free):
 
 def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
                          start=None, w_lower=None, w_upper=None,
-                         max_iter=None, deadline=None) -> MasterSolution:
+                         deadline=None) -> MasterSolution:
     """Build and solve the restricted master, extracting (mu, lam) duals.
 
     `start` is the basis of an earlier master over a prefix of this pool's
@@ -623,8 +623,7 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
             np.asarray(complexities, dtype=float), float(budget), one, free)
         sizes = reduced[4]
         start = master_start_basis(reduced[0])
-    sol = solve_lp(build_restricted_mlp(*reduced), start=start,
-                   max_iter=max_iter, deadline=deadline)
+    sol = solve_lp(build_restricted_mlp(*reduced), start=start, deadline=deadline)
     ok = sol.status == OPTIMAL
     G = len(sizes)
     xi = np.zeros(n_pos)

@@ -5,6 +5,9 @@ indices; its complexity is 1 + number of features.  A DNF rule set predicts
 positive when any clause is satisfied.  A CNF rule set is trained as a DNF
 over the negated feature space and stored, through De Morgan, as an AND of
 ORs over the original features.
+
+`predict` (binarized rows) and `RuleSet.predict_rows` (raw CSV rows, through
+`dataset.evaluate_conditions`) share one DNF/CNF combination, `_combine`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import BinaryDataset, FeatureMeta
+from .dataset import BinaryDataset, FeatureMeta, evaluate_conditions, read_columns
 
 FORMAT_VERSION = 1
 
@@ -81,32 +84,19 @@ class RuleSet:
     def complexity(self) -> int:
         return sum(1 + len(cl) for cl in self.clauses)
 
-    def predict_cells(self, get_cell) -> bool:
-        """Predict one sample given a cell accessor column -> raw value."""
-        if self.form == "dnf":
-            return any(all(c.evaluate(get_cell(c.column)) for c in cl)
-                       for cl in self.clauses)
-        return all(any(c.evaluate(get_cell(c.column)) for c in cl)
-                   for cl in self.clauses)
-
     def predict_rows(self, header: list[str], rows) -> list[str]:
-        """Predict raw CSV rows (lists of cells aligned with header).
+        """Predict raw CSV rows (a sequence of cell lists aligned with
+        header), reading only the columns the model uses.
 
-        Returns original label strings.  Raises KeyError-style errors if a
-        referenced column is absent and ValueError for unparseable numeric
-        cells; callers attach row context.
+        Returns original label strings.  Raises ValueError for a column
+        the model reads that the header lacks, a row shorter than the
+        header, or an unreadable or non-finite numeric cell the model reads.
         """
-        needed = {c.column for cl in self.clauses for c in cl}
-        missing = sorted(needed - set(header))
-        if missing:
-            raise ValueError(f"input is missing columns required by the model: "
-                             f"{', '.join(missing)}")
-        idx = {c: header.index(c) for c in needed}
-        out = []
-        for row in rows:
-            hit = self.predict_cells(lambda col: row[idx[col]])
-            out.append(self.positive_label if hit else self.negative_label)
-        return out
+        metas = list(dict.fromkeys(c for cl in self.clauses for c in cl))
+        X = evaluate_conditions(read_columns(header, rows, metas), metas, len(rows))
+        index = {m: j for j, m in enumerate(metas)}
+        hit = _combine(self.form, X, [[index[c] for c in cl] for cl in self.clauses])
+        return [self.positive_label if h else self.negative_label for h in hit.tolist()]
 
     def render(self) -> str:
         """Human-readable IF/THEN text, clauses sorted by size then literals."""
@@ -193,21 +183,25 @@ def _index_clauses(rs: RuleSet, ds: BinaryDataset):
     return out
 
 
-def predict(rs: RuleSet, ds: BinaryDataset) -> np.ndarray:
-    """0/1 predictions of a rule set on a binarized dataset: an OR of ANDs
-    for DNF, an AND of ORs for CNF.  rs conditions must exist in ds's
-    feature space.
-    """
-    clauses = _index_clauses(rs, ds)
-    if rs.form == "cnf":
-        hit = np.ones(ds.n, dtype=bool)
+def _combine(form: str, X: np.ndarray, clauses) -> np.ndarray:
+    """Boolean verdict per row of a 0/1 condition matrix, each clause a list
+    of its column indices: an OR of ANDs for DNF, an AND of ORs for CNF."""
+    if form == "cnf":
+        hit = np.ones(len(X), dtype=bool)
         for cl in clauses:
-            hit &= ds.X[:, list(cl.features)].any(axis=1)
+            hit &= X[:, cl].any(axis=1)
     else:
-        hit = np.zeros(ds.n, dtype=bool)
+        hit = np.zeros(len(X), dtype=bool)
         for cl in clauses:
-            hit |= cl.covers(ds.X)
-    return hit.astype(np.uint8)
+            hit |= X[:, cl].all(axis=1)
+    return hit
+
+
+def predict(rs: RuleSet, ds: BinaryDataset) -> np.ndarray:
+    """0/1 predictions of a rule set on a binarized dataset.  rs conditions
+    must exist in ds's feature space."""
+    clauses = _index_clauses(rs, ds)
+    return _combine(rs.form, ds.X, [list(cl.features) for cl in clauses]).astype(np.uint8)
 
 
 def hamming_loss(rs: RuleSet, ds: BinaryDataset) -> int:

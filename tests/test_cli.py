@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 import boolrules
 from boolrules.cli import METRICS_HEADER, SWEEP_HEADER, main
-from boolrules.ruleset import RuleSet
+from boolrules.dataset import FeatureMeta, binarize_table, read_csv_table
+from boolrules.ruleset import RuleSet, predict
 
 
 @pytest.fixture()
@@ -144,6 +145,41 @@ def test_predict_empty_input(tmp_path, runner):
     r = runner.invoke(main, ["predict", str(model), "--input", str(nothing)])
     assert r.exit_code == 0
     assert r.output == ""
+
+
+def test_predict_reads_missing_cells_as_training_did(tmp_path, runner):
+    # the label is positive exactly where color is missing ("" or "?"), so
+    # the only loss-free one-condition rule is `color = ?`
+    data = tmp_path / "holes.csv"
+    data.write_text("color,size,label\n?,1,pos\n,2,pos\nred,3,neg\n"
+                    "blue,4,neg\n?,5,pos\nred,6,neg\n")
+    model = tmp_path / "model.json"
+    r = runner.invoke(main, ["train", "--input", str(data), "--label-column",
+                             "label", "--missing", "category", "-C", "2",
+                             "--output", str(model)])
+    assert r.exit_code == 0, r.output
+    rs = RuleSet.from_json(model.read_text())
+    train_ds = binarize_table(read_csv_table(data, "label",
+                                             missing="category"))
+    want = [rs.positive_label if hit else rs.negative_label
+            for hit in predict(rs, train_ds)]
+    assert want == ["pos", "pos", "neg", "neg", "pos", "neg"]
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 0, r.output
+    assert r.output.splitlines() == want
+
+
+def test_predict_short_row_exits_two_naming_it(tmp_path, runner):
+    model = tmp_path / "model.json"
+    model.write_text(RuleSet(
+        "dnf", ((FeatureMeta("b", "categorical-eq", "x"),),),
+        "yes", "no").to_json())
+    data = tmp_path / "short.csv"
+    data.write_text("a,b\n1,x\n2\n")
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 2
+    lines = r.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: data row 2 ")
 
 
 def test_bad_model_file_exits_two(tmp_path, runner):

@@ -345,14 +345,36 @@ def recording_mip(monkeypatch, pause: float):
     return calls
 
 
+def slow_masters(monkeypatch, pause: float):
+    """Make every loop master sleep `pause` seconds after solving, so pool
+    growth takes a measurable share of the time limit; node LPs, which
+    always fix bounds, run at full speed."""
+    real_mlp = colgen.solve_restricted_mlp
+
+    def slow_master(*args, **kw):
+        ms = real_mlp(*args, **kw)
+        if kw.get("w_lower") is None:
+            time.sleep(pause)
+        return ms
+
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", slow_master)
+
+
 @pytest.mark.parametrize("limit", [1e-9, 30.0])
 def test_integer_stage_gets_only_the_time_left(monkeypatch, limit):
+    # the growth outlasts the slack, so a grant of the whole limit fails
+    slow_masters(monkeypatch, 2 * TIME_SLACK)
     calls = recording_mip(monkeypatch, 0.0)
     cfg = small_config(6, 2, time_limit=limit)
     t0 = time.perf_counter()
     run_column_generation(random_instance(np.random.default_rng(5)), cfg)
     (t_call, granted), = calls
-    assert 0.0 <= granted <= limit - (t_call - t0) + TIME_SLACK
+    assert t_call - t0 >= 2 * TIME_SLACK
+    left = max(limit - (t_call - t0), 0.0)
+    assert left <= granted <= left + TIME_SLACK
+    if limit < TIME_SLACK:
+        # the growth alone outlasts the limit and leaves nothing
+        assert granted == 0.0
 
 
 def two_triangles():
@@ -372,15 +394,7 @@ def test_sweep_selection_gets_what_its_growth_left(monkeypatch):
     # each loop master sleeps, so every growth takes a measurable share of
     # the limit, and each selection sleeps after it, so a limit shared by
     # the selections would shrink from one budget to the next
-    real_mlp = colgen.solve_restricted_mlp
-
-    def slow_master(*args, **kw):
-        ms = real_mlp(*args, **kw)
-        if kw.get("w_lower") is None:
-            time.sleep(0.05)
-        return ms
-
-    monkeypatch.setattr(colgen, "solve_restricted_mlp", slow_master)
+    slow_masters(monkeypatch, 0.05)
     calls = recording_mip(monkeypatch, 0.2)
     grown, _, _ = recording_sweep(monkeypatch)
     budgets = [2, 3, 5, 7]

@@ -1,4 +1,4 @@
-import json
+import math
 
 import numpy as np
 import pytest
@@ -7,12 +7,13 @@ from boolrules.dataset import (
     BinaryDataset,
     DatasetError,
     FeatureMeta,
-    binarize_categorical,
-    binarize_numeric,
     binarize_table,
     build_matrix,
-    export_debug,
+    categorical_features,
+    evaluate_conditions,
     ingest_csv,
+    numeric_features,
+    read_columns,
     read_csv_table,
 )
 from _data import make_binary_dataset, tictactoe_rows, write_tictactoe_csv
@@ -23,12 +24,20 @@ def write_csv(path, text):
     return path
 
 
+def binarize_column(values, column, metas):
+    """The 0/1 columns of `metas` on one column's values, as a list."""
+    X = evaluate_conditions({column: values}, metas, len(values))
+    return [X[:, j] for j in range(len(metas))]
+
+
 def test_decile_thresholds_on_one_to_ten():
     # For sorted values 1..10 the p-quantile under linear interpolation is
     # 1 + 9p, so the nine decile cuts are fixed numbers; each yields a
     # <= / > pair, giving 18 columns.
     expected = [1.9, 2.8, 3.7, 4.6, 5.5, 6.4, 7.3, 8.2, 9.1]
-    cols, metas = binarize_numeric(np.arange(1.0, 11.0), "v", quantile_count=9)
+    values = np.arange(1.0, 11.0)
+    metas = numeric_features(values, "v", quantile_count=9)
+    cols = binarize_column(values, "v", metas)
     assert len(cols) == 18 and len(metas) == 18
     got = [m.value for m in metas if m.kind == "numeric-leq"]
     assert got == pytest.approx(expected)
@@ -39,24 +48,26 @@ def test_decile_thresholds_on_one_to_ten():
 
 
 def test_threshold_at_maximum_dropped():
-    cols, metas = binarize_numeric(np.full(6, 5.0), "v")
-    assert cols == [] and metas == []
+    assert numeric_features(np.full(6, 5.0), "v") == []
     # two distinct values: thresholds dedupe and the one at vmax vanishes
-    cols, metas = binarize_numeric(np.array([0.0, 0.0, 1.0, 1.0]), "v")
+    values = np.array([0.0, 0.0, 1.0, 1.0])
+    metas = numeric_features(values, "v")
     assert metas, "at least one cut below the maximum"
     assert all(m.value < 1.0 for m in metas)
-    for c in cols:
+    for c in binarize_column(values, "v", metas):
         assert 0 < c.sum() < len(c), "no constant columns"
 
 
 def test_categorical_pairs():
-    cols, metas = binarize_categorical(list("abca"), "c")
+    values = np.array(list("abca"), dtype=object)
+    metas = categorical_features(values, "c")
     assert [m.value for m in metas] == ["a", "a", "b", "b", "c", "c"]
     assert metas[0].kind == "categorical-eq"
     assert metas[1] == metas[0].complement()
+    cols = binarize_column(values, "c", metas)
     np.testing.assert_array_equal(cols[0], [1, 0, 0, 1])
     np.testing.assert_array_equal(cols[1], [0, 1, 1, 0])
-    assert binarize_categorical(["x", "x"], "c") == ([], [])
+    assert categorical_features(np.array(["x", "x"], dtype=object), "c") == []
 
 
 def test_ingest_round_trip(tmp_path):
@@ -173,22 +184,41 @@ def test_validate_catches_broken_pairing():
         ds.validate()
 
 
-def test_feature_evaluate_missing_cells():
+def test_conditions_on_missing_cells():
     leq = FeatureMeta("v", "numeric-leq", 2.0)
     gt = FeatureMeta("v", "numeric-gt", 2.0)
     eq = FeatureMeta("c", "categorical-eq", "red")
     neq = FeatureMeta("c", "categorical-neq", "red")
-    for cell in (None, "", "?", " ? "):
-        assert not leq.evaluate(cell)
-        assert not gt.evaluate(cell)
-        assert not eq.evaluate(cell)
-        assert neq.evaluate(cell)
-    assert leq.evaluate("1.5") and not gt.evaluate("1.5")
-    assert eq.evaluate(" red ") and not neq.evaluate("red")
-    with pytest.raises(ValueError):
-        leq.evaluate("nan")
-    with pytest.raises(ValueError):
-        leq.evaluate("oops")
+    eq_missing = FeatureMeta("c", "categorical-eq", "?")
+    neq_missing = FeatureMeta("c", "categorical-neq", "?")
+    metas = [leq, gt, eq, neq, eq_missing, neq_missing]
+    # a missing numeric cell is NaN and fails both threshold tests; a
+    # missing categorical cell is the category "?"
+    X = evaluate_conditions(
+        {"v": np.array([math.nan, 1.5]),
+         "c": np.array(["?", "red"], dtype=object)}, metas, 2)
+    np.testing.assert_array_equal(X, [[0, 0, 0, 1, 1, 0],
+                                      [1, 0, 1, 0, 0, 1]])
+    # raw cells: "", "?" and " ? " are all missing, cells are stripped
+    rows = [[cell, cell] for cell in ("", "?", " ? ")] + [["1.5", " red "]]
+    columns = read_columns(["v", "c"], rows, metas)
+    np.testing.assert_array_equal(
+        evaluate_conditions(columns, metas, len(rows)),
+        [[0, 0, 0, 1, 1, 0]] * 3 + [[1, 0, 1, 0, 0, 1]])
+    for bad in ("nan", "inf", "oops"):
+        with pytest.raises(ValueError, match="data row 2, column v"):
+            read_columns(["v", "c"], [["1", "red"], [bad, "red"]], [leq])
+    # only the columns the conditions read are parsed
+    assert set(read_columns(["v", "c"], [["oops", "red"]], [eq])) == {"c"}
+
+
+def test_read_columns_rejects_short_rows_and_absent_columns():
+    eq = FeatureMeta("b", "categorical-eq", "x")
+    with pytest.raises(ValueError, match="data row 2 has 1 cells"):
+        read_columns(["a", "b"], [["1", "x"], ["2"]], [eq])
+    with pytest.raises(ValueError, match="missing columns required by the "
+                                         "model: b"):
+        read_columns(["a"], [["1"]], [eq])
 
 
 def test_per_fold_binarization_and_build_matrix(tmp_path):
@@ -213,6 +243,9 @@ def test_per_fold_binarization_and_build_matrix(tmp_path):
     assert all(m.value <= 6.0 for m in ds.features if m.kind == "numeric-leq")
     # category "c" appears only in the test rows, so no feature mentions it
     assert all(m.value != "c" for m in ds.features if m.column == "c")
+    # the training rows evaluate to the binarized matrix itself
+    np.testing.assert_array_equal(build_matrix(table, train, ds.features),
+                                  ds.X)
     M = build_matrix(table, test, ds.features)
     assert M.shape == (2, ds.d)
     # row 6: v=7 exceeds every training threshold; row 7 categorical c
@@ -247,18 +280,6 @@ def test_pricing_nnz():
     ds = BinaryDataset(X=Xfull, y=np.array([1, 0], dtype=np.uint8))
     # zeros(5) + d(4) + n(2)
     assert ds.pricing_nnz() == 4 + 4 + 2
-
-
-def test_export_debug(tmp_path):
-    ds = make_binary_dataset(np.array([[1, 0], [0, 1]], dtype=np.uint8),
-                             np.array([1, 0], dtype=np.uint8))
-    desc, mat = tmp_path / "d.json", tmp_path / "m.txt"
-    export_debug(ds, desc, mat)
-    doc = json.loads(desc.read_text())
-    assert doc["n"] == 2 and doc["d"] == 4
-    assert len(doc["features"]) == 4
-    lines = mat.read_text().splitlines()
-    assert len(lines) == 2 and lines[0].endswith("| 1")
 
 
 def test_tictactoe_generation(tmp_path):

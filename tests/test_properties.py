@@ -69,16 +69,17 @@ HEADER = ["num", "cat", "label"]
 
 @st.composite
 def tables(draw):
-    """Training rows with no missing cell, and scoring rows whose
-    categorical cells may be missing ("" or "?") or a category training
-    never saw.  Both row sets start with one row of each label."""
+    """Training rows whose categorical cells may be missing ("" or "?"),
+    and scoring rows whose categorical cells may also hold a category
+    training never saw.  Both row sets start with one row of each label
+    and are read with missing="category"."""
     def rows(n, cats):
         nums = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
         cells = draw(st.lists(st.sampled_from(cats), min_size=n, max_size=n))
         labels = ["no", "yes"] + draw(st.lists(
             st.sampled_from(["no", "yes"]), min_size=n - 2, max_size=n - 2))
         return [[str(v), c, lab] for v, c, lab in zip(nums, cells, labels)]
-    train = rows(draw(st.integers(4, 12)), ["a", "b", "c"])
+    train = rows(draw(st.integers(4, 12)), ["a", "b", "c", "", "?"])
     score = rows(draw(st.integers(2, 12)), ["a", "b", "c", "d", "", "?"])
     return train, score
 
@@ -97,16 +98,20 @@ def test_raw_binarized_and_reloaded_predictions_agree(data, form, picks):
     with tempfile.TemporaryDirectory() as tmp:
         write_rows(Path(tmp) / "train.csv", train)
         write_rows(Path(tmp) / "score.csv", score)
+        # missing categorical cells become the category "?": a training
+        # feature of its own, and like any unseen category when scoring
+        train_table = read_csv_table(Path(tmp) / "train.csv", "label",
+                                     missing="category")
         try:
-            ds = binarize_table(read_csv_table(Path(tmp) / "train.csv",
-                                               "label"))
+            ds = binarize_table(train_table)
         except DatasetError:
             assume(False)  # every training column was constant
-        # missing categorical cells become the category "?", which the
-        # training features compare against like any unseen category
         table = read_csv_table(Path(tmp) / "score.csv", "label",
                                missing="category")
-    assert table.n == len(score)
+    assert table.n == len(score) and train_table.n == len(train)
+    np.testing.assert_array_equal(
+        build_matrix(train_table, np.arange(train_table.n), ds.features),
+        ds.X)
     clauses = [Clause(tuple(j % ds.d for j in pick)) for pick in picks]
     if form == "dnf":
         rs = build_ruleset(clauses, ds, "dnf")
@@ -119,11 +124,15 @@ def test_raw_binarized_and_reloaded_predictions_agree(data, form, picks):
     binarized = predict(rs, scored).tolist()
     back = RuleSet.from_json(rs.to_json())
     assert back == rs
+    trained = predict(rs, ds).tolist()
     for model in (rs, back):
         raw = model.predict_rows(HEADER, score)
         assert [lab == rs.positive_label for lab in raw] == \
             [bool(b) for b in binarized]
         assert predict(model, scored).tolist() == binarized
+        raw = model.predict_rows(HEADER, train)
+        assert [lab == rs.positive_label for lab in raw] == \
+            [bool(b) for b in trained]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -134,7 +143,8 @@ def test_cnf_fit_is_the_complemented_dnf_fit_of_the_negation(data, C, D,
     train, _ = data
     with tempfile.TemporaryDirectory() as tmp:
         write_rows(Path(tmp) / "train.csv", train)
-        table = read_csv_table(Path(tmp) / "train.csv", "label")
+        table = read_csv_table(Path(tmp) / "train.csv", "label",
+                               missing="category")
     rows = np.arange(table.n)
     cfg = ColGenConfig(complexity_bound=C, clause_bound=D, time_limit=60.0,
                        pricing_time_limit=10.0, seed=seed)
