@@ -2,14 +2,13 @@
 then pick the final rule set with a small branch-and-bound over the pool.
 
 The loop alternates between solving the restricted master LP over the pool
-(warm-started from the previous basis) and pricing new clauses against its
-duals.  A "small" instance runs the exact search on the full data.  A
-"large" one (pricing nnz above `large_nnz`) prices on a row/feature sample
-first and runs the full-data exact search only when none of the sample's
-candidates prices negative on the full data.  Every full-data exact search,
-finished or timed out, yields a certified lower bound on the best
-achievable training loss; those certificates are kept across iterations
-and reported with the final model.
+and pricing new clauses against its duals.  A "small" instance runs the
+exact search on the full data.  A "large" one (pricing nnz above
+`large_nnz`) prices on a row/feature sample first and runs the full-data
+exact search only when none of the sample's candidates prices negative on
+the full data.  Every full-data exact search, finished or timed out,
+yields a certified lower bound on the best achievable training loss; those
+certificates are kept across iterations and reported with the final model.
 
 Growth and selection are two steps.  `run_column_generation` grows a pool
 and selects over it; `sweep_complexity` grows one shared pool for every
@@ -90,11 +89,11 @@ class ColGenConfig:
 
 @dataclass
 class TraceEntry:
-    """One round of the loop.  master_seconds and master_pivots add up the
-    round's master solves, a cold retry included.  The pricing fields add
-    up the round's pricing calls, and pricing_proven says a full-data exact
-    call proved its minimum; a round that ends before pricing leaves them
-    zero."""
+    """One round of the loop.  master_seconds and master_pivots are the
+    round's master solve time and its HiGHS simplex iterations.  The pricing
+    fields add up the round's pricing calls, and pricing_proven says a
+    full-data exact call proved its minimum; a round that ends before
+    pricing leaves them zero."""
 
     iteration: int
     master_value: float
@@ -200,8 +199,7 @@ def _greedy_selection(pos_cover, neg_counts, complexities, budget) -> list:
 
 
 def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
-                         time_limit: float | None = None,
-                         start=None) -> MIPResult:
+                         time_limit: float | None = None) -> MIPResult:
     """Best integer clause selection within the pool, by branch and bound.
 
     Branches on the most fractional clause variable (ties to the lowest
@@ -210,12 +208,10 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     once the incumbent reaches it.  The incumbent is seeded once, by a
     greedy selection at the root, and improves only through integral node
     LPs.  A time limit turns the result into a best-effort incumbent with
-    optimal=False.  `start` warm starts the root LP from a master basis over
-    this pool or a prefix of it; the column generation loop's final basis
-    makes the root free.  Every other node fixes clauses, so
+    optimal=False.  Every node below the root fixes clauses, so
     `solve_restricted_mlp` presolves its LP down to the free clauses and
     the distinct cover patterns they leave.  `pivots` sums the node LPs'
-    simplex iterations.
+    HiGHS simplex iterations.
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
@@ -256,7 +252,6 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
             continue
         ms = solve_restricted_mlp(
             pos_cover, neg_counts, complexities, budget,
-            start=start if nodes == 0 else None,
             w_lower=w_lower, w_upper=w_upper, deadline=deadline)
         nodes += 1
         pivots += ms.iterations
@@ -265,8 +260,9 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         if ms.status == "infeasible":
             continue
         if ms.status != "optimal":
-            # ran out of time or iterations inside the node LP; the subtree
-            # stays unexplored, so the final answer is only an incumbent
+            # the node LP ran out of time or hit numerical trouble; the
+            # subtree stays unexplored, so the final answer is only an
+            # incumbent
             optimal = False
             continue
         floor = guarded_ceil(ms.objective)
@@ -326,8 +322,7 @@ class ColGenResult:
 
 @dataclass
 class _Growth:
-    """One budget's column generation up to its integer stage.  basis is
-    the last finished master's basis, None if no master finished."""
+    """One budget's column generation up to its integer stage."""
 
     z_rmlp: float
     lower_bound: int | None
@@ -335,7 +330,6 @@ class _Growth:
     iterations: int
     trace: list
     regime: str
-    basis: tuple | None
     seconds: float
 
 
@@ -354,7 +348,6 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
     regime = "large" if ds.pricing_nnz() > cfg.large_nnz else "small"
     budget = float(cfg.complexity_bound)
 
-    basis = None
     trace: list[TraceEntry] = []
     best_lb: int | None = None
     z_rmlp = float(n_pos)
@@ -383,24 +376,18 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         it_t0 = time.perf_counter()
         pos_cover, neg_counts, complexities = pool.arrays()
         ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
-                                  budget, start=basis, deadline=loop_deadline)
-        master_pivots = ms.iterations
-        if ms.status not in ("optimal", "time-limit"):
-            ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
-                                      budget, deadline=loop_deadline)
-            master_pivots += ms.iterations
-        master = (time.perf_counter() - it_t0, master_pivots)
+                                  budget, deadline=loop_deadline)
+        master = (time.perf_counter() - it_t0, ms.iterations)
         if ms.status != "optimal":
             # the master outlived the budget or failed outright; keep the
-            # last finished master's value and basis, claim no convergence
-            # and fall through to the integer stage
+            # last finished master's value, claim no convergence and fall
+            # through to the integer stage
             mode = "time-up" if ms.status == "time-limit" else "master-failed"
             trace.append(TraceEntry(iteration, z_rmlp, math.nan, mode,
                                     0, len(pool), time.perf_counter() - it_t0,
                                     *master))
             break
         z_rmlp = ms.objective
-        basis = ms.basis
         mu, lam = ms.mu, ms.lam
 
         if time.perf_counter() - t0 >= cfg.time_limit:
@@ -464,21 +451,20 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         ceiling = guarded_ceil(z_rmlp)
         best_lb = ceiling if best_lb is None else max(best_lb, ceiling)
     return _Growth(z_rmlp, best_lb, converged, iteration, trace, regime,
-                   basis, time.perf_counter() - t0)
+                   time.perf_counter() - t0)
 
 
 def _select(pool: ClausePool, cfg: ColGenConfig,
             growth: _Growth) -> ColGenResult:
-    """Pick the best selection within the budget from the whole pool, its
-    root warm started from the growth's last master basis.  The selection
-    gets what the growth left of `cfg.time_limit`."""
+    """Pick the best selection within the budget from the whole pool.
+    The selection gets what the growth left of `cfg.time_limit`."""
     t0 = time.perf_counter()
     pos_cover, neg_counts, complexities = pool.arrays()
     time_left = max(cfg.time_limit - growth.seconds
                     - (time.perf_counter() - t0), 0.0)
     mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
                                float(cfg.complexity_bound),
-                               time_limit=time_left, start=growth.basis)
+                               time_limit=time_left)
     return ColGenResult(
         clauses=[pool.clauses[k] for k in mip.selected],
         objective=mip.objective,
@@ -523,9 +509,8 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
 
     Every budget grows the pool in ascending order, so cheap models seed it
     for the richer ones.  Then each budget selects once over the final
-    pool, its root warm started from that budget's last master basis.  A
-    budget's `time_limit` covers its own growth and its selection, which
-    gets what the growth left of it.
+    pool.  A budget's `time_limit` covers its own growth and its selection,
+    which gets what the growth left of it.
     """
     pool = ClausePool(ds)
     cfgs = [replace(cfg, complexity_bound=C)

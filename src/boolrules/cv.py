@@ -9,7 +9,6 @@ training fold's stored conditions, never their own.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -231,6 +230,9 @@ def _run_cv_fold(args):
 def _map_folds(worker, arg_list, jobs: int):
     if jobs <= 1 or len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
+    # imported here, so a sequential run never loads the process machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(arg_list))) as pool:
         return list(pool.map(worker, arg_list))
 

@@ -205,27 +205,6 @@ def best_ruleset_by_enumeration(X, y, budget, max_features):
     return best[0], best[1]
 
 
-def ftran_by_etas(v, etas):
-    """Apply a product-form eta file, oldest eta first, to v = B0^-1 a:
-    each (eta, r) replaces basis column r, the plain numpy way."""
-    v = np.array(v, dtype=float)
-    for eta, r in etas:
-        piv = v[r] / eta[r]
-        v -= piv * eta
-        v[r] = piv
-    return v
-
-
-def btran_by_etas(c, etas):
-    """The transposed eta file, newest eta first; the result still has to
-    go through B0's transposed solve."""
-    v = np.array(c, dtype=float)
-    for eta, r in reversed(etas):
-        t = np.dot(eta, v)
-        v[r] = (v[r] - (t - eta[r] * v[r])) / eta[r]
-    return v
-
-
 def master_rows(pos_cover, complexities, budget):
     """The restricted master's rows, built one positive at a time, as
     (indices, coeffs, sense, rhs): cover row i holds xi_i and every clause
@@ -240,12 +219,13 @@ def master_rows(pos_cover, complexities, budget):
     return rows
 
 
-def slack_form(rows, n):
-    """Dense [a_r * sign_r | I]: every row turned to <= and given a slack."""
-    A = np.zeros((len(rows), n + len(rows)))
-    for r, (idx, coeffs, sense, _) in enumerate(rows):
+def le_form(rows, n):
+    """Dense (A, b) with every row turned to <=: a_r * sign_r, b_r * sign_r."""
+    A = np.zeros((len(rows), n))
+    b = np.zeros(len(rows))
+    for r, (idx, coeffs, sense, rhs) in enumerate(rows):
         sign = 1.0 if sense == "<=" else -1.0
         for j, a in zip(idx, coeffs):
             A[r, j] += sign * a
-        A[r, n + r] = 1.0
-    return A
+        b[r] = sign * rhs
+    return A, b

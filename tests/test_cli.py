@@ -317,3 +317,23 @@ def test_import_pins_one_blas_thread_unless_set():
     got = blas_env_after_import(OPENBLAS_NUM_THREADS="2")
     assert got == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
+
+
+def test_scoring_loads_no_lp_solver_or_process_pool():
+    # scipy.optimize, the home of HiGHS, loads on the first LP solve and the
+    # process pool on the first parallel run, so importing the package and
+    # scoring rows pays for neither
+    env = dict(os.environ, PYTHONPATH=str(Path(boolrules.__file__).parents[1]))
+    code = (
+        "import sys\n"
+        "import boolrules, boolrules.cv, boolrules.colgen\n"
+        "from boolrules.dataset import FeatureMeta\n"
+        "from boolrules.ruleset import RuleSet\n"
+        "rs = RuleSet('dnf', ((FeatureMeta('b', 'categorical-eq', 'x'),),),"
+        " 'yes', 'no')\n"
+        "print(*rs.predict_rows(['a', 'b'], [['1', 'x'], ['2', 'y']]))\n"
+        "print(*(m in sys.modules for m in"
+        " ('scipy.optimize', 'concurrent.futures.process')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["yes no", "False False"]

@@ -7,6 +7,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from boolrules import colgen
 from boolrules.colgen import (
@@ -257,8 +258,7 @@ def test_sampled_pricing_skips_pool_clauses(monkeypatch):
 
 
 def test_trace_sums_each_rounds_master_pivots(monkeypatch):
-    # the loop's masters are the solves without clause bounds; round 2's
-    # warm master is made to fail once, so its cold retry counts as well
+    # the loop's masters are the solves without clause bounds, one a round
     real = colgen.solve_restricted_mlp
     pivots = []
 
@@ -266,8 +266,6 @@ def test_trace_sums_each_rounds_master_pivots(monkeypatch):
         ms = real(*args, **kw)
         if kw.get("w_lower") is None:
             pivots.append(ms.iterations)
-            if len(pivots) == 2:
-                ms.status = "iteration-limit"
         return ms
 
     monkeypatch.setattr(colgen, "solve_restricted_mlp", recording)
@@ -275,10 +273,9 @@ def test_trace_sums_each_rounds_master_pivots(monkeypatch):
     ds = make_binary_dataset((rng.random((40, 5)) < 0.5).astype(np.uint8),
                              (rng.random(40) < 0.5).astype(np.int8))
     res = run_column_generation(ds, small_config(6, 2, max_columns=2))
-    assert res.iterations >= 3 and len(pivots) == res.iterations + 1
-    assert res.trace[1].master_pivots == pivots[1] + pivots[2] > pivots[1]
-    assert [t.master_pivots for t in res.trace[2:]] == pivots[3:]
-    assert sum(t.master_pivots for t in res.trace) == sum(pivots)
+    assert res.iterations >= 3 and len(pivots) == res.iterations
+    assert [t.master_pivots for t in res.trace] == pivots
+    assert sum(pivots) > 0
     assert all(0.0 <= t.master_seconds <= t.seconds for t in res.trace)
     check_against_enumeration(ds, res, 6, 2)
 
@@ -297,7 +294,7 @@ def test_time_limit_exhausted_before_pricing():
 
 
 def test_failed_master_degrades_to_the_integer_stage(monkeypatch):
-    # every loop master from round 2 on reports an iteration limit; the run
+    # every loop master from round 2 on reports numerical trouble; the run
     # must stop there, select from the pool it has and claim nothing
     real = colgen.solve_restricted_mlp
     loop_calls = 0
@@ -308,7 +305,7 @@ def test_failed_master_degrades_to_the_integer_stage(monkeypatch):
         if kw.get("w_lower") is None:  # node LPs always fix bounds
             loop_calls += 1
             if loop_calls > 1:
-                ms.status = "iteration-limit"
+                ms.status = "numerical"
         return ms
 
     monkeypatch.setattr(colgen, "solve_restricted_mlp", failing)
@@ -320,6 +317,33 @@ def test_failed_master_degrades_to_the_integer_stage(monkeypatch):
     assert res.pool_size == res.trace[0].pool_size > 0
     assert not res.rmlp_converged
     assert not res.optimal
+    assert sum(c.complexity for c in res.clauses) <= 6
+    assert selection_loss(res.clauses, ds) == res.objective
+    assert res.lower_bound is not None
+    assert res.lower_bound <= res.objective
+
+
+def test_highs_numerical_trouble_ends_the_fit_cleanly(monkeypatch):
+    # HiGHS answers the first LP, then reports numerical trouble (linprog
+    # status 4) on every later one, node LPs included
+    real = scipy.optimize.linprog
+    calls = 0
+
+    def troubled(*args, **kw):
+        nonlocal calls
+        calls += 1
+        if calls == 1:
+            return real(*args, **kw)
+        return scipy.optimize.OptimizeResult(status=4, nit=0, x=None,
+                                             fun=None, message="")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", troubled)
+    ds = random_instance(np.random.default_rng(404))
+    res = run_column_generation(ds, small_config(6, 2))
+    assert calls > 2
+    assert res.iterations == 2
+    assert res.trace[-1].mode == "master-failed"
+    assert not (res.optimal or res.rmlp_converged or res.mip_optimal)
     assert sum(c.complexity for c in res.clauses) <= 6
     assert selection_loss(res.clauses, ds) == res.objective
     assert res.lower_bound is not None
@@ -574,10 +598,10 @@ def test_sweep_matches_per_budget_optimum_and_never_degrades():
         prev = p.result.objective
 
 
-def recording_sweep(monkeypatch, cold=False):
+def recording_sweep(monkeypatch):
     """Record each budget's growth by budget, every integer solve as
-    (budget, pool columns, start, nodes), and the order of both as
-    ("grow" | "select", budget); `cold` drops every root start."""
+    (budget, pool columns, nodes), and the order of both as
+    ("grow" | "select", budget)."""
     grown, solves, order = {}, [], []
     real_grow = colgen._grow_pool
     real_mip = colgen.solve_restricted_mip
@@ -588,10 +612,9 @@ def recording_sweep(monkeypatch, cold=False):
         order.append(("grow", cfg.complexity_bound))
         return growth
 
-    def mip(pos_cover, neg_counts, complexities, budget, start=None, **kw):
-        out = real_mip(pos_cover, neg_counts, complexities, budget,
-                       start=None if cold else start, **kw)
-        solves.append((int(budget), pos_cover.shape[1], start, out.nodes))
+    def mip(pos_cover, neg_counts, complexities, budget, **kw):
+        out = real_mip(pos_cover, neg_counts, complexities, budget, **kw)
+        solves.append((int(budget), pos_cover.shape[1], out.nodes))
         order.append(("select", int(budget)))
         return out
 
@@ -600,17 +623,8 @@ def recording_sweep(monkeypatch, cold=False):
     return grown, solves, order
 
 
-def test_sweep_resolves_from_each_budgets_own_basis(monkeypatch):
+def test_sweep_grows_every_budget_then_selects_each_once(monkeypatch):
     grown, solves, order = recording_sweep(monkeypatch)
-    real_grow = colgen._grow_pool
-    kept = {}
-
-    def grow(ds, cfg, pool):
-        growth = real_grow(ds, cfg, pool)
-        kept[cfg.complexity_bound] = tuple(a.copy() for a in growth.basis)
-        return growth
-
-    monkeypatch.setattr(colgen, "_grow_pool", grow)
     # the pool grows at C = 3 and again at C = 7
     ds = random_instance(np.random.default_rng(10))
     budgets = [2, 3, 5, 7]
@@ -620,12 +634,9 @@ def test_sweep_resolves_from_each_budgets_own_basis(monkeypatch):
                      + [("select", C) for C in budgets])
     final = grown[7].trace[-1].pool_size
     assert grown[2].trace[-1].pool_size < final
-    for p, (C, columns, start, nodes) in zip(points, solves):
+    for p, (C, columns, nodes) in zip(points, solves):
         assert C == p.complexity_bound
         assert columns == p.result.pool_size == final
-        assert start is grown[C].basis is not None
-        # no solve rewrote the stored basis
-        assert all(np.array_equal(a, b) for a, b in zip(start, kept[C]))
         assert p.result.mip_nodes == nodes >= 1
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
         assert p.result.objective == opt
@@ -649,40 +660,15 @@ def test_single_budget_sweep_is_run_column_generation():
             assert (a.iterations, a.pool_size) == (b.iterations, b.pool_size)
 
 
-def test_warm_sweep_matches_cold_root_and_enumeration(monkeypatch):
-    budgets = [3, 5, 7]
-    rng = np.random.default_rng(7)
-    padded = 0
-    for _ in range(40):
-        ds = random_instance(rng)
-        n_pos = len(ds.pos)
-        with monkeypatch.context() as m:
-            _, solves, _ = recording_sweep(m)
-            warm = sweep_complexity(ds, budgets, small_config(7, 2))
-        # a start over fewer clauses than the final pool is padded
-        padded += sum(s is not None and len(s[1]) < 2 * n_pos + 1 + k
-                      for _, k, s, _ in solves)
-        with monkeypatch.context() as m:
-            recording_sweep(m, cold=True)
-            cold = sweep_complexity(ds, budgets, small_config(7, 2))
-        for pw, pc in zip(warm, cold):
-            opt, _ = best_ruleset_by_enumeration(ds.X, ds.y,
-                                                 pw.complexity_bound, 2)
-            assert pw.result.objective == pc.result.objective == opt
-            assert selection_loss(pw.result.clauses, ds) == opt
-    # the draw must exercise warm roots over a grown pool at all
-    assert padded >= 3
-
-
 def test_sweep_resolves_cold_without_a_first_pass_basis(monkeypatch):
-    # every master of the C = 3 growth fails, so it ends "master-failed"
-    # with no basis, and its selection must start from the analytic basis
+    # every master of the C = 3 growth fails, so it ends "master-failed";
+    # its selection, like every other, solves its root LP from scratch
     real = colgen.solve_restricted_mlp
 
     def failing(pos_cover, neg_counts, complexities, budget, **kw):
         ms = real(pos_cover, neg_counts, complexities, budget, **kw)
         if budget == 3.0 and kw.get("w_lower") is None:
-            ms.status = "iteration-limit"
+            ms.status = "numerical"
         return ms
 
     monkeypatch.setattr(colgen, "solve_restricted_mlp", failing)
@@ -691,11 +677,7 @@ def test_sweep_resolves_cold_without_a_first_pass_basis(monkeypatch):
     budgets = [2, 3, 5, 7]
     points = sweep_complexity(ds, budgets, small_config(6, 2))
     assert grown[3].trace[-1].mode == "master-failed"
-    assert grown[3].basis is None
-    starts = {C: s for C, _, s, _ in solves}
-    assert sorted(starts) == budgets and starts[3] is None
-    assert all(starts[C] is grown[C].basis is not None
-               for C in budgets if C != 3)
+    assert sorted(C for C, _, _ in solves) == budgets
     for p in points:
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
         assert p.result.objective == opt

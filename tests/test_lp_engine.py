@@ -1,27 +1,23 @@
+import math
+import time
+
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 
 from boolrules.lp_engine import (
-    AT_LOWER,
-    AT_UPPER,
-    BASIC,
     LinearProgram,
     Row,
-    _Factor,
-    _Simplex,
     build_restricted_mlp,
-    master_start_basis,
     solve_lp,
     solve_restricted_mlp,
     verify_solution,
 )
 from _oracles import (
-    btran_by_etas,
-    ftran_by_etas,
+    le_form,
     lp_minimum_by_vertex_enumeration,
     master_rows,
-    slack_form,
 )
 
 KKT_TOL = 1e-7
@@ -111,13 +107,24 @@ def test_unbounded_with_row():
     assert solve_lp(lp).status == "unbounded"
 
 
-def test_no_rows_analytic():
+def no_highs(monkeypatch):
+    def linprog(*args, **kw):
+        raise AssertionError("HiGHS was called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+
+
+def test_no_rows_analytic(monkeypatch):
+    # each variable rests at its cheaper bound, without a call to HiGHS
+    no_highs(monkeypatch)
     lp = LinearProgram(np.array([2.0, -3.0, 0.0]),
                        np.array([-1.0, -1.0, 4.0]),
                        np.array([5.0, 2.0, 4.0]), rows=[])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.x == pytest.approx([-1.0, 2.0, 4.0])
+    assert sol.objective == pytest.approx(-8.0)
+    assert max(verify_solution(lp, sol).values()) == 0.0
     lp2 = LinearProgram(np.array([1.0]), np.array([-np.inf]),
                         np.array([0.0]), rows=[])
     assert solve_lp(lp2).status == "unbounded"
@@ -139,20 +146,67 @@ def test_fixed_variable():
     assert sol.x == pytest.approx([2.0, 2.0])
 
 
-def test_iteration_limit_status():
+def test_past_deadline_returns_time_limit():
     lp = LinearProgram(
         objective=np.array([-1.0, -1.0, -1.0]),
         lower=np.zeros(3), upper=np.full(3, 10.0),
         rows=[Row((0, 1, 2), (1.0, 1.0, 1.0), "<=", 5.0),
               Row((0, 1), (1.0, 2.0), "<=", 7.0)])
-    sol = solve_lp(lp, max_iter=1)
-    assert sol.status == "iteration-limit"
-    assert sol.basis is None
+    sol = solve_lp(lp, deadline=time.perf_counter() - 1.0)
+    assert sol.status == "time-limit" and sol.iterations == 0
+    assert math.isnan(sol.objective)
+    assert solve_lp(lp, deadline=time.perf_counter() + 60.0).status == \
+        "optimal"
+    # a master past its deadline carries no duals
+    ms = solve_restricted_mlp(np.ones((3, 2)), np.zeros(2), np.full(2, 2.0),
+                              4.0, deadline=time.perf_counter() - 1.0)
+    assert ms.status == "time-limit"
+    assert ms.lam == 0.0 and not ms.mu.any()
+
+
+def fake_linprog(status):
+    def linprog(*args, **kw):
+        return scipy.optimize.OptimizeResult(status=status, nit=3, x=None,
+                                             fun=None, message="")
+    return linprog
+
+
+@pytest.mark.parametrize("code, status", [
+    (1, "time-limit"), (2, "infeasible"), (3, "unbounded"), (4, "numerical")])
+def test_highs_statuses_map_to_solver_statuses(monkeypatch, code, status):
+    monkeypatch.setattr(scipy.optimize, "linprog", fake_linprog(code))
+    lp = LinearProgram(np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
+                       rows=[Row((0, 1), (1.0, 1.0), ">=", 1.0)])
+    sol = solve_lp(lp)
+    assert (sol.status, sol.iterations) == (status, 3)
+    assert math.isnan(sol.objective) and not sol.duals.any()
+
+
+def test_no_variables_analytic(monkeypatch):
+    # the rows hold at x = () or the LP is infeasible, without a call to
+    # HiGHS, which rejects an empty objective
+    no_highs(monkeypatch)
+    none = np.zeros(0)
+    empty = sp.csc_matrix((2, 0))
+    lp = LinearProgram(none, none, none,
+                       matrix=(empty, [1.0, -1.0], [3.0, -1.0]))
+    sol = solve_lp(lp)
+    assert (sol.status, sol.objective, sol.iterations) == ("optimal", 0.0, 0)
+    assert sol.x.shape == (0,) and sol.duals.tolist() == [0.0, 0.0]
+    assert sol.slacks.tolist() == [3.0, 1.0]
+    assert max(verify_solution(lp, sol).values()) == 0.0
+    bad = LinearProgram(none, none, none,
+                        matrix=(empty, [1.0, -1.0], [-1.0, -1.0]))
+    assert solve_lp(bad).status == "infeasible"
+    # a node whose clause fixed to 1 covers every positive leaves only the
+    # budget row, over no variable
+    ms = solve_restricted_mlp(np.ones((3, 1)), np.ones(1), np.array([2.0]),
+                              8.0, w_lower=np.ones(1))
+    assert ms.status == "optimal" and ms.objective == 1.0
 
 
 def test_degenerate_lp_terminates():
-    # many redundant binding rows through the origin; Bland's rule has to
-    # rescue the Dantzig choice eventually
+    # many redundant binding rows through the origin
     n = 6
     rows = []
     for k in range(12):
@@ -178,67 +232,6 @@ def test_random_lps_match_vertex_enumeration():
     assert 0 < infeasible < 150
 
 
-def test_warm_start_matches_cold_solve():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        n_pos = int(rng.integers(2, 12))
-        K0 = int(rng.integers(0, 5))
-        budget = float(rng.integers(2, 12))
-        cov = (rng.random((n_pos, K0)) < 0.4).astype(float)
-        negc = rng.integers(0, 4, size=K0).astype(float)
-        comp = rng.integers(2, 5, size=K0).astype(float)
-        ms0 = solve_restricted_mlp(cov, negc, comp, budget)
-        assert ms0.status == "optimal"
-
-        K_new = int(rng.integers(1, 6))
-        cov2 = np.hstack([cov, (rng.random((n_pos, K_new)) < 0.5).astype(float)])
-        negc2 = np.concatenate([negc, rng.integers(0, 4, K_new).astype(float)])
-        comp2 = np.concatenate([comp, rng.integers(2, 5, K_new).astype(float)])
-
-        warm = solve_restricted_mlp(cov2, negc2, comp2, budget,
-                                    start=ms0.basis)
-        cold = solve_restricted_mlp(cov2, negc2, comp2, budget)
-        assert warm.status == cold.status == "optimal"
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
-        assert warm.objective <= ms0.objective + 1e-9
-
-
-def test_warm_solves_leave_the_start_untouched():
-    # a start is reused across solves (a budget's last master basis seeds
-    # both its own and the sweep's integer roots), so pivoting must not
-    # rewrite the caller's arrays
-    def snapshot(start):
-        return tuple(np.array(a) for a in start)
-
-    lp = LinearProgram(
-        objective=np.array([-1.0, -2.0, -1.0]),
-        lower=np.zeros(3), upper=np.full(3, 4.0),
-        rows=[Row((0, 1, 2), (1.0, 1.0, 1.0), "<=", 6.0),
-              Row((0, 1), (1.0, 3.0), "<=", 9.0)])
-    slack_start = (np.array([3, 4], dtype=np.int64),
-                   np.array([AT_LOWER] * 3 + [BASIC] * 2, dtype=np.int8))
-    before = snapshot(slack_start)
-    sol = solve_lp(lp, start=slack_start)
-    assert sol.status == "optimal" and sol.iterations > 0
-    for a, b in zip(slack_start, before):
-        assert np.array_equal(a, b)
-
-    rng = np.random.default_rng(11)
-    pivoted = 0
-    for _ in range(10):
-        cov = (rng.random((30, 8)) < 0.3).astype(float)
-        negc = rng.integers(0, 4, size=8).astype(float)
-        comp = rng.integers(2, 5, size=8).astype(float)
-        start = master_start_basis(cov)
-        before = snapshot(start)
-        ms = solve_restricted_mlp(cov, negc, comp, 8.0, start=start)
-        assert ms.status == "optimal"
-        pivoted += ms.iterations > 0
-        for a, b in zip(start, before):
-            assert np.array_equal(a, b)
-    assert pivoted == 10
-
-
 def test_master_empty_pool_analytic():
     ms = solve_restricted_mlp(
         pos_cover=np.zeros((2, 0)), neg_counts=np.zeros(0),
@@ -247,8 +240,6 @@ def test_master_empty_pool_analytic():
     assert ms.objective == pytest.approx(2.0)
     assert ms.mu == pytest.approx([1.0, 1.0])
     assert ms.lam == 0.0
-    # the analytic start basis is already optimal here
-    assert ms.iterations == 0
 
 
 def test_master_single_covering_clause():
@@ -284,7 +275,6 @@ def test_master_w_upper_fixing():
     assert ms.status == "optimal"
     assert ms.objective == pytest.approx(3.0)
     assert ms.w.tolist() == [0.0] and ms.xi.tolist() == [1.0, 1.0, 1.0]
-    assert ms.basis is None
     ms2 = solve_restricted_mlp(cov, np.ones(1), np.array([2.0]), 8.0,
                                w_lower=np.ones(1))
     assert ms2.status == "optimal"
@@ -306,15 +296,8 @@ def test_build_restricted_mlp_shapes():
     assert len(lp.rows) == 4
 
 
-def test_start_basis_is_consistent():
-    # four positives, three clauses: variables [xi0..xi3, w0..w2, s0..s3, sb]
+def test_clause_fixed_to_one_drops_its_rows():
     cover = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=float)
-    bidx, vstat = master_start_basis(cover)
-    assert len(bidx) == 5          # four cover rows plus the budget row
-    assert bidx.tolist() == [0, 1, 2, 3, 11]
-    assert (vstat[list(bidx)] == BASIC).all()
-    assert (vstat == BASIC).sum() == 5
-
     # fixing clause 0 to 1 covers rows 0 and 1, so the presolve drops
     # them and spends 2 of the budget; what is left buys clause 1 for
     # positive 2, and positive 3 stays uncovered
@@ -409,64 +392,44 @@ def test_node_bounds_must_be_fixings():
                              w_lower=np.ones(2), w_upper=np.array([1.0, 0]))
 
 
-def test_warm_start_pads_a_prefix_basis():
-    # three positives and two clauses: variables [xi0-2, w0, w1, s0-2, sb];
-    # the optimal basis keeps w0, w1 and the slacks of rows 1 and budget
-    cov = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    negc, comp = np.array([0.0, 1.0]), np.array([2.0, 3.0])
-    L, U, B = AT_LOWER, AT_UPPER, BASIC
-    start = (np.array([6, 4, 3, 8]),
-             np.array([L, L, U, B, B, L, B, L, B], dtype=np.int8))
-    prefix = solve_lp(build_restricted_mlp(cov, negc, comp, 3.0), start=start)
-    assert prefix.status == "optimal" and prefix.iterations == 0
-    assert prefix.objective == pytest.approx(1.0)
-
-    # two appended clauses that price positive: the padded start is optimal
-    # as it stands, its slacks shifted right past the new columns
-    cov2 = np.hstack([cov, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
-    grown = build_restricted_mlp(cov2, np.concatenate([negc, [2.0, 1.0]]),
-                                 np.concatenate([comp, [2.0, 2.0]]), 3.0)
-    sol = solve_lp(grown, start=start)
-    assert sol.status == "optimal" and sol.iterations == 0
-    assert sol.objective == pytest.approx(1.0)
-    assert sol.basis[0].tolist() == [8, 4, 3, 10]
-    assert sol.basis[1].tolist() == [L, L, U, B, B, L, L, L, B, L, B]
-
-    # an appended clause that prices negative pivots in from the padded start
-    cov3 = np.hstack([cov, [[0.0], [0.0], [1.0]]])
-    lp3 = build_restricted_mlp(cov3, np.concatenate([negc, [0.0]]),
-                               np.concatenate([comp, [2.0]]), 5.0)
-    warm, cold = solve_lp(lp3, start=start), solve_lp(lp3)
-    assert warm.status == cold.status == "optimal"
-    assert 0 < warm.iterations < cold.iterations
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-    assert warm.objective == pytest.approx(0.0, abs=1e-9)
-
-    # a start over more columns than the LP has falls back to a cold start
-    back = solve_lp(build_restricted_mlp(cov, negc, comp, 3.0),
-                    start=sol.basis)
-    assert back.status == "optimal" and back.iterations > 0
-    assert back.objective == pytest.approx(1.0)
-
-
 def assert_same_csc(A, B):
     assert A.shape == B.shape
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, field), getattr(B, field)), field
 
 
-def test_simplex_matrix_equals_row_by_row_reference():
-    # test_no_rows_analytic solves the LP with no rows; here it is assembled
+def capture_highs_input(monkeypatch):
+    """Record the (A_ub, b_ub) of every linprog call, then solve it."""
+    real = scipy.optimize.linprog
+    seen = []
+
+    def recording(c, A_ub, b_ub, **kw):
+        seen.append((A_ub, b_ub))
+        return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    return seen
+
+
+def test_simplex_matrix_equals_row_by_row_reference(monkeypatch):
+    # the <= form handed to HiGHS's simplex, and the caller's matrix left
+    # as it was
+    seen = capture_highs_input(monkeypatch)
     rng = np.random.default_rng(11)
-    no_rows = (np.array([2.0, -3.0, 0.0]), np.array([-1.0, -1.0, 4.0]),
-               np.array([5.0, 2.0, 4.0]), [])
-    for parts in [random_lp_parts(rng) for _ in range(60)] + [no_rows]:
+    for parts in [random_lp_parts(rng) for _ in range(60)]:
         rows = [(r.indices, r.coeffs, r.sense, r.rhs) for r in parts[3]]
-        ref = sp.csc_matrix(slack_form(rows, len(parts[0])))
-        assert_same_csc(_Simplex(LinearProgram(*parts)).A, ref)
+        A_ref, b_ref = le_form(rows, len(parts[0]))
+        lp = LinearProgram(*parts)
+        before = lp.A.copy()
+        solve_lp(lp)
+        A_ub, b_ub = seen.pop()
+        assert_same_csc(A_ub, sp.csc_matrix(A_ref))
+        assert b_ub.tolist() == b_ref.tolist()
+        assert_same_csc(lp.A, before)
 
 
-def test_build_restricted_mlp_rows_match_per_row_construction():
+def test_build_restricted_mlp_rows_match_per_row_construction(monkeypatch):
+    seen = capture_highs_input(monkeypatch)
     rng = np.random.default_rng(5)
     cases = [
         (np.zeros((4, 0)), None),                              # K=0
@@ -483,9 +446,10 @@ def test_build_restricted_mlp_rows_match_per_row_construction():
         lp = build_restricted_mlp(cover, np.zeros(K), comp, 5.0,
                                   xi_cost=xi_cost)
         ref = master_rows(cover, comp, 5.0)
-        # the solver's <= form with slacks, array for array
-        assert_same_csc(_Simplex(lp).A,
-                        sp.csc_matrix(slack_form(ref, n_pos + K)))
+        # the solver's <= form, array for array
+        solve_lp(lp)
+        assert_same_csc(seen.pop()[0],
+                        sp.csc_matrix(le_form(ref, n_pos + K)[0]))
         assert lp.sign.tolist() == [-1.0] * n_pos + [1.0]
         assert lp.rhs.tolist() == [1.0] * n_pos + [5.0]
         # the row view read back from the matrix is the per-row build
@@ -499,53 +463,3 @@ def test_build_restricted_mlp_rows_match_per_row_construction():
             [1.0] * n_pos if xi_cost is None else xi_cost.tolist())
         assert lp.lower.tolist() == [0.0] * (n_pos + K)
         assert lp.upper.tolist() == [1.0] * (n_pos + K)
-
-
-def random_factor(rng, density):
-    """A factor of a random nonsingular basis with 0 to 70 random etas."""
-    m = int(rng.integers(1, 40))
-    A = sp.random(m, m, density=density, random_state=rng, format="csc")
-    A = sp.csc_matrix(A + 4.0 * sp.identity(m))
-    factor = _Factor(A)
-    factor.refresh(np.arange(m))
-    etas = []
-    for _ in range(int(rng.integers(0, 71))):
-        eta = rng.standard_normal(m) * (rng.random(m) < 0.4)
-        r = int(rng.integers(m))
-        eta[r] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
-        factor.push(eta, r)
-        etas.append((eta, r))
-    return factor, etas
-
-
-def test_eta_kernels_match_plain_formulas():
-    rng = np.random.default_rng(17)
-    zero_pivots = 0
-    for trial in range(60):
-        # a diagonal basis and a sparse column put many pivots at zero,
-        # which ftran skips
-        sparse = trial % 2 == 1
-        factor, etas = random_factor(rng, 0.0 if sparse else 0.2)
-        m = factor.A.shape[0]
-        a = rng.standard_normal(m) * (rng.random(m) < (0.1 if sparse else 1))
-        c = rng.standard_normal(m)
-        v0 = factor.lu.solve(a)
-        want = ftran_by_etas(v0, etas)
-        assert np.array_equal(factor.ftran(a), want)
-        zero_pivots += sum(ftran_by_etas(v0, etas[:k])[r] == 0
-                           for k, (_, r) in enumerate(etas))
-        want = factor.lu.solve(btran_by_etas(c, etas), trans="T")
-        assert np.array_equal(factor.btran(c), want)
-    assert zero_pivots >= 100
-
-
-def test_column_read_matches_sparse_slicing_after_artificials():
-    rng = np.random.default_rng(3)
-    with_artificials = 0
-    for _ in range(80):
-        sx = _Simplex(random_lp(rng))
-        with_artificials += sx._start_cold()
-        for q in range(sx.A.shape[1]):
-            assert np.array_equal(sx._column(q),
-                                  sx.A[:, [q]].toarray().ravel())
-    assert with_artificials >= 20

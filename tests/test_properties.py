@@ -1,7 +1,9 @@
 """Property tests: the certificate holds on random instances in both pricing
-regimes, checked against the enumeration oracle, a rule set predicts the
-same on raw cells, on binarized rows and after a JSON round trip, and a CNF
-model is the DNF model of the negated data, complemented.
+regimes, for single fits and for budget sweeps, checked against the
+enumeration oracle; every master and node LP answer satisfies the KKT
+conditions of the unreduced LP and attains its enumerated value; a rule set
+predicts the same on raw cells, on binarized rows and after a JSON round
+trip; and a CNF model is the DNF model of the negated data, complemented.
 
 Hypothesis runs derandomized and without deadlines, so every run of the
 suite draws the same instances."""
@@ -14,7 +16,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boolrules.colgen import ColGenConfig, run_column_generation
+from boolrules.colgen import (
+    ColGenConfig,
+    run_column_generation,
+    sweep_complexity,
+)
 from boolrules.cv import fit_rows
 from boolrules.dataset import (
     BinaryDataset,
@@ -23,11 +29,23 @@ from boolrules.dataset import (
     build_matrix,
     read_csv_table,
 )
+from boolrules.lp_engine import (
+    LinearProgram,
+    LPSolution,
+    Row,
+    solve_lp,
+    solve_restricted_mlp,
+    verify_solution,
+)
 from boolrules.ruleset import Clause, RuleSet, build_ruleset, predict, \
     selection_loss
 
 from _data import make_binary_dataset
-from _oracles import best_ruleset_by_enumeration
+from _oracles import (
+    best_ruleset_by_enumeration,
+    lp_minimum_by_vertex_enumeration,
+    master_rows,
+)
 
 
 @st.composite
@@ -62,6 +80,80 @@ def test_certificate_brackets_the_enumerated_optimum(ds, C, D, seed):
         assert res.lower_bound <= opt <= res.objective
         if res.optimal:
             assert res.lower_bound == opt == res.objective
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(ds=instances(), D=st.integers(1, 3), seed=st.integers(0, 3),
+       budgets=st.lists(st.integers(2, 8), min_size=2, max_size=4))
+def test_sweep_certificates_bracket_the_enumerated_optimum(ds, D, seed,
+                                                           budgets):
+    for large_nnz in (2, ColGenConfig.large_nnz):
+        cfg = ColGenConfig(complexity_bound=2, clause_bound=D,
+                           time_limit=60.0, pricing_time_limit=10.0,
+                           large_nnz=large_nnz, seed=seed)
+        for p in sweep_complexity(ds, budgets, cfg):
+            C, res = p.complexity_bound, p.result
+            opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C,
+                                                 min(D, ds.d))
+            assert selection_loss(res.clauses, ds) == res.objective
+            assert sum(c.complexity for c in res.clauses) <= C
+            assert res.lower_bound is not None
+            assert res.lower_bound <= opt <= res.objective
+            if res.optimal:
+                assert res.lower_bound == opt == res.objective
+
+
+@st.composite
+def node_lps(draw):
+    """A restricted master over at most 5 positives and 4 clauses, whose
+    cover rows repeat a few patterns, with each clause free, fixed to 0 or
+    fixed to 1; all free is the column generation master itself."""
+    n_pos, K = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    patterns = draw(st.lists(st.lists(st.booleans(), min_size=K,
+                                      max_size=K), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(patterns) - 1),
+                          min_size=n_pos, max_size=n_pos))
+    cover = np.array([patterns[i] for i in picks], dtype=float)
+    negc = np.array(draw(st.lists(st.integers(0, 3), min_size=K,
+                                  max_size=K)), dtype=float)
+    comp = np.array(draw(st.lists(st.integers(2, 4), min_size=K,
+                                  max_size=K)), dtype=float)
+    fix = np.array(draw(st.lists(st.sampled_from([0, 1, 2]), min_size=K,
+                                 max_size=K)))  # free, to 0, to 1
+    return (cover, negc, comp, float(draw(st.integers(1, 11))),
+            (fix == 2).astype(float), (fix != 1).astype(float))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(node=node_lps())
+def test_master_and_node_answers_are_kkt_points_of_the_unreduced_lp(node):
+    cover, negc, comp, budget, w_lower, w_upper = node
+    n_pos = cover.shape[0]
+    rows = master_rows(cover, comp, budget)
+    lp = LinearProgram(np.concatenate([np.ones(n_pos), negc]),
+                       np.concatenate([np.zeros(n_pos), w_lower]),
+                       np.concatenate([np.ones(n_pos), w_upper]),
+                       rows=[Row(*r) for r in rows])
+    ms = solve_restricted_mlp(cover, negc, comp, budget,
+                              w_lower=w_lower, w_upper=w_upper)
+    if lp.n_vars <= 6:
+        status, value, _ = lp_minimum_by_vertex_enumeration(
+            lp.objective, lp.lower, lp.upper, rows)
+    else:
+        ref = solve_lp(lp)
+        status, value = ref.status, ref.objective
+    assert ms.status == status
+    if status != "optimal":
+        return
+    # a presolved node keeps the unreduced LP's value
+    assert abs(ms.objective - value) <= 1e-7
+    # the expanded point and duals certify it on the unreduced LP
+    x = np.concatenate([ms.xi, ms.w])
+    sol = LPSolution(ms.status, ms.objective, x, np.append(ms.mu, -ms.lam),
+                     lp.sign * (lp.rhs - lp.A @ x), ms.iterations)
+    assert abs(lp.objective @ x - ms.objective) <= 1e-7
+    resid = verify_solution(lp, sol)
+    assert max(resid.values()) <= 1e-7, resid
 
 
 HEADER = ["num", "cat", "label"]
