@@ -17,7 +17,10 @@ way a budget's time limit covers its growth and its selection.
 
 The branch-and-bound's node LPs go through the same `solve_restricted_mlp`
 as the masters; a node that fixes clauses has its LP presolved there, down
-to the free clauses and the positives they leave to cover.
+to the free clauses and the positives they leave to cover.  Its root LP is
+the growth's last master whenever the pool has not grown since, so each
+LP is solved once: that covers every single fit and the last budget of a
+sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import BinaryDataset
-from .lp_engine import solve_restricted_mlp
+from .lp_engine import MasterSolution, solve_restricted_mlp
 from .pricing import (
     NEGATIVE_EPS,
     DualContext,
@@ -199,7 +202,8 @@ def _greedy_selection(pos_cover, neg_counts, complexities, budget) -> list:
 
 
 def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
-                         time_limit: float | None = None) -> MIPResult:
+                         time_limit: float | None = None,
+                         root=None) -> MIPResult:
     """Best integer clause selection within the pool, by branch and bound.
 
     Branches on the most fractional clause variable (ties to the lowest
@@ -210,8 +214,11 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     LPs.  A time limit turns the result into a best-effort incumbent with
     optimal=False.  Every node below the root fixes clauses, so
     `solve_restricted_mlp` presolves its LP down to the free clauses and
-    the distinct cover patterns they leave.  `pivots` sums the node LPs'
-    HiGHS simplex iterations.
+    the distinct cover patterns they leave.  `root`, when given, is the
+    optimal `MasterSolution` of the root LP over this very pool and budget,
+    which column generation has already solved; it still counts as a node,
+    but is not solved again.  `pivots` sums the HiGHS simplex iterations of
+    the node LPs solved here, so a given root adds none.
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
@@ -250,11 +257,14 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         fixed_cost = complexities[w_lower >= 1.0].sum()
         if fixed_cost > budget + 1e-9:
             continue
-        ms = solve_restricted_mlp(
-            pos_cover, neg_counts, complexities, budget,
-            w_lower=w_lower, w_upper=w_upper, deadline=deadline)
+        if root is not None:
+            ms, root = root, None
+        else:
+            ms = solve_restricted_mlp(
+                pos_cover, neg_counts, complexities, budget,
+                w_lower=w_lower, w_upper=w_upper, deadline=deadline)
+            pivots += ms.iterations
         nodes += 1
-        pivots += ms.iterations
         if nodes == 1:
             lp_root = ms.objective
         if ms.status == "infeasible":
@@ -299,9 +309,10 @@ class ColGenResult:
     None when no pricing round produced a certificate.  optimal is claimed
     only when the master LP was priced out AND its rounded value meets the
     integer objective; a weaker certificate that happens to close the gap
-    stays unclaimed.  pool_size is the pool the selection chose from, and
-    mip_nodes and mip_pivots count the branch-and-bound nodes and their LP
-    pivots spent on it.
+    stays unclaimed.  pool_size is the pool the selection chose from,
+    mip_nodes counts its branch-and-bound nodes, and mip_pivots the pivots
+    of the node LPs it solved; a root reused from the loop adds its pivots
+    to the last trace row instead.
     """
 
     clauses: list
@@ -322,7 +333,9 @@ class ColGenResult:
 
 @dataclass
 class _Growth:
-    """One budget's column generation up to its integer stage."""
+    """One budget's column generation up to its integer stage.  `master`
+    is its last optimal master LP answer, or None when no master finished;
+    its `w` has one entry per pool clause it was solved over."""
 
     z_rmlp: float
     lower_bound: int | None
@@ -331,6 +344,7 @@ class _Growth:
     trace: list
     regime: str
     seconds: float
+    master: MasterSolution | None
 
 
 def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
@@ -353,6 +367,7 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
     z_rmlp = float(n_pos)
     converged = False
     iteration = 0
+    last_master = None
 
     def price_budget():
         left = cfg.time_limit - (time.perf_counter() - t0)
@@ -389,6 +404,7 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
             break
         z_rmlp = ms.objective
         mu, lam = ms.mu, ms.lam
+        last_master = ms
 
         if time.perf_counter() - t0 >= cfg.time_limit:
             trace.append(TraceEntry(iteration, z_rmlp, math.nan, "time-up",
@@ -451,20 +467,25 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         ceiling = guarded_ceil(z_rmlp)
         best_lb = ceiling if best_lb is None else max(best_lb, ceiling)
     return _Growth(z_rmlp, best_lb, converged, iteration, trace, regime,
-                   time.perf_counter() - t0)
+                   time.perf_counter() - t0, last_master)
 
 
 def _select(pool: ClausePool, cfg: ColGenConfig,
             growth: _Growth) -> ColGenResult:
     """Pick the best selection within the budget from the whole pool.
-    The selection gets what the growth left of `cfg.time_limit`."""
+    The selection gets what the growth left of `cfg.time_limit`.  When the
+    pool has not grown since the growth's last master, that master is the
+    root LP of the branch and bound, and is not solved again."""
     t0 = time.perf_counter()
     pos_cover, neg_counts, complexities = pool.arrays()
     time_left = max(cfg.time_limit - growth.seconds
                     - (time.perf_counter() - t0), 0.0)
+    root = growth.master
+    if root is not None and len(root.w) != len(pool):
+        root = None
     mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
                                float(cfg.complexity_bound),
-                               time_limit=time_left)
+                               time_limit=time_left, root=root)
     return ColGenResult(
         clauses=[pool.clauses[k] for k in mip.selected],
         objective=mip.objective,

@@ -244,14 +244,16 @@ def cross_validate(table: TypedTable, c_grid, form: str = "dnf",
                    proto: ColGenConfig | None = None) -> list[FoldOutcome]:
     """Outer stratified cross-validation with nested budget selection.
 
-    Per fold: pick a budget from `c_grid` by inner CV on the training rows,
-    retrain on all of them with it, and score the held-out rows.  Fold
-    results are deterministic for a fixed seed regardless of `jobs`; only
-    the measured seconds vary.
+    Per fold: pick a budget from `c_grid` by inner CV on the training rows
+    (`inner_folds` folds, at least 2), retrain on all of them with it, and
+    score the held-out rows.  Fold results are deterministic for a fixed
+    seed regardless of `jobs`; only the measured seconds vary.
     """
     grid = sorted(set(int(c) for c in c_grid))
     if not grid:
         raise ValueError("the budget grid is empty")
+    if inner_folds < 2:
+        raise ValueError("inner folds must be at least 2")
     if proto is None:
         proto = ColGenConfig(complexity_bound=grid[-1])
     parts = stratified_folds(table.y, folds, seed)

@@ -19,7 +19,9 @@ reaches HiGHS: clauses fixed to 0 or 1 leave it, the positives a clause
 fixed to 1 covers lose their rows, and the other positives share one row
 per cover pattern over the free clauses (the duplicate-row reduction of
 Andersen & Andersen, Math. Programming 71, 1995).  Column-generation
-masters are solved unreduced.
+masters are solved unreduced.  A master or node LP with no free clause,
+the master over an empty pool among them, never reaches HiGHS: its
+answer is written down directly.
 """
 
 from __future__ import annotations
@@ -289,10 +291,11 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
     """Build and solve the restricted master, extracting (mu, lam) duals.
 
     `w_lower`/`w_upper` are a branch-and-bound node's clause bounds, each
-    clause free in [0, 1] or fixed to 0 or to 1.  A node that fixes any
-    clause is presolved by `_presolve_node`; its solution is expanded back
-    to the full pool, each merged row's dual split evenly over its
-    positives.
+    clause free in [0, 1] or fixed to 0 or to 1.  An LP with no free
+    clause is answered by `_without_free_clauses`, with zero iterations.
+    Any other node that fixes a clause is presolved by `_presolve_node`;
+    its solution is expanded back to the full pool, each merged row's dual
+    split evenly over its positives.
     """
     n_pos, K = pos_cover.shape
     lower = np.zeros(K) if w_lower is None else np.asarray(w_lower, float)
@@ -302,6 +305,9 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
     if not (one | free | (lower == 0.0) & (upper == 0.0)).all():
         raise ValueError("clause bounds must leave each clause in [0, 1] or "
                          "fix it to 0 or to 1")
+    if not free.any():
+        return _without_free_clauses(pos_cover, neg_counts, complexities,
+                                     budget, one)
     if free.all():
         reduced = (pos_cover, neg_counts, complexities, budget, None)
         constant, rest = 0.0, np.arange(n_pos)
@@ -329,3 +335,22 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
         lam=max(0.0, -float(sol.duals[G])),
         iterations=sol.iterations,
     )
+
+
+def _without_free_clauses(pos_cover, neg_counts, complexities, budget,
+                          one) -> MasterSolution:
+    """A master or node LP with no free clause, answered without HiGHS.
+    It is infeasible when the clauses fixed to 1 overspend the budget.
+    Otherwise each positive none of them covers has xi = 1 and cover dual
+    1, every other positive xi = 0 and dual 0, and the budget dual is 0;
+    together these meet the KKT conditions of the unreduced LP."""
+    n_pos = pos_cover.shape[0]
+    w = one.astype(float)
+    if np.asarray(complexities, dtype=float)[one].sum() > budget + FEAS_TOL:
+        return MasterSolution(INFEASIBLE, math.nan, np.zeros(n_pos), w,
+                              np.zeros(n_pos), 0.0, 0)
+    xi = (~np.asarray(pos_cover)[:, one].any(axis=1)).astype(float)
+    return MasterSolution(
+        OPTIMAL,
+        float(xi.sum() + np.asarray(neg_counts, dtype=float)[one].sum()),
+        xi, w, xi.copy(), 0.0, 0)

@@ -233,6 +233,14 @@ def test_cv_argument_errors(tmp_path, runner):
                              "label", "-C", "4", "--folds", "1"])
     assert r.exit_code == 2 and "folds" in r.output
 
+    # a grid to choose from needs at least two inner folds to choose by
+    for inner in ("1", "0"):
+        r = runner.invoke(main, ["cv", "--input", str(data), "--label-column",
+                                 "label", "--c-grid", "2,4", "--folds", "5",
+                                 "--inner-folds", inner])
+        assert r.exit_code == 2
+        assert r.output == "error: inner folds must be at least 2\n"
+
     r = runner.invoke(main, ["cv", "--input", str(data),
                              "--label-column", "label"])
     assert r.exit_code == 2 and "--c-grid" in r.output

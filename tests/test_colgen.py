@@ -19,6 +19,7 @@ from boolrules.colgen import (
     solve_restricted_mip,
     sweep_complexity,
 )
+from boolrules.lp_engine import solve_restricted_mlp
 from boolrules.pricing import RestrictedPricing
 from boolrules.ruleset import selection_loss
 
@@ -324,8 +325,11 @@ def test_failed_master_degrades_to_the_integer_stage(monkeypatch):
 
 
 def test_highs_numerical_trouble_ends_the_fit_cleanly(monkeypatch):
-    # HiGHS answers the first LP, then reports numerical trouble (linprog
-    # status 4) on every later one, node LPs included
+    # HiGHS answers the first LP it is sent, then reports numerical trouble
+    # (linprog status 4) on every later one, node LPs included.  The
+    # round-1 master over the empty pool never reaches HiGHS, so the first
+    # call is round 2's master; two columns a round make round 3's master
+    # the first troubled one
     real = scipy.optimize.linprog
     calls = 0
 
@@ -339,9 +343,11 @@ def test_highs_numerical_trouble_ends_the_fit_cleanly(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", troubled)
     ds = random_instance(np.random.default_rng(404))
-    res = run_column_generation(ds, small_config(6, 2))
-    assert calls > 2
-    assert res.iterations == 2
+    res = run_column_generation(ds, small_config(6, 2, max_columns=2))
+    # round 2's and round 3's masters, then the root node LP: the pool grew
+    # after round 2, so its master cannot stand in for the root
+    assert calls == 3
+    assert res.iterations == 3
     assert res.trace[-1].mode == "master-failed"
     assert not (res.optimal or res.rmlp_converged or res.mip_optimal)
     assert sum(c.complexity for c in res.clauses) <= 6
@@ -579,6 +585,69 @@ def test_mip_pivots_sum_the_node_lps(monkeypatch):
     assert sum(pivots.values()) > 0
 
 
+def test_converged_selection_reuses_the_last_master_as_its_root(monkeypatch):
+    # at C = 5 the LP bound falls short of the integer loss, so the
+    # selection branches below its root
+    ds, cfg = two_triangles(), small_config(5, 2)
+    pool = ClausePool(ds)
+    growth = colgen._grow_pool(ds, cfg, pool)
+    assert growth.converged
+    real_mlp, real_mip = colgen.solve_restricted_mlp, colgen.solve_restricted_mip
+    solved, mips = [], []
+
+    def counting_mlp(*args, **kw):
+        solved.append(real_mlp(*args, **kw))
+        return solved[-1]
+
+    def recording_mip(*args, **kw):
+        mips.append(real_mip(*args, **kw))
+        return mips[-1]
+
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", counting_mlp)
+    monkeypatch.setattr(colgen, "solve_restricted_mip", recording_mip)
+    res = colgen._select(pool, cfg, growth)
+    mip, = mips
+    assert res.mip_nodes == mip.nodes >= 2
+    assert len(solved) == mip.nodes - 1
+    assert res.mip_pivots == sum(ms.iterations for ms in solved)
+    # re-solving the root changes nothing but the pivots it costs, which
+    # are the last master's
+    again = real_mip(*pool.arrays(), 5.0)
+    assert again.optimal and mip.optimal
+    assert ((mip.objective, mip.selected, mip.nodes, mip.lp_value)
+            == (again.objective, again.selected, again.nodes, again.lp_value))
+    assert again.pivots == mip.pivots + growth.trace[-1].master_pivots
+
+
+def test_highs_never_sees_an_lp_without_a_free_clause(monkeypatch):
+    real = scipy.optimize.linprog
+    free_clauses = []
+
+    def recording(c, A_ub, **kw):
+        # a master or node LP has one xi per cover row, then its free
+        # clauses; the last row is the budget
+        free_clauses.append(len(c) - (A_ub.shape[0] - 1))
+        return real(c, A_ub=A_ub, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    # every fit starts from an empty pool
+    ds = two_triangles()
+    for C in (3, 5, 7):
+        res = run_column_generation(ds, small_config(C, 2))
+        opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
+        assert res.objective == opt
+    # node LPs that fix every clause, within the budget or over it
+    pos_cover = np.array([[1.0, 0.0, 1.0],
+                          [1.0, 1.0, 0.0],
+                          [0.0, 1.0, 1.0]])
+    for ones in itertools.product((0.0, 1.0), repeat=3):
+        ms = solve_restricted_mlp(pos_cover, np.zeros(3), np.full(3, 2.0),
+                                  3.0, w_lower=np.array(ones),
+                                  w_upper=np.array(ones))
+        assert ms.status == ("optimal" if sum(ones) <= 1 else "infeasible")
+    assert free_clauses and min(free_clauses) > 0
+
+
 # -- the budget sweep --------------------------------------------------------
 
 
@@ -640,6 +709,24 @@ def test_sweep_grows_every_budget_then_selects_each_once(monkeypatch):
         assert p.result.mip_nodes == nodes >= 1
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
         assert p.result.objective == opt
+
+
+def test_sweep_budget_whose_pool_grew_resolves_its_root(monkeypatch):
+    # only a budget whose last master saw the final pool skips its root
+    nodes = record_node_lps(monkeypatch)
+    grown, solves, _ = recording_sweep(monkeypatch)
+    ds = random_instance(np.random.default_rng(10))
+    budgets = [2, 3, 5, 7]
+    sweep_complexity(ds, budgets, small_config(6, 2))
+    final = grown[7].trace[-1].pool_size
+    solved = defaultdict(int)
+    for budget, _, _ in nodes:
+        solved[int(budget)] += 1
+    reused = {C: grown[C].trace[-1].pool_size == final for C in budgets}
+    assert reused[7] and not reused[2]
+    for C, _, n in solves:
+        assert n >= 1
+        assert solved[C] == n - reused[C]
 
 
 def test_single_budget_sweep_is_run_column_generation():

@@ -1,7 +1,8 @@
 """Property tests: the certificate holds on random instances in both pricing
 regimes, for single fits and for budget sweeps, checked against the
 enumeration oracle; every master and node LP answer satisfies the KKT
-conditions of the unreduced LP and attains its enumerated value; a rule set
+conditions of the unreduced LP and attains its enumerated value; the
+closed-form answer for an empty pool is HiGHS's own; a rule set
 predicts the same on raw cells, on binarized rows and after a JSON round
 trip; and a CNF model is the DNF model of the negated data, complemented.
 
@@ -33,6 +34,7 @@ from boolrules.lp_engine import (
     LinearProgram,
     LPSolution,
     Row,
+    build_restricted_mlp,
     solve_lp,
     solve_restricted_mlp,
     verify_solution,
@@ -154,6 +156,28 @@ def test_master_and_node_answers_are_kkt_points_of_the_unreduced_lp(node):
     assert abs(lp.objective @ x - ms.objective) <= 1e-7
     resid = verify_solution(lp, sol)
     assert max(resid.values()) <= 1e-7, resid
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(n_pos=st.integers(1, 400), budget=st.integers(-2, 12))
+def test_empty_pool_answer_is_highs_answer_on_the_unreduced_master(n_pos,
+                                                                   budget):
+    # the master over an empty pool never reaches HiGHS; its closed form
+    # must be the answer HiGHS gives, duals included, since pricing reads
+    # them
+    lp = build_restricted_mlp(np.zeros((n_pos, 0)), np.zeros(0),
+                              np.zeros(0), float(budget))
+    ref = solve_lp(lp)
+    ms = solve_restricted_mlp(np.zeros((n_pos, 0)), np.zeros(0),
+                              np.zeros(0), float(budget))
+    assert ms.status == ref.status
+    assert ms.iterations == 0
+    if ref.status != "optimal":
+        return
+    assert ms.objective == ref.objective
+    assert np.array_equal(ms.xi, ref.x)
+    assert np.array_equal(ms.mu, np.maximum(ref.duals[:n_pos], 0.0))
+    assert ms.lam == max(0.0, -float(ref.duals[n_pos]))
 
 
 HEADER = ["num", "cat", "label"]
