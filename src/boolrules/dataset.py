@@ -6,21 +6,21 @@ columns yield an equality/inequality pair per category.  Every feature
 therefore has a complement at a known index, which is what lets a CNF model
 be trained as a DNF model on the negated dataset.
 
-`evaluate_conditions` evaluates every stored condition: on training rows
-(`binarize_table`), held-out folds (`build_matrix`) and raw rows parsed by
-`read_columns` for `RuleSet.predict_rows`.  A missing numeric cell is NaN
-there and fails both threshold tests; a missing categorical cell is "?".
+Both readers, `read_csv_table` for training and `read_columns` for
+`RuleSet.predict_rows`, parse cells a column at a time: a column is stripped
+and masked for missing cells once, and `_parse_floats` is the one place
+numbers are parsed.  `evaluate_conditions` evaluates every stored condition:
+on training rows (`binarize_table`), held-out folds (`build_matrix`) and raw
+rows.  A missing numeric cell is NaN there and fails both threshold tests; a
+missing categorical cell is "?".
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MISSING_TOKENS = {"", "?"}
 
 KIND_NUMERIC_LEQ = "numeric-leq"
 KIND_NUMERIC_GT = "numeric-gt"
@@ -165,30 +165,34 @@ class TypedTable:
         return len(self.y)
 
 
-def _is_missing(cell: str) -> bool:
-    return cell in MISSING_TOKENS
+def _missing(col):
+    """Mask of the missing cells, "" and "?", of a stripped object array."""
+    return (col == "") | (col == "?")
 
 
-def _parse_number(cell: str):
+def _parse_floats(cells):
+    """Python's float of every cell as a float array, or None if a cell
+    does not parse or is not finite.  The one place numbers are parsed."""
     try:
-        v = float(cell)
+        values = np.array(list(map(float, cells)), dtype=float)
     except ValueError:
         return None
-    return v if math.isfinite(v) else None
+    return values if np.isfinite(values).all() else None
 
 
 def read_csv_table(path, label_column: str, positive_label: str | None = None,
                    missing: str = "drop") -> TypedTable:
     """Parse a CSV file into a TypedTable.
 
-    The first row is the header.  Cells are stripped of surrounding
-    whitespace; "" and "?" mean missing.  A column is numeric iff every
-    non-missing cell parses as a finite number.  Under missing="drop" every
-    row containing a missing cell is dropped; under missing="category" a
-    missing cell in a categorical column becomes the category "?" and only
-    rows with missing numeric cells or a missing label are dropped.  The
-    positive label defaults to the lexicographically larger of the two label
-    values.
+    The first row is the header; blank lines are skipped.  Cells are
+    stripped of surrounding whitespace; "" and "?" mean missing.  A column
+    is numeric iff it has a non-missing cell and every non-missing cell
+    parses as a finite number.  Under missing="drop" every row containing a
+    missing cell is dropped; under missing="category" a missing cell in a
+    categorical column becomes the category "?" and only rows with missing
+    numeric cells or a missing label are dropped.  The positive label
+    defaults to the lexicographically larger of the two label values.
+    Errors about a row name its line in the file.
     """
     if missing not in ("drop", "category"):
         raise DatasetError(f"unknown missing-value policy {missing!r}")
@@ -198,47 +202,47 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
-        rows = [[c.strip() for c in row] for row in reader if row]
-    if label_column not in header:
-        raise DatasetError(f"label column {label_column!r} not found in {path} "
-                           f"(columns: {', '.join(header)})")
-    if len(set(header)) != len(header):
-        raise DatasetError(f"{path}: duplicate column names in header")
-    for idx, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetError(f"{path}: row {idx + 2} has {len(row)} cells, "
-                               f"expected {len(header)}")
+        if label_column not in header:
+            raise DatasetError(f"label column {label_column!r} not found in {path} "
+                               f"(columns: {', '.join(header)})")
+        if len(set(header)) != len(header):
+            raise DatasetError(f"{path}: duplicate column names in header")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise DatasetError(f"{path}: row {reader.line_num} has {len(row)} "
+                                   f"cells, expected {len(header)}")
+            rows.append(row)
 
-    label_idx = header.index(label_column)
     feature_cols = [c for c in header if c != label_column]
     if not feature_cols:
         raise DatasetError(f"{path}: no feature columns besides the label")
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    # zip(*rows) is safe: every row has len(header) cells
+    cells = {c: np.array(list(map(str.strip, col)), dtype=object)
+             for c, col in zip(header, zip(*rows))}
+    del rows
+    masks = {c: _missing(col) for c, col in cells.items()}
 
-    # type inference over non-missing cells
-    col_idx = {c: header.index(c) for c in feature_cols}
-    numeric_cols = set()
+    floats = {}
     for c in feature_cols:
-        i = col_idx[c]
-        seen = [row[i] for row in rows if not _is_missing(row[i])]
-        if seen and all(_parse_number(x) is not None for x in seen):
-            numeric_cols.add(c)
+        col, miss = cells[c], masks[c]
+        if not miss.all() and (parsed := _parse_floats(col[~miss])) is not None:
+            floats[c] = parsed
 
-    kept = []
-    for row in rows:
-        if _is_missing(row[label_idx]):
-            continue
-        drop = False
-        for c in feature_cols:
-            if _is_missing(row[col_idx[c]]) and (missing == "drop" or c in numeric_cols):
-                drop = True
-                break
-        if not drop:
-            kept.append(row)
-    dropped = len(rows) - len(kept)
-    if not kept:
+    labels, drop = cells[label_column], masks[label_column]
+    for c in feature_cols:
+        if missing == "drop" or c in floats:
+            drop = drop | masks[c]
+    keep = ~drop
+    labels = labels[keep]
+    if not len(labels):
         raise DatasetError(f"{path}: no rows left after dropping missing values")
 
-    label_values = sorted({row[label_idx] for row in kept})
+    label_values = sorted(set(labels))
     if len(label_values) != 2:
         raise DatasetError(f"{path}: label column {label_column!r} must have exactly "
                            f"two values, found {label_values}")
@@ -251,18 +255,18 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
 
     values = {}
     for c in feature_cols:
-        i = col_idx[c]
-        if c in numeric_cols:
-            values[c] = np.array([float(row[i]) for row in kept])
+        col, miss = cells[c], masks[c]
+        if c in floats:
+            # a kept row has no missing numeric cell
+            values[c] = floats[c][keep[~miss]]
         else:
-            values[c] = np.array([row[i] if not _is_missing(row[i]) else "?"
-                                  for row in kept], dtype=object)
-    y = np.array([1 if row[label_idx] == positive_label else 0 for row in kept],
-                 dtype=np.uint8)
-    kinds = {c: ("numeric" if c in numeric_cols else "categorical") for c in feature_cols}
+            values[c] = col[keep]
+            values[c][miss[keep]] = "?"
+    y = (labels == positive_label).astype(np.uint8)
+    kinds = {c: ("numeric" if c in floats else "categorical") for c in feature_cols}
     return TypedTable(columns=feature_cols, kinds=kinds, values=values, y=y,
                       label_column=label_column, positive_label=positive_label,
-                      negative_label=negative_label, dropped_rows=dropped)
+                      negative_label=negative_label, dropped_rows=int(drop.sum()))
 
 
 def numeric_features(values: np.ndarray, column: str, quantile_count: int = 9):
@@ -355,18 +359,6 @@ def build_matrix(table: TypedTable, rows: np.ndarray, metas: list[FeatureMeta]) 
     return evaluate_conditions(columns, metas, len(rows))
 
 
-def _read_number(cell: str, k: int, column: str) -> float:
-    """Raw numeric cell of data row k + 1 as a float; missing is NaN."""
-    cell = cell.strip()
-    if cell in MISSING_TOKENS:
-        return math.nan
-    v = _parse_number(cell)
-    if v is None:
-        raise ValueError(f"data row {k + 1}, column {column}: "
-                         f"{cell!r} is not a finite number")
-    return v
-
-
 def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
     """Parse the columns that `metas` read from raw CSV rows (lists of
     string cells aligned with `header`) for `evaluate_conditions`.
@@ -381,21 +373,28 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
     if absent:
         raise ValueError(f"input is missing columns required by the model: "
                          f"{', '.join(absent)}")
-    for k, row in enumerate(rows):
-        if len(row) < len(header):
-            raise ValueError(f"data row {k + 1} has {len(row)} cells, "
-                             f"fewer than the header's {len(header)}")
+    if rows and min(map(len, rows)) < len(header):
+        k = next(k for k, row in enumerate(rows) if len(row) < len(header))
+        raise ValueError(f"data row {k + 1} has {len(rows[k])} cells, "
+                         f"fewer than the header's {len(header)}")
     numeric = {m.column for m in metas if m.kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)}
     columns = {}
     for c in sorted(needed):
         i = header.index(c)
+        col = np.array([row[i].strip() for row in rows], dtype=object)
         if c in numeric:
-            columns[c] = np.array([_read_number(row[i], k, c) for k, row in enumerate(rows)],
-                                  dtype=float)
+            miss = _missing(col)
+            floats = _parse_floats(col[~miss])
+            if floats is None:
+                k = next(k for k, cell in enumerate(col)
+                         if not miss[k] and _parse_floats([cell]) is None)
+                raise ValueError(f"data row {k + 1}, column {c}: "
+                                 f"{col[k]!r} is not a finite number")
+            columns[c] = np.full(len(col), np.nan)
+            columns[c][~miss] = floats
         else:
-            cells = [row[i].strip() for row in rows]
-            columns[c] = np.array([v if v not in MISSING_TOKENS else "?" for v in cells],
-                                  dtype=object)
+            col[col == ""] = "?"  # the other missing cell is "?" already
+            columns[c] = col
     return columns
 
 

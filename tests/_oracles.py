@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately written the slow, obvious way (vertex
-enumeration, exhaustive clause search) so it shares no code with the package
-under test.
+enumeration, exhaustive clause search, CSV ingest one cell at a time) so it
+shares no code with the package under test.
 """
 
+import csv
 import itertools
 import math
 
@@ -229,3 +230,136 @@ def le_form(rows, n):
             A[r, j] += sign * a
         b[r] = sign * rhs
     return A, b
+
+
+MISSING_CELLS = ("", "?")
+
+
+def _finite_number(cell):
+    try:
+        v = float(cell)
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def read_csv_table_by_cells(path, label_column, positive_label=None,
+                            missing="drop"):
+    """`dataset.read_csv_table`, one cell at a time: the TypedTable's
+    fields as a dict, or ValueError with the same message."""
+    if missing not in ("drop", "category"):
+        raise ValueError(f"unknown missing-value policy {missing!r}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        numbered = []  # (file line, stripped cells) of every non-blank row
+        for row in reader:
+            if row:
+                numbered.append((reader.line_num, [c.strip() for c in row]))
+    if label_column not in header:
+        raise ValueError(f"label column {label_column!r} not found in {path} "
+                         f"(columns: {', '.join(header)})")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header")
+    for line, row in numbered:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {line} has {len(row)} cells, "
+                             f"expected {len(header)}")
+    rows = [row for _, row in numbered]
+
+    label_idx = header.index(label_column)
+    feature_cols = [c for c in header if c != label_column]
+    if not feature_cols:
+        raise ValueError(f"{path}: no feature columns besides the label")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    col_idx = {c: header.index(c) for c in feature_cols}
+    numeric_cols = set()
+    for c in feature_cols:
+        seen = [row[col_idx[c]] for row in rows
+                if row[col_idx[c]] not in MISSING_CELLS]
+        if seen and all(_finite_number(x) is not None for x in seen):
+            numeric_cols.add(c)
+
+    kept = []
+    for row in rows:
+        if row[label_idx] in MISSING_CELLS:
+            continue
+        if any(row[col_idx[c]] in MISSING_CELLS
+               and (missing == "drop" or c in numeric_cols)
+               for c in feature_cols):
+            continue
+        kept.append(row)
+    if not kept:
+        raise ValueError(f"{path}: no rows left after dropping missing values")
+
+    label_values = sorted({row[label_idx] for row in kept})
+    if len(label_values) != 2:
+        raise ValueError(f"{path}: label column {label_column!r} must have "
+                         f"exactly two values, found {label_values}")
+    if positive_label is None:
+        positive_label = label_values[1]
+    elif positive_label not in label_values:
+        raise ValueError(f"positive label {positive_label!r} not among label "
+                         f"values {label_values}")
+    negative_label = next(v for v in label_values if v != positive_label)
+
+    values = {}
+    for c in feature_cols:
+        i = col_idx[c]
+        if c in numeric_cols:
+            values[c] = np.array([float(row[i]) for row in kept])
+        else:
+            values[c] = np.array([row[i] if row[i] not in MISSING_CELLS
+                                  else "?" for row in kept], dtype=object)
+    return {
+        "columns": feature_cols,
+        "kinds": {c: "numeric" if c in numeric_cols else "categorical"
+                  for c in feature_cols},
+        "values": values,
+        "y": np.array([1 if row[label_idx] == positive_label else 0
+                       for row in kept], dtype=np.uint8),
+        "label_column": label_column,
+        "positive_label": positive_label,
+        "negative_label": negative_label,
+        "dropped_rows": len(rows) - len(kept),
+    }
+
+
+def read_columns_by_cells(header, rows, metas):
+    """`dataset.read_columns`, one cell at a time, with the same
+    ValueError messages."""
+    needed = {m.column for m in metas}
+    absent = sorted(needed - set(header))
+    if absent:
+        raise ValueError(f"input is missing columns required by the model: "
+                         f"{', '.join(absent)}")
+    for k, row in enumerate(rows):
+        if len(row) < len(header):
+            raise ValueError(f"data row {k + 1} has {len(row)} cells, "
+                             f"fewer than the header's {len(header)}")
+    numeric = {m.column for m in metas if m.kind.startswith("numeric")}
+    columns = {}
+    for c in sorted(needed):
+        i = header.index(c)
+        cells = [row[i].strip() for row in rows]
+        if c in numeric:
+            parsed = []
+            for k, cell in enumerate(cells):
+                if cell in MISSING_CELLS:
+                    parsed.append(math.nan)
+                    continue
+                v = _finite_number(cell)
+                if v is None:
+                    raise ValueError(f"data row {k + 1}, column {c}: "
+                                     f"{cell!r} is not a finite number")
+                parsed.append(v)
+            columns[c] = np.array(parsed, dtype=float)
+        else:
+            columns[c] = np.array([v if v not in MISSING_CELLS else "?"
+                                   for v in cells], dtype=object)
+    return columns

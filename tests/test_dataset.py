@@ -116,6 +116,10 @@ def test_structural_errors(tmp_path):
     ragged = write_csv(tmp_path / "r.csv", "a,b,cls\n1,2,x\n1,y\n")
     with pytest.raises(DatasetError, match="row 3"):
         read_csv_table(ragged, "cls")
+    # "row N" is the file line, counting the blank lines before it
+    spaced = write_csv(tmp_path / "s.csv", "a,b,cls\n1,2,x\n\n\n1,y\n")
+    with pytest.raises(DatasetError, match="row 5 has 2 cells"):
+        read_csv_table(spaced, "cls")
     dup = write_csv(tmp_path / "d.csv", "a,a,cls\n1,2,x\n3,4,y\n")
     with pytest.raises(DatasetError, match="duplicate"):
         read_csv_table(dup, "cls")
@@ -125,6 +129,12 @@ def test_structural_errors(tmp_path):
         read_csv_table(empty, "cls")
     with pytest.raises(DatasetError, match="policy"):
         read_csv_table(ragged, "cls", missing="zap")
+    header_only = write_csv(tmp_path / "h.csv", "a,cls\n")
+    with pytest.raises(DatasetError, match="h.csv: no data rows$"):
+        read_csv_table(header_only, "cls")
+    all_dropped = write_csv(tmp_path / "x.csv", "a,cls\n?,x\n1,\n")
+    with pytest.raises(DatasetError, match="no rows left after dropping"):
+        read_csv_table(all_dropped, "cls")
 
 
 def test_missing_policies(tmp_path):

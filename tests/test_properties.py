@@ -4,7 +4,9 @@ enumeration oracle; every master and node LP answer satisfies the KKT
 conditions of the unreduced LP and attains its enumerated value; the
 closed-form answer for an empty pool is HiGHS's own; a rule set
 predicts the same on raw cells, on binarized rows and after a JSON round
-trip; and a CNF model is the DNF model of the negated data, complemented.
+trip; a CNF model is the DNF model of the negated data, complemented; and
+CSV ingest reads what the cell-by-cell oracle reads, or fails with the
+same message.
 
 Hypothesis runs derandomized and without deadlines, so every run of the
 suite draws the same instances."""
@@ -26,8 +28,10 @@ from boolrules.cv import fit_rows
 from boolrules.dataset import (
     BinaryDataset,
     DatasetError,
+    FeatureMeta,
     binarize_table,
     build_matrix,
+    read_columns,
     read_csv_table,
 )
 from boolrules.lp_engine import (
@@ -47,6 +51,8 @@ from _oracles import (
     best_ruleset_by_enumeration,
     lp_minimum_by_vertex_enumeration,
     master_rows,
+    read_columns_by_cells,
+    read_csv_table_by_cells,
 )
 
 
@@ -279,3 +285,92 @@ def test_cnf_fit_is_the_complemented_dnf_fit_of_the_negation(data, C, D,
     # verdict reads as the same label
     assert rs_cnf.predict_rows(HEADER, train) == \
         rs_dnf.predict_rows(HEADER, train)
+
+
+NUMBER_CELLS = ["0", "-0", "2.5", " 7 ", "1e3", "1_000", "\u0663"]
+OTHER_CELLS = ["nan", "inf", "-inf", "1e400", "x", " y", "1x"]
+ODD_LABELS = [" yes ", "", "?", "maybe", "no", "yes"]
+
+
+@st.composite
+def raw_csvs(draw):
+    """A CSV's lines as cell lists: a header of padded names with a label
+    column, then rows (some ragged) with blank lines between them.  A
+    column draws its cells from numbers and missing cells, or also from
+    cells that do not parse as finite numbers.  Labels alternate between
+    "no" and "yes" unless drawn from ODD_LABELS."""
+    k = draw(st.integers(1, 3))
+    names = ["a", "b", "c"][:k]
+    names.insert(draw(st.integers(0, k)), "label")
+    header = [draw(st.sampled_from([c, f" {c} "])) for c in names]
+    pools = {c: ["", "?", " ? "] + NUMBER_CELLS
+             + (OTHER_CELLS if draw(st.booleans()) else []) for c in names}
+    lines = [header]
+    for i in range(draw(st.sampled_from([0, 2, 4, 6, 9, 12]))):
+        lines += [[]] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        pools["label"] = [["no", "yes"][i % 2]] * 12 + ODD_LABELS
+        row = [draw(st.sampled_from(pools[c])) for c in names]
+        ragged = draw(st.sampled_from([0] * 40 + [-1, 1]))
+        lines.append(row[:ragged] if ragged < 0 else row + ["x"] * ragged)
+    lines += [[]] * draw(st.sampled_from([0, 0, 1]))
+    return lines
+
+
+def same_columns(got, want):
+    assert list(got) == list(want)
+    for c in want:
+        assert got[c].dtype == want[c].dtype, c
+        if want[c].dtype == object:
+            assert got[c].tolist() == want[c].tolist(), c
+        else:  # NaN-aware, and -0.0 is not 0.0
+            assert np.array_equal(got[c], want[c], equal_nan=True), c
+            assert (np.signbit(got[c]) == np.signbit(want[c])).all(), c
+
+
+def outcome(read, *args, **kwargs):
+    try:
+        return read(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(lines=raw_csvs(), missing=st.sampled_from(["drop", "category"]),
+       positive=st.sampled_from([None, "yes", "no"]),
+       kinds=st.lists(st.sampled_from(["numeric-leq", "numeric-gt",
+                                       "categorical-eq", None]),
+                      min_size=4, max_size=4),
+       absent=st.sampled_from([False] * 9 + [True]))
+def test_ingest_matches_the_cell_by_cell_oracle(lines, missing, positive,
+                                                kinds, absent):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines),
+                        encoding="utf-8")
+        got = outcome(read_csv_table, path, "label", positive, missing)
+        want = outcome(read_csv_table_by_cells, path, "label", positive,
+                       missing)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        for name in ("columns", "kinds", "label_column", "positive_label",
+                     "negative_label", "dropped_rows"):
+            assert getattr(got, name) == want[name], name
+        assert got.y.dtype == want["y"].dtype
+        assert got.y.tolist() == want["y"].tolist()
+        same_columns(got.values, want["values"])
+
+    # the predict path: stripped header, raw non-blank rows, and the
+    # conditions of a model that reads some columns (or one the input lacks)
+    header = [c.strip() for c in lines[0]]
+    rows = [line for line in lines[1:] if line]
+    metas = [FeatureMeta(c, kind, "0" if kind == "categorical-eq" else 0.0)
+             for c, kind in zip(header, kinds) if kind is not None]
+    if absent:
+        metas.append(FeatureMeta("zzz", "categorical-eq", "0"))
+    got = outcome(read_columns, header, rows, metas)
+    want = outcome(read_columns_by_cells, header, rows, metas)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        same_columns(got, want)
