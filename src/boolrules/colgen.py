@@ -42,6 +42,7 @@ from .pricing import (
 from .ruleset import Clause
 
 CEIL_EPS = 1e-7
+MAX_COLUMNS = 10  # clauses a pricing call returns and a round admits
 
 
 def guarded_ceil(value: float) -> int:
@@ -58,17 +59,15 @@ class ColGenConfig:
     fit the budget anyway).  Time limits are wall-clock seconds: the
     overall limit covers the whole loop including the final integer solve,
     which gets whatever time is left; the pricing limit applies to each
-    exact pricing call.  At most max_columns clauses enter the pool per
-    round.  An instance whose pricing nnz exceeds large_nnz prices on a
-    sample first and falls back to the full data when the sample's
-    candidates all fail.
+    exact pricing call.  An instance whose pricing nnz exceeds large_nnz
+    prices on a sample first and falls back to the full data when the
+    sample's candidates all fail.
     """
 
     complexity_bound: int
     clause_bound: int | None = None
     time_limit: float = 300.0
     pricing_time_limit: float = 45.0
-    max_columns: int = 10
     large_nnz: int = 1000000
     seed: int = 0
 
@@ -78,8 +77,6 @@ class ColGenConfig:
                              "(the cheapest clause costs 2)")
         if self.clause_bound is not None and self.clause_bound < 1:
             raise ValueError("clause_bound must be at least 1")
-        if self.max_columns < 1:
-            raise ValueError("max_columns must be at least 1")
         if self.time_limit <= 0 or self.pricing_time_limit <= 0:
             raise ValueError("time limits must be positive")
 
@@ -353,8 +350,6 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
     its time limit is spent."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    if pool.ds is not ds:
-        raise ValueError("pool was built for a different dataset")
     n_pos = len(ds.pos)
     if n_pos == 0:
         raise ValueError("training needs at least one positive sample")
@@ -383,7 +378,7 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
                 if rc < -NEGATIVE_EPS:
                     found.append((feats, rc))
         found.sort(key=lambda t: (t[1], t[0]))
-        return found[:cfg.max_columns]
+        return found[:MAX_COLUMNS]
 
     loop_deadline = t0 + cfg.time_limit
     while True:
@@ -422,14 +417,13 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         if regime == "large":
             rp = restrict_pricing(ds.X, ds.y, mu, lam, depth, rng)
             results.append(rp.lift(price_exact(
-                rp.ctx, time_limit=price_budget(),
-                max_returned=cfg.max_columns,
+                rp.ctx, time_limit=price_budget(), max_returned=MAX_COLUMNS,
                 exclude=rp.restrict(pool.index.keys()))))
             admitted = admit(results[-1])
         if not admitted:
             results.append(price_exact(
                 DualContext(ds.X, ds.y, mu, lam, depth),
-                time_limit=price_budget(), max_returned=cfg.max_columns,
+                time_limit=price_budget(), max_returned=MAX_COLUMNS,
                 exclude=pool.index.keys()))
             admitted = admit(results[-1])
 
@@ -504,18 +498,16 @@ def _select(pool: ClausePool, cfg: ColGenConfig,
     )
 
 
-def run_column_generation(ds: BinaryDataset, cfg: ColGenConfig,
-                          pool: ClausePool | None = None) -> ColGenResult:
-    """Train one rule selection on a binarized dataset.
+def run_column_generation(ds: BinaryDataset,
+                          cfg: ColGenConfig) -> ColGenResult:
+    """Train one rule selection on a binarized dataset, over a new pool.
 
-    An external pool may be passed in; it is grown in place.  Returns the
-    chosen clauses as pool indices resolved to Clause objects, the integer
-    training objective, and the best certified lower bound (None when
-    nothing could be certified).  `cfg.time_limit` covers the growth and
-    the selection, which gets whatever time is left.
+    Returns the chosen clauses as pool indices resolved to Clause objects,
+    the integer training objective, and the best certified lower bound
+    (None when nothing could be certified).  `cfg.time_limit` covers the
+    growth and the selection, which gets whatever time is left.
     """
-    if pool is None:
-        pool = ClausePool(ds)
+    pool = ClausePool(ds)
     return _select(pool, cfg, _grow_pool(ds, cfg, pool))
 
 

@@ -364,15 +364,19 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
     string cells aligned with `header`) for `evaluate_conditions`.
 
     Cells are stripped; "" and "?" are missing.  Raises ValueError for a
-    column absent from the header, a row shorter than the header, or an
-    unreadable or non-finite numeric cell, naming the data row (the first
-    row after the header is row 1).
+    column absent from the header or repeated in it, a row shorter than the
+    header, or an unreadable or non-finite numeric cell, naming the data
+    row (the first row after the header is row 1).
     """
     needed = {m.column for m in metas}
     absent = sorted(needed - set(header))
     if absent:
         raise ValueError(f"input is missing columns required by the model: "
                          f"{', '.join(absent)}")
+    repeated = sorted(c for c in needed if header.count(c) > 1)
+    if repeated:
+        raise ValueError(f"input repeats columns the model reads: "
+                         f"{', '.join(repeated)}")
     if rows and min(map(len, rows)) < len(header):
         k = next(k for k, row in enumerate(rows) if len(row) < len(header))
         raise ValueError(f"data row {k + 1} has {len(rows[k])} cells, "

@@ -10,9 +10,9 @@ a list of `Row`.  `solve_lp` hands it to HiGHS's dual simplex through
 scipy.optimize.linprog (method "highs-ds"), every row turned to <=, and
 reports the duals per row in the row's own sense: for a minimization, a >=
 row gets a nonnegative dual and a <= row a nonpositive one.  Each solve
-starts cold; HiGHS presolves it first.  scipy.optimize is imported on the
-first solve, so loading a model to predict never pays for it.
-`verify_solution` measures the KKT residuals of any answer.
+starts cold; HiGHS presolves it first.  An LP needs a variable; one with
+no rows goes to HiGHS too.  scipy.optimize is imported on the first solve,
+so loading a model to predict never pays for it.
 
 A branch-and-bound node LP that fixes clauses is presolved here before it
 reaches HiGHS: clauses fixed to 0 or 1 leave it, the positives a clause
@@ -69,6 +69,8 @@ class LinearProgram:
         self.lower = np.asarray(lower, dtype=np.float64)
         self.upper = np.asarray(upper, dtype=np.float64)
         n = len(self.objective)
+        if n == 0:
+            raise ValueError("an LP needs at least one variable")
         if matrix is None:
             rows = list(rows)
             ix = np.repeat(np.arange(len(rows)), [len(r.indices) for r in rows])
@@ -114,7 +116,6 @@ class LPSolution:
     objective: float
     x: np.ndarray
     duals: np.ndarray      # per row, in the row's own sense
-    slacks: np.ndarray     # b_r - a_r'x in the row's own sense
     iterations: int
 
 
@@ -131,9 +132,6 @@ def solve_lp(lp: LinearProgram, deadline=None) -> LPSolution:
     HiGHS's verdict of numerical trouble comes back as status "numerical".
     A status other than "optimal" carries no point and no duals.
     """
-    n, m = lp.n_vars, lp.n_rows
-    if n == 0 or m == 0:
-        return _solve_without_highs(lp)
     options = {}
     if deadline is not None:
         left = deadline - time.perf_counter()
@@ -145,7 +143,8 @@ def solve_lp(lp: LinearProgram, deadline=None) -> LPSolution:
     # every row turned to <=; CSC indices are row numbers
     A_ub = lp.A.copy()
     A_ub.data *= lp.sign[A_ub.indices]
-    res = linprog(lp.objective, A_ub=A_ub, b_ub=lp.sign * lp.rhs,
+    A_ub, b_ub = (A_ub, lp.sign * lp.rhs) if lp.n_rows else (None, None)
+    res = linprog(lp.objective, A_ub=A_ub, b_ub=b_ub,
                   bounds=np.column_stack([lp.lower, lp.upper]),
                   method="highs-ds", options=options)
     status = _STATUS.get(res.status, NUMERICAL)
@@ -153,55 +152,12 @@ def solve_lp(lp: LinearProgram, deadline=None) -> LPSolution:
         return _unsolved(lp, status, res.nit)
     return LPSolution(status=OPTIMAL, objective=float(res.fun), x=res.x,
                       duals=lp.sign * res.ineqlin.marginals,
-                      slacks=lp.sign * (lp.rhs - lp.A @ res.x),
                       iterations=int(res.nit))
 
 
 def _unsolved(lp: LinearProgram, status: str, iterations: int) -> LPSolution:
     return LPSolution(status, math.nan, np.zeros(lp.n_vars),
-                      np.zeros(lp.n_rows), np.zeros(lp.n_rows), iterations)
-
-
-def _solve_without_highs(lp: LinearProgram) -> LPSolution:
-    """An LP with no rows or no variables, which linprog rejects: each
-    variable rests at its cheaper bound, and then the rows only need
-    checking.  Zero duals certify the optimum."""
-    c, lower, upper = lp.objective, lp.lower, lp.upper
-    x = np.where(c > 0, lower, np.where(c < 0, upper, np.where(
-        np.isfinite(lower), lower, upper)))
-    if np.isinf(x).any():
-        return _unsolved(lp, UNBOUNDED, 0)
-    slacks = lp.sign * (lp.rhs - lp.A @ x)
-    if np.any(slacks < -FEAS_TOL):
-        return _unsolved(lp, INFEASIBLE, 0)
-    return LPSolution(OPTIMAL, float(c @ x), x, np.zeros(lp.n_rows), slacks,
-                      0)
-
-
-def verify_solution(lp: LinearProgram, sol: LPSolution) -> dict:
-    """Max violations of primal/dual feasibility and complementary slackness.
-
-    Returns a dict of nonnegative floats; every entry should be below 1e-7
-    for a correct optimal solution of a well-scaled LP.
-    """
-    x, duals = sol.x, sol.duals
-    # each row's surplus in its own sense, and the reduced costs
-    slack = lp.sign * (lp.rhs - lp.A @ x)
-    rc = lp.objective - lp.A.T @ duals
-    at_lo = x <= lp.lower + 1e-7
-    at_hi = np.isfinite(lp.upper) & (x >= lp.upper - 1e-7)
-    cs_var = np.where(at_lo & ~at_hi, -rc, np.where(at_hi & ~at_lo, rc, 0.0))
-    return {
-        "bound_low": float(np.max(lp.lower - x, initial=0.0)),
-        "bound_high": float(np.max(x - lp.upper, initial=0.0)),
-        "row": float(np.max(-slack, initial=0.0)),
-        "dual_sign": float(np.max(np.abs(duals)[lp.sign * duals > 0],
-                                  initial=0.0)),
-        "cs_row": float(np.max(np.abs(duals * slack), initial=0.0)),
-        "cs_var": float(np.max(cs_var, initial=0.0)),
-        "stationarity": float(np.max(np.abs(rc[~at_lo & ~at_hi]),
-                                     initial=0.0)),
-    }
+                      np.zeros(lp.n_rows), iterations)
 
 
 # ----- restricted master construction ------------------------------------

@@ -32,6 +32,9 @@ _MU_TINY = 1e-12
 # the working set of its matrix products and of the masks it builds.
 _BATCH_CELLS = 1 << 15
 
+SAMPLE_TARGET = 2000  # rows a sampled pricing instance keeps, about
+NNZ_CAP = 100000  # and its zero entries plus features, about
+
 
 @dataclass
 class DualContext:
@@ -91,7 +94,6 @@ class PricingResult:
 
     clauses: list
     best_value: float
-    best_clause: tuple | None
     certified_floor: float | None
     proven_optimal: bool
     explored: int
@@ -156,7 +158,6 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
     exclude = frozenset(exclude) if exclude else frozenset()
     top = _TopK(max_returned)
     best_val = math.inf
-    best_clause = None
     evals = 0
     lam, D, d = ctx.lam, ctx.depth_limit, ctx.d
     n_neg = ctx.Xn.shape[0]
@@ -181,7 +182,7 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
     def score(feats, last, P, N):
         """Score every extension of a batch: row b of `feats` is a clause
         whose last feature has order rank last[b], P[b] and N[b] its masks."""
-        nonlocal best_val, best_clause, evals
+        nonlocal best_val, evals
         size = feats.shape[1]
         mu_cov = P @ Xp
         later = rank[None, :] > last[:, None]
@@ -197,9 +198,7 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
             clause = tuple(sorted(feats[b].tolist() + [j]))
             if clause in exclude:
                 continue
-            if v < best_val:
-                best_val = v
-                best_clause = clause
+            best_val = min(best_val, v)
             top.offer(v, clause)
 
         if size + 1 >= D:
@@ -233,7 +232,6 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
     return PricingResult(
         clauses=top.sorted_clauses(),
         best_value=best_val,
-        best_clause=best_clause,
         certified_floor=floor,
         proven_optimal=proven,
         explored=evals,
@@ -264,15 +262,10 @@ class RestrictedPricing:
 
     def lift(self, result: PricingResult) -> PricingResult:
         fmap = self.features
-        lifted = [(tuple(int(fmap[j]) for j in feats), rc)
-                  for feats, rc in result.clauses]
-        best = None
-        if result.best_clause is not None:
-            best = tuple(sorted(int(fmap[j]) for j in result.best_clause))
         return PricingResult(
-            clauses=[(tuple(sorted(f)), rc) for f, rc in lifted],
+            clauses=[(tuple(sorted(int(fmap[j]) for j in feats)), rc)
+                     for feats, rc in result.clauses],
             best_value=result.best_value,
-            best_clause=best,
             certified_floor=None,
             proven_optimal=False,
             explored=result.explored,
@@ -281,21 +274,19 @@ class RestrictedPricing:
         )
 
 
-def restrict_pricing(X, y, mu, lam, depth_limit, rng,
-                     sample_target: int = 2000,
-                     nnz_cap: int = 100000) -> RestrictedPricing:
+def restrict_pricing(X, y, mu, lam, depth_limit, rng) -> RestrictedPricing:
     """Shrink a pricing instance by independent row and feature sampling.
 
-    Rows are kept with probability sample_target / n.  Features are then
+    Rows are kept with probability SAMPLE_TARGET / n.  Features are then
     kept with a probability chosen so the kept rows' zero-entry count plus
-    the feature count lands near nnz_cap.  Sampling that loses every
+    the feature count lands near NNZ_CAP.  Sampling that loses every
     positive is retried a few times, then all positives are forced in.
     """
     X = np.asarray(X)
     y = np.asarray(y)
     n, d = X.shape
     pos = np.flatnonzero(y == 1)
-    p = min(1.0, sample_target / max(n, 1))
+    p = min(1.0, SAMPLE_TARGET / max(n, 1))
     keep = None
     for _ in range(5):
         trial = rng.random(n) < p
@@ -309,7 +300,7 @@ def restrict_pricing(X, y, mu, lam, depth_limit, rng,
 
     Xs = X[rows]
     zeros = Xs.size - int(Xs.sum())
-    budget = max(nnz_cap - len(rows), 0)
+    budget = max(NNZ_CAP - len(rows), 0)
     q = min(1.0, budget / max(zeros + d, 1))
     fkeep = rng.random(d) < q
     if not fkeep.any():

@@ -13,11 +13,14 @@ ORs over the original features.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import BinaryDataset, FeatureMeta, evaluate_conditions, read_columns
+from .dataset import (KIND_CATEGORICAL_EQ, KIND_CATEGORICAL_NEQ,
+                      KIND_NUMERIC_GT, KIND_NUMERIC_LEQ, BinaryDataset,
+                      FeatureMeta, evaluate_conditions, read_columns)
 
 FORMAT_VERSION = 1
 
@@ -131,18 +134,50 @@ class RuleSet:
 
     @classmethod
     def from_json(cls, text: str) -> "RuleSet":
+        """Read a model file; a malformed one raises ValueError."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a model file holds one JSON object")
         version = doc.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version {version!r}")
-        clauses = tuple(
-            tuple(FeatureMeta(c["column"], c["kind"], c["value"]) for c in cl)
-            for cl in doc["clauses"]
-        )
-        return cls(form=doc["form"], clauses=clauses,
-                   positive_label=doc["label_map"]["positive"],
-                   negative_label=doc["label_map"]["negative"],
+        clauses = _field(doc, list, "clauses")
+        for k, cl in enumerate(clauses, 1):
+            if not (isinstance(cl, list) and cl):
+                raise ValueError(f"clause {k} is not a nonempty list")
+            clauses[k - 1] = tuple(_condition(c, f"clause {k}, condition {i}")
+                                   for i, c in enumerate(cl, 1))
+        return cls(form=_field(doc, str, "form"), clauses=clauses,
+                   positive_label=_field(doc, str, "label_map", "positive"),
+                   negative_label=_field(doc, str, "label_map", "negative"),
                    training=doc.get("training", {}))
+
+
+def _field(doc, kind, *path):
+    for key in path:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"model has no {'.'.join(path)}")
+        doc = doc[key]
+    if not isinstance(doc, kind):
+        raise ValueError(f"model's {'.'.join(path)} is not a {kind.__name__}")
+    return doc
+
+
+def _condition(c, where: str) -> FeatureMeta:
+    """A model file's condition: a column name, a kind and its value."""
+    if not (isinstance(c, dict) and isinstance(c.get("column"), str)
+            and {"kind", "value"} <= c.keys()):
+        raise ValueError(f"{where} needs a column name, a kind and a value")
+    kind, value = c["kind"], c["value"]
+    if kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT):
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    elif kind in (KIND_CATEGORICAL_EQ, KIND_CATEGORICAL_NEQ):
+        ok = isinstance(value, str)
+    else:
+        raise ValueError(f"{where} has an unknown kind {kind!r}")
+    if not ok:
+        raise ValueError(f"{where} has an invalid {kind} value {value!r}")
+    return FeatureMeta(c["column"], kind, value)
 
 
 def build_ruleset(clauses, ds: BinaryDataset, form: str, training: dict | None = None,

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately written the slow, obvious way (vertex
-enumeration, exhaustive clause search, CSV ingest one cell at a time) so it
-shares no code with the package under test.
+enumeration, exhaustive clause search, KKT conditions checked one row at a
+time, CSV ingest one cell at a time) so it shares no code with the package
+under test.
 """
 
 import csv
@@ -220,6 +221,41 @@ def master_rows(pos_cover, complexities, budget):
     return rows
 
 
+def kkt_residuals(lp, sol):
+    """Primal/dual feasibility and complementary slackness, recomputed here
+    from nothing but the returned solution."""
+    x, duals = np.asarray(sol.x), np.asarray(sol.duals)
+    out = {
+        "lower": float(np.max(lp.lower - x, initial=0.0)),
+        "upper": float(np.max(x - lp.upper, initial=0.0)),
+    }
+    row = sign = cs_row = 0.0
+    rc = np.asarray(lp.objective, dtype=float).copy()
+    for r, (idx, coeffs, sense, rhs) in enumerate(
+            (rw.indices, rw.coeffs, rw.sense, rw.rhs) for rw in lp.rows):
+        activity = float(np.dot(coeffs, x[list(idx)]))
+        slack = rhs - activity if sense == "<=" else activity - rhs
+        row = max(row, -slack)
+        y = duals[r]
+        if (sense == "<=" and y > 0) or (sense == ">=" and y < 0):
+            sign = max(sign, abs(y))
+        cs_row = max(cs_row, abs(y * slack))
+        rc[list(idx)] -= y * np.asarray(coeffs)
+    stationarity = cs_var = 0.0
+    for j in range(len(x)):
+        at_lo = x[j] <= lp.lower[j] + 1e-7
+        at_hi = x[j] >= lp.upper[j] - 1e-7
+        if at_lo and not at_hi:
+            cs_var = max(cs_var, max(0.0, -rc[j]))
+        elif at_hi and not at_lo:
+            cs_var = max(cs_var, max(0.0, rc[j]))
+        elif not at_lo and not at_hi:
+            stationarity = max(stationarity, abs(rc[j]))
+    out.update({"row": row, "dual_sign": sign, "cs_row": cs_row,
+                "cs_var": cs_var, "stationarity": stationarity})
+    return out
+
+
 def le_form(rows, n):
     """Dense (A, b) with every row turned to <=: a_r * sign_r, b_r * sign_r."""
     A = np.zeros((len(rows), n))
@@ -338,6 +374,10 @@ def read_columns_by_cells(header, rows, metas):
     if absent:
         raise ValueError(f"input is missing columns required by the model: "
                          f"{', '.join(absent)}")
+    repeated = sorted(c for c in needed if header.count(c) > 1)
+    if repeated:
+        raise ValueError(f"input repeats columns the model reads: "
+                         f"{', '.join(repeated)}")
     for k, row in enumerate(rows):
         if len(row) < len(header):
             raise ValueError(f"data row {k + 1} has {len(row)} cells, "

@@ -29,6 +29,7 @@ from _data import benchmark_csv, random_dataset, write_tictactoe_csv
 from _oracles import (
     best_clause_by_enumeration,
     best_ruleset_by_enumeration,
+    kkt_residuals,
     lp_minimum_by_vertex_enumeration,
 )
 
@@ -257,41 +258,6 @@ def random_bounded_lp(rng):
             j = int(free[rng.integers(free.size)])
             upper[j] = lower[j]
     return LinearProgram(objective, lower, upper, rows)
-
-
-def kkt_residuals(lp, sol):
-    """Primal/dual feasibility and complementary slackness, recomputed here
-    from nothing but the returned solution."""
-    x, duals = np.asarray(sol.x), np.asarray(sol.duals)
-    out = {
-        "lower": float(np.max(lp.lower - x, initial=0.0)),
-        "upper": float(np.max(x - lp.upper, initial=0.0)),
-    }
-    row = sign = cs_row = 0.0
-    rc = np.asarray(lp.objective, dtype=float).copy()
-    for r, (idx, coeffs, sense, rhs) in enumerate(
-            (rw.indices, rw.coeffs, rw.sense, rw.rhs) for rw in lp.rows):
-        activity = float(np.dot(coeffs, x[list(idx)]))
-        slack = rhs - activity if sense == "<=" else activity - rhs
-        row = max(row, -slack)
-        y = duals[r]
-        if (sense == "<=" and y > 0) or (sense == ">=" and y < 0):
-            sign = max(sign, abs(y))
-        cs_row = max(cs_row, abs(y * slack))
-        rc[list(idx)] -= y * np.asarray(coeffs)
-    stationarity = cs_var = 0.0
-    for j in range(len(x)):
-        at_lo = x[j] <= lp.lower[j] + 1e-7
-        at_hi = x[j] >= lp.upper[j] - 1e-7
-        if at_lo and not at_hi:
-            cs_var = max(cs_var, max(0.0, -rc[j]))
-        elif at_hi and not at_lo:
-            cs_var = max(cs_var, max(0.0, rc[j]))
-        elif not at_lo and not at_hi:
-            stationarity = max(stationarity, abs(rc[j]))
-    out.update({"row": row, "dual_sign": sign, "cs_row": cs_row,
-                "cs_var": cs_var, "stationarity": stationarity})
-    return out
 
 
 def test_criterion_7_lp_engine_certificates():

@@ -191,6 +191,93 @@ def test_bad_model_file_exits_two(tmp_path, runner):
     assert "format_version" in r.output
 
 
+def model_doc():
+    return json.loads(RuleSet(
+        "dnf", ((FeatureMeta("size", "numeric-leq", 5.0),
+                 FeatureMeta("color", "categorical-eq", "red")),),
+        "pos", "neg").to_json())
+
+
+def drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def set_condition(at=0, **fields):
+    def edit(doc):
+        doc["clauses"][0][at].update(fields)
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda doc: [doc], "one JSON object", id="not-an-object"),
+    pytest.param(drop("clauses"), "no clauses", id="no-clauses"),
+    pytest.param(drop("form"), "no form", id="no-form"),
+    pytest.param(drop("label_map", "positive"), "no label_map.positive",
+                 id="no-positive-label"),
+    pytest.param(drop("label_map", "negative"), "no label_map.negative",
+                 id="no-negative-label"),
+    pytest.param(lambda doc: doc.update(clauses={}), "clauses is not a list",
+                 id="clauses-not-a-list"),
+    pytest.param(lambda doc: doc["label_map"].update(negative=0),
+                 "label_map.negative is not a str", id="numeric-label"),
+    pytest.param(lambda doc: doc["clauses"].append([]), "clause 2 ",
+                 id="empty-clause"),
+    pytest.param(drop("clauses", 0, 1, "column"), "clause 1, condition 2 ",
+                 id="no-column"),
+    pytest.param(drop("clauses", 0, 0, "kind"), "clause 1, condition 1 ",
+                 id="no-kind"),
+    pytest.param(drop("clauses", 0, 0, "value"), "clause 1, condition 1 ",
+                 id="no-value"),
+    pytest.param(set_condition(kind="numeric-lt"), "unknown kind",
+                 id="unknown-kind"),
+    pytest.param(set_condition(value="5"), "numeric-leq value '5'",
+                 id="string-threshold"),
+    pytest.param(set_condition(value=True), "numeric-leq value True",
+                 id="bool-threshold"),
+    pytest.param(set_condition(value=float("nan")), "numeric-leq value nan",
+                 id="nan-threshold"),
+    pytest.param(set_condition(value=float("inf")), "numeric-leq value inf",
+                 id="inf-threshold"),
+    pytest.param(set_condition(at=1, value=3), "categorical-eq value 3",
+                 id="numeric-category"),
+])
+def test_malformed_model_exits_two_naming_the_fault(tmp_path, runner, edit,
+                                                    named):
+    doc = model_doc()
+    doc = edit(doc) or doc
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = write_color_csv(tmp_path / "toy.csv")
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 2
+    lines = r.output.splitlines()
+    assert len(lines) == 1, r.output
+    assert lines[0].startswith(f"error: cannot load model {model}: ")
+    assert named in lines[0]
+
+
+def test_predict_rejects_a_repeated_column_the_model_reads(tmp_path, runner):
+    model = tmp_path / "model.json"
+    model.write_text(RuleSet(
+        "dnf", ((FeatureMeta("b", "categorical-eq", "x"),),),
+        "yes", "no").to_json())
+    data = tmp_path / "twice.csv"
+    data.write_text("a,b,b\n1,y,x\n")
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 2
+    assert r.output.startswith(
+        "error: input repeats columns the model reads: b (")
+    # a repeated column the model ignores is read as before
+    data.write_text("a,a,b\n1,2,x\n3,4,y\n")
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 0, r.output
+    assert r.output.splitlines() == ["yes", "no"]
+
+
 def test_cv_metrics_file_is_reproducible(tmp_path, runner):
     data = write_color_csv(tmp_path / "toy.csv")
     m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"

@@ -68,8 +68,6 @@ def test_config_validation():
         ColGenConfig(complexity_bound=1)
     with pytest.raises(ValueError, match="clause_bound"):
         ColGenConfig(complexity_bound=4, clause_bound=0)
-    with pytest.raises(ValueError, match="max_columns"):
-        ColGenConfig(complexity_bound=4, max_columns=0)
     with pytest.raises(ValueError, match="time limits"):
         ColGenConfig(complexity_bound=4, time_limit=0.0)
     with pytest.raises(ValueError, match="time limits"):
@@ -133,7 +131,7 @@ def test_random_instances_match_exhaustive_search():
         # master value never increases while columns arrive
         zs = [t.master_value for t in res.trace]
         assert all(a >= b - 1e-7 for a, b in zip(zs, zs[1:]))
-        assert all(t.added <= cfg.max_columns for t in res.trace)
+        assert all(t.added <= colgen.MAX_COLUMNS for t in res.trace)
         assert res.pool_size == res.trace[-1].pool_size
         if res.rmlp_converged:
             converged += 1
@@ -162,7 +160,7 @@ def test_degenerate_optimum_still_certifies():
     assert last.best_reduced_cost >= -1e-9
 
 
-def test_pool_deduplicates_and_checks_ownership():
+def test_pool_deduplicates():
     ds = tiny_example()
     pool = ClausePool(ds)
     assert pool.add((0,))
@@ -172,10 +170,6 @@ def test_pool_deduplicates_and_checks_ownership():
     assert len(pool) == 2
     assert (0,) in pool and (1, 2) in pool and (3,) not in pool
 
-    other = tiny_example()
-    with pytest.raises(ValueError, match="different dataset"):
-        run_column_generation(other, small_config(4), pool=pool)
-
 
 def test_no_positive_samples_rejected():
     ds = make_binary_dataset(np.array([[1], [0]], dtype=np.uint8),
@@ -184,30 +178,21 @@ def test_no_positive_samples_rejected():
         run_column_generation(ds, small_config(4))
 
 
-def test_warm_pool_reuse_reaches_same_objective():
-    rng = np.random.default_rng(5)
-    ds = random_instance(rng)
-    pool = ClausePool(ds)
-    first = run_column_generation(ds, small_config(6, 2), pool=pool)
-    again = run_column_generation(ds, small_config(6, 2), pool=pool)
-    assert again.objective == first.objective
-    assert again.iterations <= first.iterations
-
-
-def test_max_columns_one_still_reaches_optimum():
+def test_max_columns_one_still_reaches_optimum(monkeypatch):
+    monkeypatch.setattr(colgen, "MAX_COLUMNS", 1)
     rng = np.random.default_rng(17)
     ds = random_instance(rng)
-    cfg = small_config(6, 2, max_columns=1)
-    res = run_column_generation(ds, cfg)
+    res = run_column_generation(ds, small_config(6, 2))
     assert all(t.added <= 1 for t in res.trace)
     check_against_enumeration(ds, res, 6, 2)
 
 
-def test_max_columns_above_ten_is_honored():
+def test_max_columns_above_ten_is_honored(monkeypatch):
+    monkeypatch.setattr(colgen, "MAX_COLUMNS", 15)
     rng = np.random.default_rng(31)
     ds = make_binary_dataset((rng.random((40, 8)) < 0.5).astype(np.uint8),
                              (rng.random(40) < 0.5).astype(np.int8))
-    res = run_column_generation(ds, small_config(8, 3, max_columns=15))
+    res = run_column_generation(ds, small_config(8, 3))
     # the empty pool's first duals leave far more than 15 negative clauses
     assert res.trace[0].added == 15
     assert all(t.added <= 15 for t in res.trace)
@@ -234,24 +219,31 @@ def test_forced_large_regime_samples_and_still_solves():
 
 def test_sampled_pricing_skips_pool_clauses(monkeypatch):
     # a pool clause at its upper bound prices negative on the sample too;
-    # excluded, it cannot take one of the sampled call's max_columns slots
+    # excluded, it cannot take one of the sampled call's MAX_COLUMNS slots
     real_lift = RestrictedPricing.lift
-    returned = []
+    pools, returned = [], []
+
+    class RecordedPool(ClausePool):
+        def __init__(self, ds):
+            super().__init__(ds)
+            pools.append(self)
 
     def recording_lift(self, result):
         lifted = real_lift(self, result)
-        returned.append([feats in pool for feats, _ in lifted.clauses])
+        returned.append([feats in pools[-1] for feats, _ in lifted.clauses])
         return lifted
 
+    monkeypatch.setattr(colgen, "ClausePool", RecordedPool)
+    monkeypatch.setattr(colgen, "MAX_COLUMNS", 3)
     monkeypatch.setattr(RestrictedPricing, "lift", recording_lift)
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         ds = make_binary_dataset(
             (rng.random((60, 5)) < 0.5).astype(np.uint8),
             (rng.random(60) < 0.5).astype(np.int8))
-        pool = ClausePool(ds)
-        cfg = small_config(8, 3, large_nnz=2, max_columns=3, seed=seed)
-        res = run_column_generation(ds, cfg, pool=pool)
+        cfg = small_config(8, 3, large_nnz=2, seed=seed)
+        res = run_column_generation(ds, cfg)
+        assert pools[-1].ds is ds
         assert res.regime == "large"
         check_against_enumeration(ds, res, 8, 3)
     assert sum(len(r) for r in returned) >= 20
@@ -273,7 +265,8 @@ def test_trace_sums_each_rounds_master_pivots(monkeypatch):
     rng = np.random.default_rng(31)
     ds = make_binary_dataset((rng.random((40, 5)) < 0.5).astype(np.uint8),
                              (rng.random(40) < 0.5).astype(np.int8))
-    res = run_column_generation(ds, small_config(6, 2, max_columns=2))
+    monkeypatch.setattr(colgen, "MAX_COLUMNS", 2)
+    res = run_column_generation(ds, small_config(6, 2))
     assert res.iterations >= 3 and len(pivots) == res.iterations
     assert [t.master_pivots for t in res.trace] == pivots
     assert sum(pivots) > 0
@@ -343,7 +336,8 @@ def test_highs_numerical_trouble_ends_the_fit_cleanly(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", troubled)
     ds = random_instance(np.random.default_rng(404))
-    res = run_column_generation(ds, small_config(6, 2, max_columns=2))
+    monkeypatch.setattr(colgen, "MAX_COLUMNS", 2)
+    res = run_column_generation(ds, small_config(6, 2))
     # round 2's and round 3's masters, then the root node LP: the pool grew
     # after round 2, so its master cannot stand in for the root
     assert calls == 3

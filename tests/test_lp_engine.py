@@ -12,9 +12,9 @@ from boolrules.lp_engine import (
     build_restricted_mlp,
     solve_lp,
     solve_restricted_mlp,
-    verify_solution,
 )
 from _oracles import (
+    kkt_residuals,
     le_form,
     lp_minimum_by_vertex_enumeration,
     master_rows,
@@ -62,7 +62,7 @@ def check_against_oracle(lp, tol_obj=1e-6):
         return sol
     assert sol.status == "optimal", sol.status
     assert sol.objective == pytest.approx(oval, abs=tol_obj)
-    resid = verify_solution(lp, sol)
+    resid = kkt_residuals(lp, sol)
     assert max(resid.values()) <= KKT_TOL, resid
     return sol
 
@@ -80,7 +80,6 @@ def test_box_lp_by_hand():
     assert sol.x == pytest.approx([1.0, 2.0])
     # the row is binding and its dual prices a unit of slack at -1
     assert sol.duals == pytest.approx([-1.0])
-    assert sol.slacks == pytest.approx([0.0])
 
 
 def test_geq_row_dual_sign():
@@ -107,24 +106,19 @@ def test_unbounded_with_row():
     assert solve_lp(lp).status == "unbounded"
 
 
-def no_highs(monkeypatch):
-    def linprog(*args, **kw):
-        raise AssertionError("HiGHS was called")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
-
-
-def test_no_rows_analytic(monkeypatch):
-    # each variable rests at its cheaper bound, without a call to HiGHS
-    no_highs(monkeypatch)
+def test_no_rows_lp_goes_to_highs(monkeypatch):
+    # each variable rests at its cheaper bound; HiGHS gets no row matrix
+    seen = capture_highs_input(monkeypatch)
     lp = LinearProgram(np.array([2.0, -3.0, 0.0]),
                        np.array([-1.0, -1.0, 4.0]),
                        np.array([5.0, 2.0, 4.0]), rows=[])
     sol = solve_lp(lp)
+    assert seen == [(None, None)]
     assert sol.status == "optimal"
     assert sol.x == pytest.approx([-1.0, 2.0, 4.0])
     assert sol.objective == pytest.approx(-8.0)
-    assert max(verify_solution(lp, sol).values()) == 0.0
+    assert sol.duals.shape == (0,)
+    assert max(kkt_residuals(lp, sol).values()) == 0.0
     lp2 = LinearProgram(np.array([1.0]), np.array([-np.inf]),
                         np.array([0.0]), rows=[])
     assert solve_lp(lp2).status == "unbounded"
@@ -182,27 +176,15 @@ def test_highs_statuses_map_to_solver_statuses(monkeypatch, code, status):
     assert math.isnan(sol.objective) and not sol.duals.any()
 
 
-def test_no_variables_analytic(monkeypatch):
-    # the rows hold at x = () or the LP is infeasible, without a call to
-    # HiGHS, which rejects an empty objective
-    no_highs(monkeypatch)
+def test_no_variables_rejected():
+    # no master or node LP is built without a variable: one with no free
+    # clause is answered before an LP exists
     none = np.zeros(0)
-    empty = sp.csc_matrix((2, 0))
-    lp = LinearProgram(none, none, none,
-                       matrix=(empty, [1.0, -1.0], [3.0, -1.0]))
-    sol = solve_lp(lp)
-    assert (sol.status, sol.objective, sol.iterations) == ("optimal", 0.0, 0)
-    assert sol.x.shape == (0,) and sol.duals.tolist() == [0.0, 0.0]
-    assert sol.slacks.tolist() == [3.0, 1.0]
-    assert max(verify_solution(lp, sol).values()) == 0.0
-    bad = LinearProgram(none, none, none,
-                        matrix=(empty, [1.0, -1.0], [-1.0, -1.0]))
-    assert solve_lp(bad).status == "infeasible"
-    # a node whose clause fixed to 1 covers every positive leaves only the
-    # budget row, over no variable
-    ms = solve_restricted_mlp(np.ones((3, 1)), np.ones(1), np.array([2.0]),
-                              8.0, w_lower=np.ones(1))
-    assert ms.status == "optimal" and ms.objective == 1.0
+    with pytest.raises(ValueError, match="at least one variable"):
+        LinearProgram(none, none, none,
+                      matrix=(sp.csc_matrix((2, 0)), [1.0, -1.0], [3.0, -1.0]))
+    with pytest.raises(ValueError, match="at least one variable"):
+        LinearProgram(none, none, none, rows=[])
 
 
 def test_degenerate_lp_terminates():
@@ -217,7 +199,7 @@ def test_degenerate_lp_terminates():
                        rows=rows)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    resid = verify_solution(lp, sol)
+    resid = kkt_residuals(lp, sol)
     assert max(resid.values()) <= KKT_TOL
 
 
@@ -411,7 +393,7 @@ def capture_highs_input(monkeypatch):
     return seen
 
 
-def test_simplex_matrix_equals_row_by_row_reference(monkeypatch):
+def test_highs_matrix_equals_row_by_row_reference(monkeypatch):
     # the <= form handed to HiGHS's simplex, and the caller's matrix left
     # as it was
     seen = capture_highs_input(monkeypatch)

@@ -24,7 +24,7 @@ def test_worked_example_reduced_costs():
     res = price_exact(DualContext(ds.X, ds.y, mu, lam=0.0, depth_limit=3))
     assert res.proven_optimal
     assert res.best_value == -2.0
-    assert res.best_clause == (0,)
+    assert res.clauses[0] == ((0,), -2.0)
     assert res.certified_floor == -2.0
 
 
@@ -158,12 +158,13 @@ def test_exact_is_deterministic():
     assert a.explored == b.explored
 
 
-def test_restricted_sampling_and_lift():
+def test_restricted_sampling_and_lift(monkeypatch):
+    monkeypatch.setattr(pricing, "SAMPLE_TARGET", 100)
+    monkeypatch.setattr(pricing, "NNZ_CAP", 900)
     rng = np.random.default_rng(5)
     ds = random_dataset(rng, n_max=400, k_max=8)
     mu = rng.random(len(ds.pos))
-    rp = restrict_pricing(ds.X, ds.y, mu, 0.05, 3, rng,
-                          sample_target=100, nnz_cap=900)
+    rp = restrict_pricing(ds.X, ds.y, mu, 0.05, 3, rng)
     assert rp.ctx.X.shape[0] == len(rp.rows) < ds.n
     assert rp.ctx.X.shape[1] == len(rp.features) <= ds.d
     assert (ds.y[rp.rows] == 1).any()
@@ -176,30 +177,32 @@ def test_restricted_sampling_and_lift():
         assert feats == tuple(sorted(feats))
 
 
-def test_restricted_mu_alignment():
+def test_restricted_mu_alignment(monkeypatch):
+    monkeypatch.setattr(pricing, "SAMPLE_TARGET", 5)
+    monkeypatch.setattr(pricing, "NNZ_CAP", 10 ** 6)
     y = np.array([1, 0, 1, 0, 1], dtype=np.uint8)
     X = np.eye(5, dtype=np.uint8)
     X = np.hstack([X, 1 - X])
     mu = np.array([10.0, 20.0, 30.0])
     rng = np.random.default_rng(0)
-    rp = restrict_pricing(X, y, mu, 0.0, 2, rng, sample_target=5,
-                          nnz_cap=10 ** 6)
+    rp = restrict_pricing(X, y, mu, 0.0, 2, rng)
     kept_pos = rp.rows[y[rp.rows] == 1]
     rank = {0: 0, 2: 1, 4: 2}
     np.testing.assert_array_equal(rp.ctx.mu,
                                   mu[[rank[r] for r in kept_pos]])
 
 
-def test_restricted_keeps_positives_alive():
+def test_restricted_keeps_positives_alive(monkeypatch):
     # one positive in a sea of negatives and a sampling rate that would
     # usually miss it: the fallback forces it in
+    monkeypatch.setattr(pricing, "SAMPLE_TARGET", 3)
+    monkeypatch.setattr(pricing, "NNZ_CAP", 10 ** 6)
     y = np.zeros(500, dtype=np.uint8)
     y[3] = 1
     X = np.hstack([np.ones((500, 2), dtype=np.uint8),
                    np.zeros((500, 2), dtype=np.uint8)])
     rng = np.random.default_rng(2)
-    rp = restrict_pricing(X, y, np.array([1.0]), 0.0, 2, rng,
-                          sample_target=3, nnz_cap=10 ** 6)
+    rp = restrict_pricing(X, y, np.array([1.0]), 0.0, 2, rng)
     assert (y[rp.rows] == 1).any()
 
 
