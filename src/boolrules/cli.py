@@ -190,9 +190,11 @@ def predict(model, input_path, output):
     except ValueError as exc:
         _fail(f"cannot load model {model}: {exc}")
 
-    with open(input_path, newline="") as fh:
-        reader = csv.reader(fh)
-        table_rows = [row for row in reader if row]
+    try:
+        with open(input_path, newline="", encoding="utf-8") as fh:
+            table_rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError:
+        _fail(f"{input_path}: not UTF-8 text")
     if not table_rows:
         labels = []
     else:
@@ -269,12 +271,12 @@ def cv(input_path, label_column, positive_label, missing, quantiles, form,
     """Stratified cross-validation with nested budget selection."""
     if folds < 2:
         _fail("cv needs at least 2 folds")
-    if c_grid is not None:
-        grid = _parse_grid(c_grid, "--c-grid")
-    elif complexity_bound is not None:
-        grid = [complexity_bound]
-    else:
+    if c_grid is not None and complexity_bound is not None:
+        _fail("pass --c-grid or --complexity-bound, not both")
+    if c_grid is None and complexity_bound is None:
         _fail("pass --c-grid or --complexity-bound")
+    grid = ([complexity_bound] if c_grid is None
+            else _parse_grid(c_grid, "--c-grid"))
     table = _load_table(input_path, label_column, positive_label, missing)
     proto = _colgen_config(max(grid), clause_bound, time_limit,
                            pricing_time_limit, seed)

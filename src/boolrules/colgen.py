@@ -1,14 +1,16 @@
 """Column generation: grow a clause pool until the master LP is priced out,
 then pick the final rule set with a small branch-and-bound over the pool.
 
-The loop alternates between solving the restricted master LP over the pool
-and pricing new clauses against its duals.  A "small" instance runs the
-exact search on the full data.  A "large" one (pricing nnz above
-`large_nnz`) prices on a row/feature sample first and runs the full-data
-exact search only when none of the sample's candidates prices negative on
-the full data.  Every full-data exact search, finished or timed out,
-yields a certified lower bound on the best achievable training loss; those
-certificates are kept across iterations and reported with the final model.
+Each round solves the restricted master LP over the pool and prices new
+clauses against its duals.  A "small" instance runs the exact search on
+the full data.  A "large" one (pricing nnz above `large_nnz`) prices on a
+row/feature sample first and runs the full-data exact search only when
+none of the sample's candidates prices negative on the full data.  That
+full-data search, finished or timed out, is the round's one certificate:
+a lower bound on the best achievable training loss, the best of which is
+kept across rounds and reported with the final model.  A round ends the
+growth early, with one trace row, when its master is not optimal or the
+time limit is spent.
 
 Growth and selection are two steps.  `run_column_generation` grows a pool
 and selects over it; `sweep_complexity` grows one shared pool for every
@@ -122,9 +124,6 @@ class ClausePool:
 
     def __len__(self) -> int:
         return len(self.clauses)
-
-    def __contains__(self, features) -> bool:
-        return tuple(features) in self.index
 
     def add(self, features) -> bool:
         feats = tuple(sorted(int(j) for j in features))
@@ -300,18 +299,20 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
 
 @dataclass
 class ColGenResult:
-    """What a training run produced.
+    """What a training run produced for the budget `complexity_bound`.
 
     lower_bound is the best certified floor on the optimal training loss, or
-    None when no pricing round produced a certificate.  optimal is claimed
-    only when the master LP was priced out AND its rounded value meets the
-    integer objective; a weaker certificate that happens to close the gap
-    stays unclaimed.  pool_size is the pool the selection chose from,
-    mip_nodes counts its branch-and-bound nodes, and mip_pivots the pivots
-    of the node LPs it solved; a root reused from the loop adds its pivots
-    to the last trace row instead.
+    None when no full-data pricing search ran; a converged run's is the
+    rounded-up master value.  optimal is claimed only when the master LP
+    was priced out AND its rounded value meets the integer objective; a
+    weaker certificate that happens to close the gap stays unclaimed.
+    pool_size is the pool the selection chose from, mip_nodes counts its
+    branch-and-bound nodes, and mip_pivots the pivots of the node LPs it
+    solved; a root reused from the loop adds its pivots to the last trace
+    row instead.
     """
 
+    complexity_bound: int
     clauses: list
     objective: int
     z_rmlp: float
@@ -369,14 +370,14 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         return min(cfg.pricing_time_limit, max(left, 0.0))
 
     def admit(res):
-        """The result's clauses outside the pool that price negative
-        on the full data, most negative first."""
+        """The result's clauses that price negative on the full data, most
+        negative first.  Both pricing calls exclude the pool's clauses, so
+        every one is new."""
         found = []
         for feats, _ in res.clauses:
-            if feats not in pool:
-                rc = reduced_cost_dense(ds.X, ds.y, mu, lam, feats)
-                if rc < -NEGATIVE_EPS:
-                    found.append((feats, rc))
+            rc = reduced_cost_dense(ds.X, ds.y, mu, lam, feats)
+            if rc < -NEGATIVE_EPS:
+                found.append((feats, rc))
         found.sort(key=lambda t: (t[1], t[0]))
         return found[:MAX_COLUMNS]
 
@@ -388,21 +389,15 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
                                   budget, deadline=loop_deadline)
         master = (time.perf_counter() - it_t0, ms.iterations)
-        if ms.status != "optimal":
-            # the master outlived the budget or failed outright; keep the
-            # last finished master's value, claim no convergence and fall
+        if ms.status == "optimal":
+            z_rmlp, mu, lam, last_master = ms.objective, ms.mu, ms.lam, ms
+        if ms.status != "optimal" or time.perf_counter() >= loop_deadline:
+            # out of time, or the master failed outright: keep the last
+            # finished master's value, claim no convergence and fall
             # through to the integer stage
-            mode = "time-up" if ms.status == "time-limit" else "master-failed"
+            mode = ("time-up" if ms.status in ("optimal", "time-limit")
+                    else "master-failed")
             trace.append(TraceEntry(iteration, z_rmlp, math.nan, mode,
-                                    0, len(pool), time.perf_counter() - it_t0,
-                                    *master))
-            break
-        z_rmlp = ms.objective
-        mu, lam = ms.mu, ms.lam
-        last_master = ms
-
-        if time.perf_counter() - t0 >= cfg.time_limit:
-            trace.append(TraceEntry(iteration, z_rmlp, math.nan, "time-up",
                                     0, len(pool), time.perf_counter() - it_t0,
                                     *master))
             break
@@ -421,34 +416,25 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
                 exclude=rp.restrict(pool.index.keys()))))
             admitted = admit(results[-1])
         if not admitted:
-            results.append(price_exact(
-                DualContext(ds.X, ds.y, mu, lam, depth),
-                time_limit=price_budget(), max_returned=MAX_COLUMNS,
-                exclude=pool.index.keys()))
-            admitted = admit(results[-1])
-
-        # certificates: only full-data exact searches carry a floor
-        for res in results:
-            if res.certified_floor is None:
-                continue
+            res = price_exact(DualContext(ds.X, ds.y, mu, lam, depth),
+                              time_limit=price_budget(),
+                              max_returned=MAX_COLUMNS,
+                              exclude=pool.index.keys())
+            results.append(res)
+            admitted = admit(res)
+            # the certificate: only a full-data exact search carries a
+            # floor, and a converged round's bound is ceil(z_rmlp)
             floor = res.certified_floor
-            if floor >= -NEGATIVE_EPS:
-                lb = guarded_ceil(z_rmlp)
-            else:
-                lb = guarded_ceil(z_rmlp + (budget / 2.0) * floor)
-            lb = max(lb, 0)  # the objective is a count
-            best_lb = lb if best_lb is None else max(best_lb, lb)
-            if res.proven_optimal and res.best_value >= -NEGATIVE_EPS:
-                converged = True
+            lb = guarded_ceil(z_rmlp if floor >= -NEGATIVE_EPS
+                              else z_rmlp + (budget / 2.0) * floor)
+            best_lb = max(lb, 0, best_lb or 0)  # the objective is a count
+            converged = res.proven_optimal and res.best_value >= -NEGATIVE_EPS
 
-        mode = "+".join(r.mode for r in results)
-        added = 0
-        for feats, _ in admitted:
-            if pool.add(feats):
-                added += 1
+        added = sum(pool.add(feats) for feats, _ in admitted)
         best_rc = min((rc for _, rc in admitted),
                       default=results[-1].best_value)
-        trace.append(TraceEntry(iteration, z_rmlp, best_rc, mode, added,
+        trace.append(TraceEntry(iteration, z_rmlp, best_rc,
+                                "+".join(r.mode for r in results), added,
                                 len(pool), time.perf_counter() - it_t0,
                                 *master,
                                 sum(r.elapsed for r in results),
@@ -457,9 +443,6 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         if added == 0:
             break
 
-    if converged:
-        ceiling = guarded_ceil(z_rmlp)
-        best_lb = ceiling if best_lb is None else max(best_lb, ceiling)
     return _Growth(z_rmlp, best_lb, converged, iteration, trace, regime,
                    time.perf_counter() - t0, last_master)
 
@@ -481,6 +464,7 @@ def _select(pool: ClausePool, cfg: ColGenConfig,
                                float(cfg.complexity_bound),
                                time_limit=time_left, root=root)
     return ColGenResult(
+        complexity_bound=cfg.complexity_bound,
         clauses=[pool.clauses[k] for k in mip.selected],
         objective=mip.objective,
         z_rmlp=growth.z_rmlp,
@@ -511,14 +495,9 @@ def run_column_generation(ds: BinaryDataset,
     return _select(pool, cfg, _grow_pool(ds, cfg, pool))
 
 
-@dataclass
-class SweepPoint:
-    complexity_bound: int
-    result: ColGenResult
-
-
 def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
-    """Train across several complexity budgets, sharing one clause pool.
+    """Train across several complexity budgets, sharing one clause pool,
+    and return one result per distinct budget, in ascending order.
 
     Every budget grows the pool in ascending order, so cheap models seed it
     for the richer ones.  Then each budget selects once over the final
@@ -529,5 +508,5 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
     cfgs = [replace(cfg, complexity_bound=C)
             for C in sorted(set(int(b) for b in budgets))]
     grown = [_grow_pool(ds, cfg_c, pool) for cfg_c in cfgs]
-    return [SweepPoint(cfg_c.complexity_bound, _select(pool, cfg_c, growth))
+    return [_select(pool, cfg_c, growth)
             for cfg_c, growth in zip(cfgs, grown)]

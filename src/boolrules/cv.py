@@ -77,9 +77,12 @@ def accuracy(rs: RuleSet, ds: BinaryDataset) -> float:
     return float((predict(rs, ds) == ds.y).mean())
 
 
-def _training_record(res, cfg: ColGenConfig) -> dict:
-    return {
-        "complexity_bound": cfg.complexity_bound,
+def _ruleset(res, work: BinaryDataset, train_ds: BinaryDataset, form: str,
+             seed: int) -> RuleSet:
+    """The model of one colgen result on `work` (the training dataset, or
+    its negation for CNF), with its training record."""
+    training = {
+        "complexity_bound": res.complexity_bound,
         "objective": res.objective,
         "lower_bound": res.lower_bound,
         "master_lp_value": res.z_rmlp,
@@ -90,8 +93,10 @@ def _training_record(res, cfg: ColGenConfig) -> dict:
         "selection_pivots": res.mip_pivots,
         "iterations": res.iterations,
         "pool_size": res.pool_size,
-        "seed": cfg.seed,
+        "seed": seed,
     }
+    return build_ruleset(res.clauses, work, form, training=training,
+                         original=train_ds if form == "cnf" else None)
 
 
 def fit_rows(table: TypedTable, rows: np.ndarray, form: str,
@@ -106,10 +111,7 @@ def fit_rows(table: TypedTable, rows: np.ndarray, form: str,
                               quantile_count=quantile_count)
     work = train_ds.negated() if form == "cnf" else train_ds
     res = run_column_generation(work, cfg)
-    rs = build_ruleset(res.clauses, work, form,
-                       training=_training_record(res, cfg),
-                       original=train_ds if form == "cnf" else None)
-    return rs, res, train_ds
+    return _ruleset(res, work, train_ds, form, cfg.seed), res, train_ds
 
 
 def sweep_rows(table: TypedTable, rows: np.ndarray, budgets, form: str,
@@ -121,15 +123,9 @@ def sweep_rows(table: TypedTable, rows: np.ndarray, budgets, form: str,
     train_ds = binarize_table(table, rows=np.asarray(rows),
                               quantile_count=quantile_count)
     work = train_ds.negated() if form == "cnf" else train_ds
-    points = sweep_complexity(work, budgets, cfg)
-    fitted = []
-    for p in points:
-        cfg_c = replace(cfg, complexity_bound=p.complexity_bound)
-        rs = build_ruleset(p.result.clauses, work, form,
-                           training=_training_record(p.result, cfg_c),
-                           original=train_ds if form == "cnf" else None)
-        fitted.append((p.complexity_bound, rs, p.result))
-    return train_ds, fitted
+    return train_ds, [
+        (res.complexity_bound, _ruleset(res, work, train_ds, form, cfg.seed),
+         res) for res in sweep_complexity(work, budgets, cfg)]
 
 
 def select_budget(table: TypedTable, train_rows: np.ndarray, c_grid, form: str,
@@ -137,9 +133,11 @@ def select_budget(table: TypedTable, train_rows: np.ndarray, c_grid, form: str,
                   inner_folds: int = 5) -> int:
     """Pick a complexity budget by inner cross-validation.
 
-    Mean validation accuracy decides; ties go to the smaller budget.  A
-    single-candidate grid is returned as is, and a training split too small
-    to stratify falls back to the smallest candidate.
+    Each inner fold trains one budget sweep on the rest of `train_rows` and
+    is scored by `_fold_outcomes`, like an outer fold.  Mean validation
+    accuracy decides; ties go to the smaller budget.  A single-candidate
+    grid is returned as is, and a training split too small to stratify
+    falls back to the smallest candidate.
     """
     grid = sorted(set(int(c) for c in c_grid))
     if not grid:
@@ -153,17 +151,12 @@ def select_budget(table: TypedTable, train_rows: np.ndarray, c_grid, form: str,
     if k < 2:
         return grid[0]
 
+    inner = [train_rows[p] for p in stratified_folds(y_sub, k, cfg.seed)]
     scores = {c: [] for c in grid}
-    inner = stratified_folds(y_sub, k, cfg.seed)
     for f in range(k):
-        val_rows = train_rows[inner[f]]
-        fit_mask = np.ones(len(train_rows), dtype=bool)
-        fit_mask[inner[f]] = False
-        sub_ds, fitted = sweep_rows(table, train_rows[fit_mask], grid, form,
-                                    cfg, quantile_count)
-        ds_val = fold_dataset(table, val_rows, sub_ds)
-        for C, rs, _ in fitted:
-            scores[C].append(accuracy(rs, ds_val))
+        for o in _fold_outcomes(table, inner, f, lambda rows: sweep_rows(
+                table, rows, grid, form, cfg, quantile_count)):
+            scores[o.budget].append(o.test_accuracy)
     return max(grid, key=lambda c: (float(np.mean(scores[c])), -c))
 
 

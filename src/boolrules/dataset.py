@@ -184,37 +184,41 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
                    missing: str = "drop") -> TypedTable:
     """Parse a CSV file into a TypedTable.
 
-    The first row is the header; blank lines are skipped.  Cells are
-    stripped of surrounding whitespace; "" and "?" mean missing.  A column
-    is numeric iff it has a non-missing cell and every non-missing cell
-    parses as a finite number.  Under missing="drop" every row containing a
-    missing cell is dropped; under missing="category" a missing cell in a
-    categorical column becomes the category "?" and only rows with missing
-    numeric cells or a missing label are dropped.  The positive label
-    defaults to the lexicographically larger of the two label values.
-    Errors about a row name its line in the file.
+    The file is read as UTF-8.  The first non-blank row is the header, and
+    blank lines are skipped.  Cells are stripped of surrounding whitespace;
+    "" and "?" mean missing.  A column is numeric iff it has a non-missing
+    cell and every non-missing cell parses as a finite number.  Under
+    missing="drop" every row containing a missing cell is dropped; under
+    missing="category" a missing cell in a categorical column becomes the
+    category "?" and only rows with missing numeric cells or a missing
+    label are dropped.  The positive label defaults to the
+    lexicographically larger of the two label values.  Errors about a row
+    name its line in the file.
     """
     if missing not in ("drop", "category"):
         raise DatasetError(f"unknown missing-value policy {missing!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise DatasetError(f"label column {label_column!r} not found in {path} "
-                               f"(columns: {', '.join(header)})")
-        if len(set(header)) != len(header):
-            raise DatasetError(f"{path}: duplicate column names in header")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                raise DatasetError(f"{path}: row {reader.line_num} has {len(row)} "
-                                   f"cells, expected {len(header)}")
-            rows.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next((row for row in reader if row), None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if label_column not in header:
+                raise DatasetError(f"label column {label_column!r} not found in "
+                                   f"{path} (columns: {', '.join(header)})")
+            if len(set(header)) != len(header):
+                raise DatasetError(f"{path}: duplicate column names in header")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise DatasetError(f"{path}: row {reader.line_num} has "
+                                       f"{len(row)} cells, expected {len(header)}")
+                rows.append(row)
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not UTF-8 text") from None
 
     feature_cols = [c for c in header if c != label_column]
     if not feature_cols:

@@ -285,12 +285,14 @@ def read_csv_table_by_cells(path, label_column, positive_label=None,
     fields as a dict, or ValueError with the same message."""
     if missing not in ("drop", "category"):
         raise ValueError(f"unknown missing-value policy {missing!r}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        header = []
+        while not header:  # the first non-blank row
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
         numbered = []  # (file line, stripped cells) of every non-blank row
         for row in reader:
             if row:

@@ -147,6 +147,42 @@ def test_predict_empty_input(tmp_path, runner):
     assert r.output == ""
 
 
+def test_non_utf8_input_exits_two_with_one_line(tmp_path, runner):
+    data = write_color_csv(tmp_path / "toy.csv")
+    model = tmp_path / "model.json"
+    runner.invoke(main, ["train", "--input", str(data), "--label-column",
+                         "label", "-C", "4", "--output", str(model)])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a\n\xff\n")
+    for args in (["train", "--input", str(bad), "--label-column", "a",
+                  "-C", "4", "--output", str(tmp_path / "out.json")],
+                 ["cv", "--input", str(bad), "--label-column", "a",
+                  "-C", "4", "--metrics", str(tmp_path / "m.csv")],
+                 ["predict", str(model), "--input", str(bad)]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, args
+        assert r.output == f"error: {bad}: not UTF-8 text\n"
+
+
+def test_blank_lines_before_the_header_are_skipped(tmp_path, runner):
+    data = write_color_csv(tmp_path / "toy.csv")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n\n" + data.read_text())
+    models = []
+    for src in (data, spaced):
+        model = tmp_path / f"{src.stem}.json"
+        r = runner.invoke(main, ["train", "--input", str(src),
+                                 "--label-column", "label", "-C", "4",
+                                 "--output", str(model)])
+        assert r.exit_code == 0, r.output
+        models.append(model.read_text())
+    assert models[0] == models[1]
+    r = runner.invoke(main, ["predict", str(model), "--input", str(spaced)])
+    assert r.exit_code == 0, r.output
+    assert r.output.splitlines() == [
+        row[2] for row in list(csv.reader(open(data)))[1:]]
+
+
 def test_predict_reads_missing_cells_as_training_did(tmp_path, runner):
     # the label is positive exactly where color is missing ("" or "?"), so
     # the only loss-free one-condition rule is `color = ?`
@@ -331,6 +367,13 @@ def test_cv_argument_errors(tmp_path, runner):
     r = runner.invoke(main, ["cv", "--input", str(data),
                              "--label-column", "label"])
     assert r.exit_code == 2 and "--c-grid" in r.output
+
+    # a budget and a grid together would drop one of them
+    r = runner.invoke(main, ["cv", "--input", str(data), "--label-column",
+                             "label", "-C", "8", "--c-grid", "4"])
+    assert r.exit_code == 2
+    assert r.output == ("error: pass --c-grid or --complexity-bound, "
+                        "not both\n")
 
     r = runner.invoke(main, ["cv", "--input", str(data), "--label-column",
                              "label", "--c-grid", "4,x"])

@@ -168,7 +168,7 @@ def test_pool_deduplicates():
     assert pool.add((1, 2))
     assert not pool.add((2, 1))
     assert len(pool) == 2
-    assert (0,) in pool and (1, 2) in pool and (3,) not in pool
+    assert list(pool.index) == [(0,), (1, 2)]
 
 
 def test_no_positive_samples_rejected():
@@ -230,7 +230,8 @@ def test_sampled_pricing_skips_pool_clauses(monkeypatch):
 
     def recording_lift(self, result):
         lifted = real_lift(self, result)
-        returned.append([feats in pools[-1] for feats, _ in lifted.clauses])
+        returned.append([feats in pools[-1].index
+                         for feats, _ in lifted.clauses])
         return lifted
 
     monkeypatch.setattr(colgen, "ClausePool", RecordedPool)
@@ -312,6 +313,34 @@ def test_failed_master_degrades_to_the_integer_stage(monkeypatch):
     assert not res.rmlp_converged
     assert not res.optimal
     assert sum(c.complexity for c in res.clauses) <= 6
+    assert selection_loss(res.clauses, ds) == res.objective
+    assert res.lower_bound is not None
+    assert res.lower_bound <= res.objective
+
+
+def test_master_out_of_time_keeps_the_last_finished_value(monkeypatch):
+    # round 2's loop master stops at its deadline: the run ends "time-up"
+    # there, keeps round 1's master value and claims nothing
+    real = colgen.solve_restricted_mlp
+    values = []
+
+    def timed_out(*args, **kw):
+        ms = real(*args, **kw)
+        if kw.get("w_lower") is None:  # node LPs always fix bounds
+            values.append(ms.objective)
+            if len(values) == 2:
+                ms.status = "time-limit"
+        return ms
+
+    monkeypatch.setattr(colgen, "solve_restricted_mlp", timed_out)
+    ds = random_instance(np.random.default_rng(404))
+    res = run_column_generation(ds, small_config(6, 2))
+    assert res.iterations == 2
+    assert res.trace[-1].mode == "time-up"
+    assert values[1] < values[0]
+    assert res.z_rmlp == res.trace[-1].master_value == values[0]
+    assert res.pool_size == res.trace[0].pool_size > 0
+    assert not (res.rmlp_converged or res.optimal)
     assert selection_loss(res.clauses, ds) == res.objective
     assert res.lower_bound is not None
     assert res.lower_bound <= res.objective
@@ -430,7 +459,7 @@ def test_sweep_selection_gets_what_its_growth_left(monkeypatch):
         assert growth.seconds >= 0.05
         assert granted <= cfg.time_limit - growth.seconds
         assert granted >= cfg.time_limit - growth.seconds - TIME_SLACK
-        assert p.result.seconds >= growth.seconds + 0.2 - TIME_SLACK
+        assert p.seconds >= growth.seconds + 0.2 - TIME_SLACK
 
 
 # -- the restricted integer solve ------------------------------------------
@@ -575,7 +604,7 @@ def test_mip_pivots_sum_the_node_lps(monkeypatch):
     for budget, _, ms in solved:
         pivots[budget] += ms.iterations
     for p in points:
-        assert p.result.mip_pivots == pivots[float(p.complexity_bound)]
+        assert p.mip_pivots == pivots[float(p.complexity_bound)]
     assert sum(pivots.values()) > 0
 
 
@@ -654,11 +683,11 @@ def test_sweep_matches_per_budget_optimum_and_never_degrades():
     prev = None
     for p in points:
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
-        assert p.result.objective == opt
-        assert sum(c.complexity for c in p.result.clauses) <= p.complexity_bound
+        assert p.objective == opt
+        assert sum(c.complexity for c in p.clauses) <= p.complexity_bound
         if prev is not None:
-            assert p.result.objective <= prev
-        prev = p.result.objective
+            assert p.objective <= prev
+        prev = p.objective
 
 
 def recording_sweep(monkeypatch):
@@ -699,10 +728,10 @@ def test_sweep_grows_every_budget_then_selects_each_once(monkeypatch):
     assert grown[2].trace[-1].pool_size < final
     for p, (C, columns, nodes) in zip(points, solves):
         assert C == p.complexity_bound
-        assert columns == p.result.pool_size == final
-        assert p.result.mip_nodes == nodes >= 1
+        assert columns == p.pool_size == final
+        assert p.mip_nodes == nodes >= 1
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
-        assert p.result.objective == opt
+        assert p.objective == opt
 
 
 def test_sweep_budget_whose_pool_grew_resolves_its_root(monkeypatch):
@@ -730,7 +759,7 @@ def test_single_budget_sweep_is_run_column_generation():
         for C in (3, 5):
             swept, = sweep_complexity(ds, [C], small_config(7, 2))
             alone = run_column_generation(ds, small_config(C, 2))
-            a, b = swept.result, alone
+            a, b = swept, alone
             assert swept.complexity_bound == C
             assert a.objective == b.objective
             assert a.clauses == b.clauses
@@ -761,7 +790,7 @@ def test_sweep_resolves_cold_without_a_first_pass_basis(monkeypatch):
     assert sorted(C for C, _, _ in solves) == budgets
     for p in points:
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)
-        assert p.result.objective == opt
+        assert p.objective == opt
 
 
 def test_sweep_deduplicates_budgets():

@@ -127,6 +127,14 @@ def test_structural_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(DatasetError, match="empty"):
         read_csv_table(empty, "cls")
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n\n")
+    with pytest.raises(DatasetError, match="blank.csv: empty file$"):
+        read_csv_table(blank, "cls")
+    latin1 = tmp_path / "l.csv"
+    latin1.write_bytes(b"a,cls\n1,x\n\xff,y\n")
+    with pytest.raises(DatasetError, match="l.csv: not UTF-8 text$"):
+        read_csv_table(latin1, "cls")
     with pytest.raises(DatasetError, match="policy"):
         read_csv_table(ragged, "cls", missing="zap")
     header_only = write_csv(tmp_path / "h.csv", "a,cls\n")
@@ -135,6 +143,21 @@ def test_structural_errors(tmp_path):
     all_dropped = write_csv(tmp_path / "x.csv", "a,cls\n?,x\n1,\n")
     with pytest.raises(DatasetError, match="no rows left after dropping"):
         read_csv_table(all_dropped, "cls")
+
+
+def test_header_is_the_first_non_blank_row(tmp_path):
+    plain = write_csv(tmp_path / "p.csv", "a,cls\n1,x\n2,y\n")
+    spaced = tmp_path / "s.csv"
+    spaced.write_text("\n\r\n\na,cls\n1,x\n2,y\n")
+    got, want = read_csv_table(spaced, "cls"), read_csv_table(plain, "cls")
+    assert got.columns == want.columns == ["a"]
+    assert got.values["a"].tolist() == want.values["a"].tolist()
+    assert got.y.tolist() == want.y.tolist()
+    # a row's number is still its file line
+    ragged = tmp_path / "r.csv"
+    ragged.write_text("\n\na,b,cls\n1,2,x\n1,y\n")
+    with pytest.raises(DatasetError, match="row 5 has 2 cells"):
+        read_csv_table(ragged, "cls")
 
 
 def test_missing_policies(tmp_path):

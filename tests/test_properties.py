@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from boolrules.colgen import (
     ColGenConfig,
+    guarded_ceil,
     run_column_generation,
     sweep_complexity,
 )
@@ -88,6 +89,9 @@ def test_certificate_brackets_the_enumerated_optimum(ds, C, D, seed):
         assert res.lower_bound <= opt <= res.objective
         if res.optimal:
             assert res.lower_bound == opt == res.objective
+        # a priced-out master's own value, rounded up, is the bound
+        if res.rmlp_converged:
+            assert res.lower_bound == guarded_ceil(res.z_rmlp)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -99,8 +103,8 @@ def test_sweep_certificates_bracket_the_enumerated_optimum(ds, D, seed,
         cfg = ColGenConfig(complexity_bound=2, clause_bound=D,
                            time_limit=60.0, pricing_time_limit=10.0,
                            large_nnz=large_nnz, seed=seed)
-        for p in sweep_complexity(ds, budgets, cfg):
-            C, res = p.complexity_bound, p.result
+        for res in sweep_complexity(ds, budgets, cfg):
+            C = res.complexity_bound
             opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C,
                                                  min(D, ds.d))
             assert selection_loss(res.clauses, ds) == res.objective
@@ -109,6 +113,8 @@ def test_sweep_certificates_bracket_the_enumerated_optimum(ds, D, seed,
             assert res.lower_bound <= opt <= res.objective
             if res.optimal:
                 assert res.lower_bound == opt == res.objective
+            if res.rmlp_converged:
+                assert res.lower_bound == guarded_ceil(res.z_rmlp)
 
 
 @st.composite
@@ -295,10 +301,10 @@ ODD_LABELS = [" yes ", "", "?", "maybe", "no", "yes"]
 @st.composite
 def raw_csvs(draw):
     """A CSV's lines as cell lists: a header of padded names with a label
-    column, then rows (some ragged) with blank lines between them.  A
-    column draws its cells from numbers and missing cells, or also from
-    cells that do not parse as finite numbers.  Labels alternate between
-    "no" and "yes" unless drawn from ODD_LABELS."""
+    column, then rows (some ragged), with blank lines before the header
+    and between rows.  A column draws its cells from numbers and missing
+    cells, or also from cells that do not parse as finite numbers.  Labels
+    alternate between "no" and "yes" unless drawn from ODD_LABELS."""
     k = draw(st.integers(1, 3))
     names = ["a", "b", "c"][:k]
     names.insert(draw(st.integers(0, k)), "label")
@@ -313,7 +319,7 @@ def raw_csvs(draw):
         ragged = draw(st.sampled_from([0] * 40 + [-1, 1]))
         lines.append(row[:ragged] if ragged < 0 else row + ["x"] * ragged)
     lines += [[]] * draw(st.sampled_from([0, 0, 1]))
-    return lines
+    return [[]] * draw(st.sampled_from([0, 0, 0, 1, 2])) + lines
 
 
 def same_columns(got, want):
@@ -362,8 +368,8 @@ def test_ingest_matches_the_cell_by_cell_oracle(lines, missing, positive,
 
     # the predict path: stripped header, raw non-blank rows, and the
     # conditions of a model that reads some columns (or one the input lacks)
-    header = [c.strip() for c in lines[0]]
-    rows = [line for line in lines[1:] if line]
+    header, *rows = [line for line in lines if line]
+    header = [c.strip() for c in header]
     metas = [FeatureMeta(c, kind, "0" if kind == "categorical-eq" else 0.0)
              for c, kind in zip(header, kinds) if kind is not None]
     if absent:
