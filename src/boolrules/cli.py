@@ -17,7 +17,7 @@ import numpy as np
 
 from .colgen import ColGenConfig
 from .cv import accuracy, cross_validate, fit_rows, mean_stderr, sweep_validate
-from .dataset import DatasetError, read_csv_table
+from .dataset import DataRowError, DatasetError, read_csv_table
 from .ruleset import RuleSet
 
 METRICS_HEADER = ["dataset", "fold", "C", "test_acc", "train_acc",
@@ -192,15 +192,19 @@ def predict(model, input_path, output):
 
     try:
         with open(input_path, newline="", encoding="utf-8") as fh:
-            table_rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            # every non-blank row, with its line in the file
+            numbered = [(reader.line_num, row) for row in reader if row]
     except UnicodeDecodeError:
         _fail(f"{input_path}: not UTF-8 text")
-    if not table_rows:
+    if not numbered:
         labels = []
     else:
-        header = [cell.strip() for cell in table_rows[0]]
+        header = [cell.strip() for cell in numbered[0][1]]
         try:
-            labels = rs.predict_rows(header, table_rows[1:])
+            labels = rs.predict_rows(header, [row for _, row in numbered[1:]])
+        except DataRowError as exc:  # named by its line in the file
+            _fail(f"{input_path}: row {numbered[exc.index + 1][0]}{exc.detail}")
         except ValueError as exc:
             _fail(f"{exc} (input columns: {', '.join(header)})")
 

@@ -46,6 +46,16 @@ class DatasetError(ValueError):
     """Raised for ingestion problems: bad labels, missing columns, empty data."""
 
 
+class DataRowError(ValueError):
+    """A bad row among those `read_columns` reads: "data row {index + 1}"
+    and then `detail`.  A reader that knows each row's line in its file
+    can name that instead."""
+
+    def __init__(self, index: int, detail: str):
+        super().__init__(f"data row {index + 1}{detail}")
+        self.index, self.detail = index, detail
+
+
 @dataclass(frozen=True)
 class FeatureMeta:
     """One binary feature: a threshold or category test on a source column."""
@@ -369,8 +379,9 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
 
     Cells are stripped; "" and "?" are missing.  Raises ValueError for a
     column absent from the header or repeated in it, a row shorter than the
-    header, or an unreadable or non-finite numeric cell, naming the data
-    row (the first row after the header is row 1).
+    header, or an unreadable or non-finite numeric cell; the last two as
+    DataRowError, which names the data row (the first row after the
+    header is row 1).
     """
     needed = {m.column for m in metas}
     absent = sorted(needed - set(header))
@@ -383,8 +394,8 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
                          f"{', '.join(repeated)}")
     if rows and min(map(len, rows)) < len(header):
         k = next(k for k, row in enumerate(rows) if len(row) < len(header))
-        raise ValueError(f"data row {k + 1} has {len(rows[k])} cells, "
-                         f"fewer than the header's {len(header)}")
+        raise DataRowError(k, f" has {len(rows[k])} cells, fewer than the "
+                              f"header's {len(header)}")
     numeric = {m.column for m in metas if m.kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)}
     columns = {}
     for c in sorted(needed):
@@ -396,8 +407,8 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
             if floats is None:
                 k = next(k for k, cell in enumerate(col)
                          if not miss[k] and _parse_floats([cell]) is None)
-                raise ValueError(f"data row {k + 1}, column {c}: "
-                                 f"{col[k]!r} is not a finite number")
+                raise DataRowError(k, f", column {c}: {col[k]!r} is not a "
+                                      f"finite number")
             columns[c] = np.full(len(col), np.nan)
             columns[c][~miss] = floats
         else:

@@ -1,18 +1,22 @@
-"""Linear programs, solved by HiGHS, and the restricted master problems.
+"""The restricted master LP and its branch-and-bound node LPs, solved by
+HiGHS.
 
-A `LinearProgram` is
+Every LP the package solves is a restricted master,
 
-    min c'x   s.t.  a_r'x {<=,>=} b_r,   l <= x <= u,
+    min  sum_i c_i xi_i + sum_k negcov_k w_k
+    s.t. xi_i + sum_{k covers i} w_k >= 1   (a cover row per positive)
+         sum_k complexity_k w_k <= budget   (the budget row)
+         0 <= xi, w <= 1,
 
-with its rows held as one sparse CSC matrix, a sign per row (+1 for <=, -1
-for >=) and the right-hand sides; callers that build rows one by one pass
-a list of `Row`.  `solve_lp` hands it to HiGHS's dual simplex through
-scipy.optimize.linprog (method "highs-ds"), every row turned to <=, and
-reports the duals per row in the row's own sense: for a minimization, a >=
-row gets a nonnegative dual and a <= row a nonpositive one.  Each solve
-starts cold; HiGHS presolves it first.  An LP needs a variable; one with
-no rows goes to HiGHS too.  scipy.optimize is imported on the first solve,
-so loading a model to predict never pays for it.
+or a node LP that also fixes some clauses to 0 or to 1.
+`build_restricted_mlp` writes it in the form HiGHS takes: the objective, a
+CSC matrix `A_ub` whose cover rows are negated to `<=` rows, and `b_ub`.
+`solve_restricted_mlp` hands that to HiGHS's dual simplex through
+scipy.optimize.linprog (method "highs-ds") and reads the cover duals mu
+and the budget dual lam from its `ineqlin.marginals`.  Each solve starts
+cold; HiGHS presolves it first.  A [0, 1] box is never unbounded.
+scipy.optimize is imported on the first solve, so loading a model to
+predict never pays for it.
 
 A branch-and-bound node LP that fixes clauses is presolved here before it
 reaches HiGHS: clauses fixed to 0 or 1 leave it, the positives a clause
@@ -37,130 +41,36 @@ FEAS_TOL = 1e-7
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 TIME_LIMIT = "time-limit"
 NUMERICAL = "numerical"
 
-
-@dataclass
-class Row:
-    indices: np.ndarray
-    coeffs: np.ndarray
-    sense: str  # "<=" or ">="
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in ("<=", ">="):
-            raise ValueError(f"row sense must be <= or >=, got {self.sense!r}")
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-
-
-class LinearProgram:
-    """min objective'x subject to rows and variable bounds (inf allowed on
-    one side of a bound, never both).
-
-    The rows live in `A`, an (m, n) CSC matrix, with `sign` (+1.0 for a <=
-    row, -1.0 for a >= row) and `rhs`.  Pass them as `matrix=(A, sign,
-    rhs)`, or pass `rows`, a list of `Row`, to have them assembled."""
-
-    def __init__(self, objective, lower, upper, rows=(), matrix=None):
-        self.objective = np.asarray(objective, dtype=np.float64)
-        self.lower = np.asarray(lower, dtype=np.float64)
-        self.upper = np.asarray(upper, dtype=np.float64)
-        n = len(self.objective)
-        if n == 0:
-            raise ValueError("an LP needs at least one variable")
-        if matrix is None:
-            rows = list(rows)
-            ix = np.repeat(np.arange(len(rows)), [len(r.indices) for r in rows])
-            jx = np.concatenate([r.indices for r in rows] + [np.zeros(0, int)])
-            vals = np.concatenate([r.coeffs for r in rows] + [np.zeros(0)])
-            matrix = (sp.csc_matrix((vals, (ix, jx)), shape=(len(rows), n)),
-                      [1.0 if r.sense == "<=" else -1.0 for r in rows],
-                      [r.rhs for r in rows])
-        self.A = sp.csc_matrix(matrix[0], dtype=np.float64)
-        self.A.sum_duplicates()  # sorted, duplicate-free columns
-        self.sign = np.asarray(matrix[1], dtype=np.float64)
-        self.rhs = np.asarray(matrix[2], dtype=np.float64)
-        if len(self.lower) != n or len(self.upper) != n:
-            raise ValueError("objective and bounds must have the same length")
-        if self.A.shape != (len(self.rhs), n) or len(self.sign) != len(self.rhs):
-            raise ValueError("row matrix, signs and rhs do not fit")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound above upper bound")
-        if np.any(np.isinf(self.lower) & np.isinf(self.upper)):
-            raise ValueError("free variables are not supported")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.objective)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rhs)
-
-    @property
-    def rows(self) -> list:
-        """The rows as `Row` objects, read back from the matrix."""
-        R = self.A.tocsr()
-        return [Row(R.indices[s:e], R.data[s:e], "<=" if g > 0 else ">=",
-                    float(b))
-                for s, e, g, b in zip(R.indptr[:-1], R.indptr[1:],
-                                      self.sign, self.rhs)]
-
-
-@dataclass
-class LPSolution:
-    status: str
-    objective: float
-    x: np.ndarray
-    duals: np.ndarray      # per row, in the row's own sense
-    iterations: int
-
-
 # scipy.optimize.linprog's status codes; 1 is its iteration or time limit,
-# and only a time limit is ever set here
-_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+# and only a time limit is ever set here.  Any other code, 3 (unbounded)
+# among them, is numerical trouble on a [0, 1] box.
+_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE}
 
 
-def solve_lp(lp: LinearProgram, deadline=None) -> LPSolution:
-    """Solve an LP with HiGHS's dual simplex.
+def _highs(objective, A_ub, b_ub, deadline):
+    """Solve min objective'x s.t. A_ub x <= b_ub, 0 <= x <= 1 with HiGHS's
+    dual simplex.
 
     `deadline` is an absolute time.perf_counter() value; a solve asked for
     after it, or still running at it, stops with status "time-limit".
-    HiGHS's verdict of numerical trouble comes back as status "numerical".
-    A status other than "optimal" carries no point and no duals.
+    Returns (status, result, iterations), with linprog's result when the
+    status is "optimal" and None otherwise.
     """
     options = {}
     if deadline is not None:
         left = deadline - time.perf_counter()
         if left <= 0:
-            return _unsolved(lp, TIME_LIMIT, 0)
+            return TIME_LIMIT, None, 0
         options["time_limit"] = left
     from scipy.optimize import linprog
 
-    # every row turned to <=; CSC indices are row numbers
-    A_ub = lp.A.copy()
-    A_ub.data *= lp.sign[A_ub.indices]
-    A_ub, b_ub = (A_ub, lp.sign * lp.rhs) if lp.n_rows else (None, None)
-    res = linprog(lp.objective, A_ub=A_ub, b_ub=b_ub,
-                  bounds=np.column_stack([lp.lower, lp.upper]),
+    res = linprog(objective, A_ub=A_ub, b_ub=b_ub, bounds=(0, 1),
                   method="highs-ds", options=options)
     status = _STATUS.get(res.status, NUMERICAL)
-    if status != OPTIMAL:
-        return _unsolved(lp, status, res.nit)
-    return LPSolution(status=OPTIMAL, objective=float(res.fun), x=res.x,
-                      duals=lp.sign * res.ineqlin.marginals,
-                      iterations=int(res.nit))
-
-
-def _unsolved(lp: LinearProgram, status: str, iterations: int) -> LPSolution:
-    return LPSolution(status, math.nan, np.zeros(lp.n_vars),
-                      np.zeros(lp.n_rows), iterations)
-
-
-# ----- restricted master construction ------------------------------------
+    return status, (res if status == OPTIMAL else None), int(res.nit)
 
 
 @dataclass
@@ -182,15 +92,18 @@ class MasterSolution:
 
 def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
                          complexities: np.ndarray, budget: float,
-                         xi_cost=None) -> LinearProgram:
-    """Assemble the restricted master LP.
+                         xi_cost=None):
+    """Assemble the restricted master LP as HiGHS takes it:
+    (objective, A_ub, b_ub) for min objective'x s.t. A_ub x <= b_ub,
+    0 <= x <= 1.
 
     pos_cover is an (n_pos, K) 0/1 matrix (clause k covers positive i),
     neg_counts the per-clause count of covered negatives, complexities the
     per-clause cost against `budget`.  xi_cost is each cover row's cost for
     leaving it uncovered, 1 by default; a row that stands for m merged
     positives costs m.  Variable order is the n_pos xi slack variables
-    first, then the K clause variables, all in [0, 1].
+    first, then the K clause variables.  A_ub is CSC, with the n_pos cover
+    rows negated, -xi_i - sum_{k covers i} w_k <= -1, then the budget row.
     """
     pos_cover = np.asarray(pos_cover)
     if pos_cover.ndim != 2:
@@ -209,13 +122,10 @@ def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
     # a cover entry is preceded by the xi entries, the cover entries before
     # it and one budget entry per earlier clause
     indices[n_pos + np.arange(len(ks)) + ks] = rows_i
-    data = np.ones(indptr[-1])
+    data = np.full(indptr[-1], -1.0)
     data[ends - 1] = complexities
-    A = sp.csc_matrix((data, indices, indptr), shape=(n_pos + 1, n_pos + K))
-    sign = np.concatenate([np.full(n_pos, -1.0), [1.0]])
-    rhs = np.concatenate([np.ones(n_pos), [float(budget)]])
-    return LinearProgram(objective, np.zeros(n_pos + K), np.ones(n_pos + K),
-                         matrix=(A, sign, rhs))
+    A_ub = sp.csc_matrix((data, indices, indptr), shape=(n_pos + 1, n_pos + K))
+    return objective, A_ub, np.append(np.full(n_pos, -1.0), float(budget))
 
 
 def _presolve_node(pos_cover, neg_counts, complexities, budget, one, free):
@@ -273,24 +183,37 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
             pos_cover, np.asarray(neg_counts, dtype=float),
             np.asarray(complexities, dtype=float), float(budget), one, free)
         sizes = reduced[4]
-    # a solve that did not finish reports zero duals, so mu and lam are 0
-    sol = solve_lp(build_restricted_mlp(*reduced), deadline=deadline)
+    status, res, iterations = _highs(*build_restricted_mlp(*reduced),
+                                     deadline)
+    if res is None:
+        return _no_point(status, n_pos, one, iterations)
     G = len(sizes)
     xi = np.zeros(n_pos)
-    xi[rest] = sol.x[group]
+    xi[rest] = res.x[group]
     w = one.astype(float)
-    w[free] = sol.x[G:]
+    w[free] = res.x[G:]
+    # the marginals are those of the <= rows: a cover row's dual is minus
+    # its marginal, and lam, the budget dual's magnitude, is minus the
+    # budget row's
+    dual = -res.ineqlin.marginals
     mu = np.zeros(n_pos)
-    mu[rest] = np.maximum(sol.duals[group], 0.0) / sizes[group]
+    mu[rest] = np.maximum(dual[group], 0.0) / sizes[group]
     return MasterSolution(
-        status=sol.status,
-        objective=sol.objective + constant,
+        status=status,
+        objective=float(res.fun) + constant,
         xi=xi,
         w=w,
         mu=mu,
-        lam=max(0.0, -float(sol.duals[G])),
-        iterations=sol.iterations,
+        lam=max(0.0, float(dual[G])),
+        iterations=iterations,
     )
+
+
+def _no_point(status, n_pos, one, iterations) -> MasterSolution:
+    """An LP left without a point or duals: infeasible, out of time or in
+    numerical trouble.  mu and lam are 0, and w holds the fixings."""
+    return MasterSolution(status, math.nan, np.zeros(n_pos), one.astype(float),
+                          np.zeros(n_pos), 0.0, iterations)
 
 
 def _without_free_clauses(pos_cover, neg_counts, complexities, budget,
@@ -301,12 +224,10 @@ def _without_free_clauses(pos_cover, neg_counts, complexities, budget,
     1, every other positive xi = 0 and dual 0, and the budget dual is 0;
     together these meet the KKT conditions of the unreduced LP."""
     n_pos = pos_cover.shape[0]
-    w = one.astype(float)
     if np.asarray(complexities, dtype=float)[one].sum() > budget + FEAS_TOL:
-        return MasterSolution(INFEASIBLE, math.nan, np.zeros(n_pos), w,
-                              np.zeros(n_pos), 0.0, 0)
+        return _no_point(INFEASIBLE, n_pos, one, 0)
     xi = (~np.asarray(pos_cover)[:, one].any(axis=1)).astype(float)
     return MasterSolution(
         OPTIMAL,
         float(xi.sum() + np.asarray(neg_counts, dtype=float)[one].sum()),
-        xi, w, xi.copy(), 0.0, 0)
+        xi, one.astype(float), xi.copy(), 0.0, 0)

@@ -92,8 +92,9 @@ class RuleSet:
         header), reading only the columns the model uses.
 
         Returns original label strings.  Raises ValueError for a column
-        the model reads that the header lacks, a row shorter than the
-        header, or an unreadable or non-finite numeric cell the model reads.
+        the model reads that the header lacks, and DataRowError for a row
+        shorter than the header or an unreadable or non-finite numeric
+        cell the model reads.
         """
         metas = list(dict.fromkeys(c for cl in self.clauses for c in cl))
         X = evaluate_conditions(read_columns(header, rows, metas), metas, len(rows))

@@ -207,10 +207,15 @@ def best_ruleset_by_enumeration(X, y, budget, max_features):
     return best[0], best[1]
 
 
-def master_rows(pos_cover, complexities, budget):
-    """The restricted master's rows, built one positive at a time, as
-    (indices, coeffs, sense, rhs): cover row i holds xi_i and every clause
-    covering positive i, and the last row is the budget over the clauses."""
+def unreduced_master(pos_cover, neg_counts, complexities, budget,
+                     w_lower=None, w_upper=None):
+    """The restricted master, or a node LP with its fixings held by the
+    clause bounds alone, with every positive's row and every clause, built
+    one positive at a time: (objective, lower, upper, rows).  Variables are
+    the xi first, then the clauses; cover row i, as (indices, coeffs,
+    sense, rhs), holds xi_i and every clause covering positive i, and the
+    last row is the budget over the clauses."""
+    pos_cover = np.asarray(pos_cover)
     n_pos, K = pos_cover.shape
     rows = []
     for i in range(n_pos):
@@ -218,21 +223,25 @@ def master_rows(pos_cover, complexities, budget):
         rows.append((idx, [1.0] * len(idx), ">=", 1.0))
     rows.append(([n_pos + k for k in range(K)],
                  [float(c) for c in complexities], "<=", float(budget)))
-    return rows
+    lower = np.zeros(K) if w_lower is None else np.asarray(w_lower, float)
+    upper = np.ones(K) if w_upper is None else np.asarray(w_upper, float)
+    return (np.concatenate([np.ones(n_pos), np.asarray(neg_counts, float)]),
+            np.concatenate([np.zeros(n_pos), lower]),
+            np.concatenate([np.ones(n_pos), upper]), rows)
 
 
-def kkt_residuals(lp, sol):
-    """Primal/dual feasibility and complementary slackness, recomputed here
-    from nothing but the returned solution."""
-    x, duals = np.asarray(sol.x), np.asarray(sol.duals)
+def kkt_residuals(objective, lower, upper, rows, x, duals):
+    """Primal/dual feasibility and complementary slackness of the point x
+    and the row duals (each in its row's own sense: >= 0 on a >= row,
+    <= 0 on a <= row), recomputed one row at a time."""
+    x, duals = np.asarray(x, dtype=float), np.asarray(duals, dtype=float)
     out = {
-        "lower": float(np.max(lp.lower - x, initial=0.0)),
-        "upper": float(np.max(x - lp.upper, initial=0.0)),
+        "lower": float(np.max(lower - x, initial=0.0)),
+        "upper": float(np.max(x - upper, initial=0.0)),
     }
     row = sign = cs_row = 0.0
-    rc = np.asarray(lp.objective, dtype=float).copy()
-    for r, (idx, coeffs, sense, rhs) in enumerate(
-            (rw.indices, rw.coeffs, rw.sense, rw.rhs) for rw in lp.rows):
+    rc = np.asarray(objective, dtype=float).copy()
+    for r, (idx, coeffs, sense, rhs) in enumerate(rows):
         activity = float(np.dot(coeffs, x[list(idx)]))
         slack = rhs - activity if sense == "<=" else activity - rhs
         row = max(row, -slack)
@@ -243,8 +252,8 @@ def kkt_residuals(lp, sol):
         rc[list(idx)] -= y * np.asarray(coeffs)
     stationarity = cs_var = 0.0
     for j in range(len(x)):
-        at_lo = x[j] <= lp.lower[j] + 1e-7
-        at_hi = x[j] >= lp.upper[j] - 1e-7
+        at_lo = x[j] <= lower[j] + 1e-7
+        at_hi = x[j] >= upper[j] - 1e-7
         if at_lo and not at_hi:
             cs_var = max(cs_var, max(0.0, -rc[j]))
         elif at_hi and not at_lo:
@@ -266,6 +275,24 @@ def le_form(rows, n):
             A[r, j] += sign * a
         b[r] = sign * rhs
     return A, b
+
+
+def highs_on_le_form(objective, lower, upper, rows):
+    """HiGHS's own answer, from scipy.optimize.linprog on the dense <= form
+    of `rows`: (status, value, x, duals), the duals per row in the row's
+    own sense as `kkt_residuals` reads them, and (status, None, None,
+    None) when the LP is infeasible."""
+    from scipy.optimize import linprog
+
+    A, b = le_form(rows, len(objective))
+    res = linprog(objective, A_ub=A, b_ub=b,
+                  bounds=np.column_stack([lower, upper]), method="highs-ds")
+    if res.status == 2:
+        return "infeasible", None, None, None
+    assert res.status == 0, res.message
+    sign = np.array([1.0 if sense == "<=" else -1.0
+                     for _, _, sense, _ in rows])
+    return "optimal", float(res.fun), res.x, sign * res.ineqlin.marginals
 
 
 MISSING_CELLS = ("", "?")

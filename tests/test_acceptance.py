@@ -21,7 +21,7 @@ from boolrules.cli import main as cli_main
 from boolrules.colgen import ColGenConfig, guarded_ceil, run_column_generation
 from boolrules.cv import accuracy, cross_validate, fit_rows, sweep_validate
 from boolrules.dataset import read_csv_table
-from boolrules.lp_engine import LinearProgram, Row, solve_lp
+from boolrules.lp_engine import solve_restricted_mlp
 from boolrules.pricing import DualContext, price_exact
 from boolrules.ruleset import build_ruleset, predict, selection_loss
 
@@ -31,6 +31,7 @@ from _oracles import (
     best_ruleset_by_enumeration,
     kkt_residuals,
     lp_minimum_by_vertex_enumeration,
+    unreduced_master,
 )
 
 JOBS = min(4, os.cpu_count() or 1)
@@ -217,71 +218,62 @@ def test_criterion_6_bound_validity():
 # -- criterion 7: LP solutions carry valid certificates --------------------
 
 
-def random_bounded_lp(rng):
-    n = int(rng.integers(1, 13))
-    m = int(rng.integers(0, 11))
-    lower = rng.integers(-3, 1, size=n).astype(float)
-    upper = lower + rng.integers(0, 6, size=n).astype(float)
-    objective = rng.integers(-5, 6, size=n).astype(float)
-    # most rows are anchored to a point inside the box so the majority of
-    # instances stay feasible and actually test optimality, not just the
-    # infeasibility verdict
-    anchor = lower + rng.random(n) * (upper - lower)
-    rows = []
-    for _ in range(m):
-        coeffs = rng.integers(-4, 5, size=n).astype(float)
-        coeffs[rng.random(n) < 0.3] = 0.0
-        idx = np.flatnonzero(coeffs)
-        if idx.size == 0:
-            continue
-        sense = "<=" if rng.random() < 0.5 else ">="
-        if rng.random() < 0.7:
-            act = float(coeffs[idx] @ anchor[idx])
-            margin = float(rng.uniform(0.0, 4.0))
-            rhs = act + margin if sense == "<=" else act - margin
-        else:
-            rhs = float(rng.integers(-8, 9))
-        rows.append(Row(tuple(int(j) for j in idx),
-                        tuple(float(c) for c in coeffs[idx]),
-                        sense, rhs))
+def random_master_or_node(rng):
+    """A restricted master over at most 5 positives and 5 clauses whose
+    cover rows repeat a few patterns, as (cover, neg_counts, complexities,
+    budget, w_lower, w_upper).  Most draws fix clauses at random, to 0 or
+    to 1, making a branch-and-bound node; the rest are column-generation
+    masters with every clause free."""
+    n_pos, K = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    patterns = rng.random((int(rng.integers(1, 4)), K)) < 0.4
+    cover = patterns[rng.integers(len(patterns), size=n_pos)].astype(float)
+    negc = rng.integers(0, 4, size=K).astype(float)
+    comp = rng.integers(2, 5, size=K).astype(float)
+    budget = float(rng.integers(1, 13))
+    # free, fixed to 0, fixed to 1
+    fix = rng.integers(0, 3, size=K) if rng.random() < 0.7 else np.zeros(K)
 
-    # the reference check enumerates candidate vertices, so pin variables or
-    # shed rows until that enumeration stays affordable
+    # the reference check enumerates candidate vertices among the rows and
+    # the bounds (one for a fixed clause), so fix clauses or drop positives
+    # until that enumeration stays affordable
     def candidates():
-        return len(rows) + int(np.sum(np.where(upper > lower, 2, 1)))
+        return 3 * len(cover) + 1 + int(np.sum(np.where(fix == 0, 2, 1)))
 
-    while math.comb(candidates(), n) > 150_000:
-        free = np.flatnonzero(upper > lower)
-        if rows and (free.size == 0 or rng.random() < 0.5):
-            rows.pop(int(rng.integers(len(rows))))
+    while math.comb(candidates(), len(cover) + K) > 150_000:
+        free = np.flatnonzero(fix == 0)
+        if len(cover) > 1 and (free.size == 0 or rng.random() < 0.5):
+            cover = np.delete(cover, int(rng.integers(len(cover))), axis=0)
         else:
-            j = int(free[rng.integers(free.size)])
-            upper[j] = lower[j]
-    return LinearProgram(objective, lower, upper, rows)
+            fix[free[rng.integers(free.size)]] = rng.integers(1, 3)
+    return (cover, negc, comp, budget, (fix == 2).astype(float),
+            (fix != 1).astype(float))
 
 
 def test_criterion_7_lp_engine_certificates():
     rng = np.random.default_rng(707)
     solved = infeasible = 0
     for _ in range(500):
-        lp = random_bounded_lp(rng)
-        rows = [(r.indices, r.coeffs, r.sense, r.rhs) for r in lp.rows]
-        ostat, oval, _ = lp_minimum_by_vertex_enumeration(
-            lp.objective, lp.lower, lp.upper, rows)
-        sol = solve_lp(lp)
+        node = random_master_or_node(rng)
+        lp = unreduced_master(*node)
+        ostat, oval, _ = lp_minimum_by_vertex_enumeration(*lp)
+        cover, negc, comp, budget, w_lower, w_upper = node
+        ms = solve_restricted_mlp(cover, negc, comp, budget,
+                                  w_lower=w_lower, w_upper=w_upper)
         if ostat == "infeasible":
-            assert sol.status == "infeasible"
+            assert ms.status == "infeasible"
             infeasible += 1
             continue
-        assert sol.status == "optimal"
-        assert abs(sol.objective - oval) <= 1e-6
-        worst = kkt_residuals(lp, sol)
+        assert ms.status == "optimal"
+        assert abs(ms.objective - oval) <= 1e-6
+        # the point (xi, w) and the duals (mu, -lam) on the unreduced LP
+        worst = kkt_residuals(*lp, np.concatenate([ms.xi, ms.w]),
+                              np.append(ms.mu, -ms.lam))
         assert max(worst.values()) <= 1e-7, worst
         solved += 1
     assert solved + infeasible == 500
     # make sure the optimality side of the check did the heavy lifting and
     # was not crowded out by easy infeasibility verdicts
-    assert solved >= 350
+    assert solved >= 350 and infeasible >= 1
 
 
 # -- criterion 8: the two routes to a CNF model agree ----------------------

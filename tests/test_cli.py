@@ -214,8 +214,29 @@ def test_predict_short_row_exits_two_naming_it(tmp_path, runner):
     data.write_text("a,b\n1,x\n2\n")
     r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
     assert r.exit_code == 2
-    lines = r.output.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: data row 2 ")
+    # the short row is the second data row, on line 3 of the file
+    assert r.output.splitlines() == [
+        f"error: {data}: row 3 has 1 cells, fewer than the header's 2"]
+
+
+def test_predict_errors_name_file_lines_past_blank_lines(tmp_path, runner):
+    model = tmp_path / "model.json"
+    model.write_text(RuleSet(
+        "dnf", ((FeatureMeta("a", "numeric-leq", 2.0),),),
+        "yes", "no").to_json())
+    data = tmp_path / "blank.csv"
+    # "bad" is in the second data row, but on line 5 of the file
+    data.write_text("a,cls\n1,x\n\n\nbad,o\n")
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 2
+    assert r.output.splitlines() == [
+        f"error: {data}: row 5, column a: 'bad' is not a finite number"]
+    # blank lines before the header count too
+    data.write_text("\n\na,cls\n1,x\n\n2\n")
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 2
+    assert r.output.splitlines() == [
+        f"error: {data}: row 6 has 1 cells, fewer than the header's 2"]
 
 
 def test_bad_model_file_exits_two(tmp_path, runner):

@@ -6,156 +6,80 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
-from boolrules.lp_engine import (
-    LinearProgram,
-    Row,
-    build_restricted_mlp,
-    solve_lp,
-    solve_restricted_mlp,
-)
+from boolrules.lp_engine import build_restricted_mlp, solve_restricted_mlp
 from _oracles import (
+    highs_on_le_form,
     kkt_residuals,
     le_form,
     lp_minimum_by_vertex_enumeration,
-    master_rows,
+    unreduced_master,
 )
 
 KKT_TOL = 1e-7
 
 
-def random_lp(rng, n_max=8, m_max=6):
-    return LinearProgram(*random_lp_parts(rng, n_max, m_max))
-
-
-def random_lp_parts(rng, n_max=8, m_max=6):
-    """objective, lower, upper and the list of Row of a random LP."""
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
-    lower = rng.integers(-3, 1, size=n).astype(float)
-    upper = lower + rng.integers(1, 6, size=n).astype(float)
-    if rng.random() < 0.15:
-        j = int(rng.integers(n))
-        upper[j] = lower[j]
-    objective = rng.integers(-5, 6, size=n).astype(float)
-    rows = []
-    for _ in range(m):
-        coeffs = rng.integers(-4, 5, size=n).astype(float)
-        coeffs[rng.random(n) < 0.3] = 0.0
-        idx = tuple(np.flatnonzero(coeffs))
-        if not idx:
-            coeffs = np.zeros(n)
-            coeffs[0] = 1.0
-            idx = (0,)
-        sense = "<=" if rng.random() < 0.5 else ">="
-        rhs = float(rng.integers(-8, 9))
-        rows.append(Row(idx, tuple(coeffs[list(idx)]), sense, rhs))
-    return objective, lower, upper, rows
-
-
-def check_against_oracle(lp, tol_obj=1e-6):
-    rows = [(r.indices, r.coeffs, r.sense, r.rhs) for r in lp.rows]
-    ostat, oval, _ = lp_minimum_by_vertex_enumeration(
-        lp.objective, lp.lower, lp.upper, rows)
-    sol = solve_lp(lp)
-    if ostat == "infeasible":
-        assert sol.status == "infeasible"
-        return sol
-    assert sol.status == "optimal", sol.status
-    assert sol.objective == pytest.approx(oval, abs=tol_obj)
-    resid = kkt_residuals(lp, sol)
-    assert max(resid.values()) <= KKT_TOL, resid
-    return sol
+def master_kkt(ms, cover, negc, comp, budget, w_lower=None, w_upper=None):
+    """The KKT residuals of a solve_restricted_mlp answer, its point
+    (xi, w) and duals (mu, -lam), on the unreduced master or node LP."""
+    return kkt_residuals(*unreduced_master(cover, negc, comp, budget,
+                                           w_lower, w_upper),
+                         np.concatenate([ms.xi, ms.w]),
+                         np.append(ms.mu, -ms.lam))
 
 
 def test_box_lp_by_hand():
-    # min -x1 - 2 x2  s.t.  x1 + x2 <= 3,  0 <= x <= 2
-    # optimum sits at x = (1, 2), objective -5
-    lp = LinearProgram(
-        objective=np.array([-1.0, -2.0]),
-        lower=np.zeros(2), upper=np.full(2, 2.0),
-        rows=[Row((0, 1), (1.0, 1.0), "<=", 3.0)])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(-5.0)
-    assert sol.x == pytest.approx([1.0, 2.0])
-    # the row is binding and its dual prices a unit of slack at -1
-    assert sol.duals == pytest.approx([-1.0])
-
-
-def test_geq_row_dual_sign():
-    # min x  s.t.  x >= 2,  0 <= x <= 5 : dual of a binding >= row is >= 0
-    lp = LinearProgram(np.array([1.0]), np.zeros(1), np.full(1, 5.0),
-                       rows=[Row((0,), (1.0,), ">=", 2.0)])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(2.0)
-    assert sol.duals[0] == pytest.approx(1.0)
+    # min xi0 + xi1 + w1  s.t.  xi0 + w0 >= 1,  xi1 + w0 + w1 >= 1,
+    # 4 w0 + 2 w1 <= 3, all in [0, 1]: clause 0 covers both positives and
+    # buys 3/4 of itself; clause 1 pays a negative for one positive and
+    # stays out.  Every row binds, and xi0, xi1 and w0 lie strictly inside
+    # their bounds, so the cover duals are 1 and the budget prices clause
+    # 0's two positives at 4 lam = 2
+    cover = np.array([[1.0, 0.0], [1.0, 1.0]])
+    ms = solve_restricted_mlp(cover, np.array([0.0, 1.0]),
+                              np.array([4.0, 2.0]), 3.0)
+    assert ms.status == "optimal"
+    assert ms.objective == pytest.approx(0.5)
+    assert ms.xi == pytest.approx([0.25, 0.25])
+    assert ms.w == pytest.approx([0.75, 0.0])
+    assert ms.mu == pytest.approx([1.0, 1.0])
+    assert ms.lam == pytest.approx(0.5)
 
 
 def test_infeasible_rows():
-    lp = LinearProgram(np.array([1.0]), np.zeros(1), np.full(1, 3.0),
-                       rows=[Row((0,), (1.0,), ">=", 2.0),
-                             Row((0,), (1.0,), "<=", 1.0)])
-    assert solve_lp(lp).status == "infeasible"
-
-
-def test_unbounded_with_row():
-    lp = LinearProgram(np.array([-1.0, 0.0]), np.zeros(2),
-                       np.array([np.inf, 1.0]),
-                       rows=[Row((1,), (1.0,), "<=", 1.0)])
-    assert solve_lp(lp).status == "unbounded"
-
-
-def test_no_rows_lp_goes_to_highs(monkeypatch):
-    # each variable rests at its cheaper bound; HiGHS gets no row matrix
-    seen = capture_highs_input(monkeypatch)
-    lp = LinearProgram(np.array([2.0, -3.0, 0.0]),
-                       np.array([-1.0, -1.0, 4.0]),
-                       np.array([5.0, 2.0, 4.0]), rows=[])
-    sol = solve_lp(lp)
-    assert seen == [(None, None)]
-    assert sol.status == "optimal"
-    assert sol.x == pytest.approx([-1.0, 2.0, 4.0])
-    assert sol.objective == pytest.approx(-8.0)
-    assert sol.duals.shape == (0,)
-    assert max(kkt_residuals(lp, sol).values()) == 0.0
-    lp2 = LinearProgram(np.array([1.0]), np.array([-np.inf]),
-                        np.array([0.0]), rows=[])
-    assert solve_lp(lp2).status == "unbounded"
-
-
-def test_free_variables_rejected():
-    with pytest.raises(ValueError):
-        LinearProgram(np.array([1.0]), np.array([-np.inf]),
-                      np.array([np.inf]),
-                      rows=[Row((0,), (1.0,), "<=", 1.0)])
+    # no clause fits a negative budget, so the budget row cannot hold
+    ms = solve_restricted_mlp(np.ones((2, 1)), np.zeros(1), np.array([2.0]),
+                              -1.0)
+    assert ms.status == "infeasible"
+    assert math.isnan(ms.objective)
+    assert ms.lam == 0.0 and not ms.mu.any() and not ms.w.any()
 
 
 def test_fixed_variable():
-    lp = LinearProgram(np.array([1.0, 1.0]), np.array([2.0, 0.0]),
-                       np.array([2.0, 3.0]),
-                       rows=[Row((0, 1), (1.0, 1.0), ">=", 4.0)])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x == pytest.approx([2.0, 2.0])
+    # clause 0 would cover both positives for free but is fixed to 0; in
+    # the presolved node, clause 2 covers positive 1 for free, and clause
+    # 1 covers positive 0 at one negative, a tie with leaving it uncovered
+    cover = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    ms = solve_restricted_mlp(cover, np.array([0.0, 1.0, 0.0]),
+                              np.full(3, 2.0), 4.0,
+                              w_upper=np.array([0.0, 1.0, 1.0]))
+    assert ms.status == "optimal"
+    assert ms.objective == pytest.approx(1.0)
+    assert ms.w[0] == 0.0 and ms.w[2] == pytest.approx(1.0)
+    assert ms.xi[1] == pytest.approx(0.0)
+    resid = master_kkt(ms, cover, np.array([0.0, 1.0, 0.0]), np.full(3, 2.0),
+                       4.0, np.zeros(3), np.array([0.0, 1.0, 1.0]))
+    assert max(resid.values()) <= KKT_TOL, resid
 
 
 def test_past_deadline_returns_time_limit():
-    lp = LinearProgram(
-        objective=np.array([-1.0, -1.0, -1.0]),
-        lower=np.zeros(3), upper=np.full(3, 10.0),
-        rows=[Row((0, 1, 2), (1.0, 1.0, 1.0), "<=", 5.0),
-              Row((0, 1), (1.0, 2.0), "<=", 7.0)])
-    sol = solve_lp(lp, deadline=time.perf_counter() - 1.0)
-    assert sol.status == "time-limit" and sol.iterations == 0
-    assert math.isnan(sol.objective)
-    assert solve_lp(lp, deadline=time.perf_counter() + 60.0).status == \
-        "optimal"
+    args = (np.ones((3, 2)), np.zeros(2), np.full(2, 2.0), 4.0)
+    ms = solve_restricted_mlp(*args, deadline=time.perf_counter() - 1.0)
+    assert ms.status == "time-limit" and ms.iterations == 0
+    assert math.isnan(ms.objective)
     # a master past its deadline carries no duals
-    ms = solve_restricted_mlp(np.ones((3, 2)), np.zeros(2), np.full(2, 2.0),
-                              4.0, deadline=time.perf_counter() - 1.0)
-    assert ms.status == "time-limit"
     assert ms.lam == 0.0 and not ms.mu.any()
+    assert solve_restricted_mlp(
+        *args, deadline=time.perf_counter() + 60.0).status == "optimal"
 
 
 def fake_linprog(status):
@@ -165,53 +89,30 @@ def fake_linprog(status):
     return linprog
 
 
+# a [0, 1] box is never unbounded, so linprog's 3 is numerical trouble
 @pytest.mark.parametrize("code, status", [
-    (1, "time-limit"), (2, "infeasible"), (3, "unbounded"), (4, "numerical")])
+    (1, "time-limit"), (2, "infeasible"), (3, "numerical"), (4, "numerical")])
 def test_highs_statuses_map_to_solver_statuses(monkeypatch, code, status):
     monkeypatch.setattr(scipy.optimize, "linprog", fake_linprog(code))
-    lp = LinearProgram(np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
-                       rows=[Row((0, 1), (1.0, 1.0), ">=", 1.0)])
-    sol = solve_lp(lp)
-    assert (sol.status, sol.iterations) == (status, 3)
-    assert math.isnan(sol.objective) and not sol.duals.any()
-
-
-def test_no_variables_rejected():
-    # no master or node LP is built without a variable: one with no free
-    # clause is answered before an LP exists
-    none = np.zeros(0)
-    with pytest.raises(ValueError, match="at least one variable"):
-        LinearProgram(none, none, none,
-                      matrix=(sp.csc_matrix((2, 0)), [1.0, -1.0], [3.0, -1.0]))
-    with pytest.raises(ValueError, match="at least one variable"):
-        LinearProgram(none, none, none, rows=[])
+    # clause 1 is fixed to 1, so the node LP reaches HiGHS presolved
+    ms = solve_restricted_mlp(np.ones((2, 3)), np.zeros(3), np.full(3, 2.0),
+                              6.0, w_lower=np.array([0.0, 1.0, 0.0]))
+    assert (ms.status, ms.iterations) == (status, 3)
+    assert math.isnan(ms.objective) and not ms.mu.any() and ms.lam == 0.0
+    assert ms.w.tolist() == [0.0, 1.0, 0.0] and not ms.xi.any()
 
 
 def test_degenerate_lp_terminates():
-    # many redundant binding rows through the origin
-    n = 6
-    rows = []
-    for k in range(12):
-        coeffs = tuple(float((k + j) % 3) for j in range(n))
-        idx = tuple(j for j in range(n) if coeffs[j] != 0.0)
-        rows.append(Row(idx, tuple(coeffs[j] for j in idx), "<=", 0.0))
-    lp = LinearProgram(np.full(n, -1.0), np.zeros(n), np.full(n, 1.0),
-                       rows=rows)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    resid = kkt_residuals(lp, sol)
-    assert max(resid.values()) <= KKT_TOL
-
-
-def test_random_lps_match_vertex_enumeration():
-    rng = np.random.default_rng(20240817)
-    infeasible = 0
-    for _ in range(150):
-        lp = random_lp(rng)
-        sol = check_against_oracle(lp)
-        infeasible += sol.status == "infeasible"
-    # the draw should exercise both outcomes
-    assert 0 < infeasible < 150
+    # twelve positives with one cover pattern, and clauses in pairs with
+    # equal columns: many identical binding rows and ties between columns
+    cover = np.tile([1.0, 1.0, 0.0, 1.0, 1.0, 0.0], (12, 1))
+    negc = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    comp = np.full(6, 2.0)
+    for budget in (2.0, 3.0, 12.0):
+        ms = solve_restricted_mlp(cover, negc, comp, budget)
+        assert ms.status == "optimal"
+        resid = master_kkt(ms, cover, negc, comp, budget)
+        assert max(resid.values()) <= KKT_TOL, resid
 
 
 def test_master_empty_pool_analytic():
@@ -272,10 +173,9 @@ def test_master_w_upper_fixing():
 def test_build_restricted_mlp_shapes():
     with pytest.raises(ValueError):
         build_restricted_mlp(np.zeros(3), np.zeros(1), np.zeros(1), 4.0)
-    lp = build_restricted_mlp(np.zeros((3, 2)), np.zeros(2),
-                              np.full(2, 2.0), 4.0)
-    assert len(lp.objective) == 5
-    assert len(lp.rows) == 4
+    objective, A_ub, b_ub = build_restricted_mlp(
+        np.zeros((3, 2)), np.zeros(2), np.full(2, 2.0), 4.0)
+    assert (len(objective), A_ub.shape, len(b_ub)) == (5, (4, 5), 4)
 
 
 def test_clause_fixed_to_one_drops_its_rows():
@@ -289,17 +189,6 @@ def test_clause_fixed_to_one_drops_its_rows():
     assert ms.w.tolist() == [1.0, 1.0, 0.0]
     assert ms.xi.tolist() == [0.0, 0.0, 0.0, 1.0]
     assert ms.objective == pytest.approx(1.0)
-
-
-def unreduced_node_lp(cover, negc, comp, budget, w_lower, w_upper):
-    """A node LP with every positive's row and every clause, its fixings
-    held by the clause bounds alone."""
-    n_pos, K = cover.shape
-    return LinearProgram(
-        np.concatenate([np.ones(n_pos), negc]),
-        np.concatenate([np.zeros(n_pos), w_lower]),
-        np.concatenate([np.ones(n_pos), w_upper]),
-        rows=[Row(*r) for r in master_rows(cover, comp, budget)])
 
 
 def random_node(rng):
@@ -337,20 +226,18 @@ def test_presolved_node_lp_matches_the_unreduced_lp():
     for cover, negc, comp, budget, w_lower, w_upper in cases:
         ms = solve_restricted_mlp(cover, negc, comp, budget,
                                   w_lower=w_lower, w_upper=w_upper)
-        lp = unreduced_node_lp(cover, negc, comp, budget, w_lower, w_upper)
-        ref = solve_lp(lp)
-        statuses.append(ref.status)
-        assert ms.status == ref.status
-        if lp.n_vars <= 6:
-            status, value, _ = lp_minimum_by_vertex_enumeration(
-                lp.objective, lp.lower, lp.upper,
-                master_rows(cover, comp, budget))
-            assert status == ref.status
+        lp = unreduced_master(cover, negc, comp, budget, w_lower, w_upper)
+        ref_status, ref_value, _, _ = highs_on_le_form(*lp)
+        statuses.append(ref_status)
+        assert ms.status == ref_status
+        if len(lp[0]) <= 6:
+            status, value, _ = lp_minimum_by_vertex_enumeration(*lp)
+            assert status == ref_status
             if value is not None:
                 assert ms.objective == pytest.approx(value, abs=1e-7)
-        if ref.status != "optimal":
+        if ref_status != "optimal":
             continue
-        assert ms.objective == pytest.approx(ref.objective, abs=1e-7)
+        assert ms.objective == pytest.approx(ref_value, abs=1e-7)
         # the expanded point keeps the fixings, fits the budget, covers
         # every positive and attains the value
         w, xi = ms.w, ms.xi
@@ -393,23 +280,6 @@ def capture_highs_input(monkeypatch):
     return seen
 
 
-def test_highs_matrix_equals_row_by_row_reference(monkeypatch):
-    # the <= form handed to HiGHS's simplex, and the caller's matrix left
-    # as it was
-    seen = capture_highs_input(monkeypatch)
-    rng = np.random.default_rng(11)
-    for parts in [random_lp_parts(rng) for _ in range(60)]:
-        rows = [(r.indices, r.coeffs, r.sense, r.rhs) for r in parts[3]]
-        A_ref, b_ref = le_form(rows, len(parts[0]))
-        lp = LinearProgram(*parts)
-        before = lp.A.copy()
-        solve_lp(lp)
-        A_ub, b_ub = seen.pop()
-        assert_same_csc(A_ub, sp.csc_matrix(A_ref))
-        assert b_ub.tolist() == b_ref.tolist()
-        assert_same_csc(lp.A, before)
-
-
 def test_build_restricted_mlp_rows_match_per_row_construction(monkeypatch):
     seen = capture_highs_input(monkeypatch)
     rng = np.random.default_rng(5)
@@ -425,23 +295,21 @@ def test_build_restricted_mlp_rows_match_per_row_construction(monkeypatch):
     for cover, xi_cost in cases:
         n_pos, K = cover.shape
         comp = np.arange(2.0, 2.0 + K)
-        lp = build_restricted_mlp(cover, np.zeros(K), comp, 5.0,
-                                  xi_cost=xi_cost)
-        ref = master_rows(cover, comp, 5.0)
-        # the solver's <= form, array for array
-        solve_lp(lp)
-        assert_same_csc(seen.pop()[0],
-                        sp.csc_matrix(le_form(ref, n_pos + K)[0]))
-        assert lp.sign.tolist() == [-1.0] * n_pos + [1.0]
-        assert lp.rhs.tolist() == [1.0] * n_pos + [5.0]
-        # the row view read back from the matrix is the per-row build
-        assert len(lp.rows) == len(ref)
-        for row, (idx, coeffs, sense, rhs) in zip(lp.rows, ref):
-            assert row.indices.dtype == np.int64
-            assert row.indices.tolist() == idx
-            assert row.coeffs.tolist() == coeffs
-            assert (row.sense, row.rhs) == (sense, rhs)
-        assert lp.objective[:n_pos].tolist() == (
+        negc = np.arange(K, dtype=float)
+        objective, A_ub, b_ub = build_restricted_mlp(cover, negc, comp, 5.0,
+                                                     xi_cost=xi_cost)
+        ref, _, _, rows = unreduced_master(cover, negc, comp, 5.0)
+        # the <= form, array for array
+        A_ref, b_ref = le_form(rows, n_pos + K)
+        assert_same_csc(A_ub, sp.csc_matrix(A_ref))
+        assert b_ub.tolist() == b_ref.tolist()
+        assert objective[n_pos:].tolist() == ref[n_pos:].tolist()
+        assert objective[:n_pos].tolist() == (
             [1.0] * n_pos if xi_cost is None else xi_cost.tolist())
-        assert lp.lower.tolist() == [0.0] * (n_pos + K)
-        assert lp.upper.tolist() == [1.0] * (n_pos + K)
+        # and the master solve hands HiGHS those very arrays
+        if K and xi_cost is None:
+            solve_restricted_mlp(cover, negc, comp, 5.0)
+            A_seen, b_seen = seen.pop()
+            assert_same_csc(A_seen, A_ub)
+            assert b_seen.tolist() == b_ub.tolist()
+    assert not seen

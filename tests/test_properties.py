@@ -1,8 +1,9 @@
 """Property tests: the certificate holds on random instances in both pricing
 regimes, for single fits and for budget sweeps, checked against the
 enumeration oracle; every master and node LP answer satisfies the KKT
-conditions of the unreduced LP and attains its enumerated value; the
-closed-form answer for an empty pool is HiGHS's own; a rule set
+conditions of the unreduced LP and attains its enumerated value; a
+master's duals are those HiGHS gives the per-row build; the closed-form
+answer for an empty pool is HiGHS's own; a rule set
 predicts the same on raw cells, on binarized rows and after a JSON round
 trip; a CNF model is the DNF model of the negated data, complemented; and
 CSV ingest reads what the cell-by-cell oracle reads, or fails with the
@@ -35,25 +36,19 @@ from boolrules.dataset import (
     read_columns,
     read_csv_table,
 )
-from boolrules.lp_engine import (
-    LinearProgram,
-    LPSolution,
-    Row,
-    build_restricted_mlp,
-    solve_lp,
-    solve_restricted_mlp,
-)
+from boolrules.lp_engine import solve_restricted_mlp
 from boolrules.ruleset import Clause, RuleSet, build_ruleset, predict, \
     selection_loss
 
 from _data import make_binary_dataset
 from _oracles import (
     best_ruleset_by_enumeration,
+    highs_on_le_form,
     kkt_residuals,
     lp_minimum_by_vertex_enumeration,
-    master_rows,
     read_columns_by_cells,
     read_csv_table_by_cells,
+    unreduced_master,
 )
 
 
@@ -142,20 +137,13 @@ def node_lps(draw):
 @given(node=node_lps())
 def test_master_and_node_answers_are_kkt_points_of_the_unreduced_lp(node):
     cover, negc, comp, budget, w_lower, w_upper = node
-    n_pos = cover.shape[0]
-    rows = master_rows(cover, comp, budget)
-    lp = LinearProgram(np.concatenate([np.ones(n_pos), negc]),
-                       np.concatenate([np.zeros(n_pos), w_lower]),
-                       np.concatenate([np.ones(n_pos), w_upper]),
-                       rows=[Row(*r) for r in rows])
+    lp = unreduced_master(*node)
     ms = solve_restricted_mlp(cover, negc, comp, budget,
                               w_lower=w_lower, w_upper=w_upper)
-    if lp.n_vars <= 6:
-        status, value, _ = lp_minimum_by_vertex_enumeration(
-            lp.objective, lp.lower, lp.upper, rows)
+    if len(lp[0]) <= 6:
+        status, value, _ = lp_minimum_by_vertex_enumeration(*lp)
     else:
-        ref = solve_lp(lp)
-        status, value = ref.status, ref.objective
+        status, value, _, _ = highs_on_le_form(*lp)
     assert ms.status == status
     if status != "optimal":
         return
@@ -163,11 +151,27 @@ def test_master_and_node_answers_are_kkt_points_of_the_unreduced_lp(node):
     assert abs(ms.objective - value) <= 1e-7
     # the expanded point and duals certify it on the unreduced LP
     x = np.concatenate([ms.xi, ms.w])
-    sol = LPSolution(ms.status, ms.objective, x, np.append(ms.mu, -ms.lam),
-                     ms.iterations)
-    assert abs(lp.objective @ x - ms.objective) <= 1e-7
-    resid = kkt_residuals(lp, sol)
+    assert abs(lp[0] @ x - ms.objective) <= 1e-7
+    resid = kkt_residuals(*lp, x, np.append(ms.mu, -ms.lam))
     assert max(resid.values()) <= 1e-7, resid
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(node=node_lps())
+def test_master_duals_are_highs_duals_of_the_unreduced_master(node):
+    # an unfixed master reaches HiGHS unreduced, so its mu and lam are the
+    # duals HiGHS gives the cover and budget rows of the per-row build:
+    # the cover duals nonnegative, and lam the budget dual's magnitude
+    cover, negc, comp, budget = node[:4]
+    ms = solve_restricted_mlp(cover, negc, comp, budget)
+    status, value, x, duals = highs_on_le_form(
+        *unreduced_master(cover, negc, comp, budget))
+    assert ms.status == status == "optimal"
+    assert ms.objective == value
+    assert np.array_equal(np.concatenate([ms.xi, ms.w]), x)
+    n_pos = len(cover)
+    assert np.array_equal(ms.mu, np.maximum(duals[:n_pos], 0.0))
+    assert ms.lam == max(0.0, -float(duals[n_pos]))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -177,19 +181,18 @@ def test_empty_pool_answer_is_highs_answer_on_the_unreduced_master(n_pos,
     # the master over an empty pool never reaches HiGHS; its closed form
     # must be the answer HiGHS gives, duals included, since pricing reads
     # them
-    lp = build_restricted_mlp(np.zeros((n_pos, 0)), np.zeros(0),
-                              np.zeros(0), float(budget))
-    ref = solve_lp(lp)
+    status, value, x, duals = highs_on_le_form(*unreduced_master(
+        np.zeros((n_pos, 0)), np.zeros(0), np.zeros(0), float(budget)))
     ms = solve_restricted_mlp(np.zeros((n_pos, 0)), np.zeros(0),
                               np.zeros(0), float(budget))
-    assert ms.status == ref.status
+    assert ms.status == status
     assert ms.iterations == 0
-    if ref.status != "optimal":
+    if status != "optimal":
         return
-    assert ms.objective == ref.objective
-    assert np.array_equal(ms.xi, ref.x)
-    assert np.array_equal(ms.mu, np.maximum(ref.duals[:n_pos], 0.0))
-    assert ms.lam == max(0.0, -float(ref.duals[n_pos]))
+    assert ms.objective == value
+    assert np.array_equal(ms.xi, x)
+    assert np.array_equal(ms.mu, np.maximum(duals[:n_pos], 0.0))
+    assert ms.lam == max(0.0, -float(duals[n_pos]))
 
 
 HEADER = ["num", "cat", "label"]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
-# the greedy pricer is gone; ROADMAP item 2 drops its binding and metrics
+# the greedy pricer is gone; ROADMAP item 1 drops its binding and metrics
 KNOWN_ABSENT = {"colgen.price_greedy"}
 
 
