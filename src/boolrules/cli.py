@@ -114,6 +114,18 @@ model_options = [
                  help="Master random seed; folds use seed + fold index."),
 ]
 
+fold_options = [
+    click.option("--folds", default=10, show_default=True,
+                 help="Cross-validation folds (cv: the outer ones)."),
+    click.option("--jobs", default=1, show_default=True,
+                 help="Parallel fold workers; 1 is the reproducible mode, "
+                      "and cv then writes 0.0 in the seconds column."),
+    click.option("--time-limit", default=120.0, show_default=True,
+                 help="Wall-clock budget per training run, seconds."),
+    click.option("--pricing-time-limit", default=30.0, show_default=True,
+                 help="Budget per exact pricing round, seconds."),
+]
+
 
 def add_options(options):
     def wrap(fn):
@@ -255,26 +267,16 @@ def _write_metrics(path, tag, outcomes, zero_seconds):
               help="Single budget; shorthand for --c-grid with one value.")
 @click.option("--c-grid", default=None,
               help="Comma-separated candidate budgets for nested selection.")
-@click.option("--folds", default=10, show_default=True,
-              help="Outer cross-validation folds.")
+@add_options(fold_options)
 @click.option("--inner-folds", default=5, show_default=True,
               help="Inner folds for budget selection.")
-@click.option("--jobs", default=1, show_default=True,
-              help="Parallel fold workers; 1 is the reproducible mode and "
-                   "writes 0.0 in the seconds column.")
-@click.option("--time-limit", default=120.0, show_default=True,
-              help="Wall-clock budget per training run, seconds.")
-@click.option("--pricing-time-limit", default=30.0, show_default=True,
-              help="Budget per exact pricing round, seconds.")
 @click.option("--metrics", default="metrics.csv", show_default=True,
               type=click.Path(dir_okay=False, writable=True),
               help="Where to write the per-fold metrics CSV.")
 def cv(input_path, label_column, positive_label, missing, quantiles, form,
-       clause_bound, seed, complexity_bound, c_grid, folds,
-       inner_folds, jobs, time_limit, pricing_time_limit, metrics):
+       clause_bound, seed, complexity_bound, c_grid, folds, jobs, time_limit,
+       pricing_time_limit, inner_folds, metrics):
     """Stratified cross-validation with nested budget selection."""
-    if folds < 2:
-        _fail("cv needs at least 2 folds")
     if c_grid is not None and complexity_bound is not None:
         _fail("pass --c-grid or --complexity-bound, not both")
     if c_grid is None and complexity_bound is None:
@@ -307,14 +309,7 @@ def cv(input_path, label_column, positive_label, missing, quantiles, form,
 @add_options(model_options)
 @click.option("--c-grid", required=True,
               help="Comma-separated budgets, strictly increasing.")
-@click.option("--folds", default=10, show_default=True,
-              help="Cross-validation folds behind every sweep point.")
-@click.option("--jobs", default=1, show_default=True,
-              help="Parallel fold workers.")
-@click.option("--time-limit", default=120.0, show_default=True,
-              help="Wall-clock budget per training run, seconds.")
-@click.option("--pricing-time-limit", default=30.0, show_default=True,
-              help="Budget per exact pricing round, seconds.")
+@add_options(fold_options)
 @click.option("--metrics", default="sweep.csv", show_default=True,
               type=click.Path(dir_okay=False, writable=True),
               help="Where to write the per-budget results CSV.")

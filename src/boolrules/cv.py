@@ -3,13 +3,18 @@ selection, and the out-of-fold budget sweep.
 
 Everything here works on a TypedTable so each training fold can derive its
 own thresholds and category sets; held-out rows are binarized with the
-training fold's stored conditions, never their own.
+training fold's stored conditions, never their own.  There is one fold
+loop, `_fold_outcomes` mapped over fold indices; fold f trains with seed
+`seed + f`.  `sweep_validate` runs it over a budget sweep, and nested
+budget selection is that same sweep over an outer fold's training rows:
+`select_budget` keeps its most accurate budget.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -128,36 +133,33 @@ def sweep_rows(table: TypedTable, rows: np.ndarray, budgets, form: str,
          res) for res in sweep_complexity(work, budgets, cfg)]
 
 
+def _budgets(values) -> list[int]:
+    """The distinct budgets of a grid, ascending; an empty grid is an error."""
+    budgets = sorted(set(int(c) for c in values))
+    if not budgets:
+        raise ValueError("the budget grid is empty")
+    return budgets
+
+
 def select_budget(table: TypedTable, train_rows: np.ndarray, c_grid, form: str,
                   cfg: ColGenConfig, quantile_count: int = 9,
                   inner_folds: int = 5) -> int:
-    """Pick a complexity budget by inner cross-validation.
+    """Pick a complexity budget by nested cross-validation.
 
-    Each inner fold trains one budget sweep on the rest of `train_rows` and
-    is scored by `_fold_outcomes`, like an outer fold.  Mean validation
-    accuracy decides; ties go to the smaller budget.  A single-candidate
-    grid is returned as is, and a training split too small to stratify
-    falls back to the smallest candidate.
+    The inner folds are a `sweep_validate` over `train_rows`, seeded by
+    `cfg.seed`; its most accurate budget wins, ties going to the smaller
+    one.  A single-candidate grid is returned as is, and a training split
+    too small to stratify falls back to the smallest candidate.
     """
-    grid = sorted(set(int(c) for c in c_grid))
-    if not grid:
-        raise ValueError("the budget grid is empty")
-    if len(grid) == 1:
-        return grid[0]
-    train_rows = np.asarray(train_rows)
-    y_sub = np.asarray(table.y)[train_rows]
-    counts = np.bincount(y_sub, minlength=2)
+    grid = _budgets(c_grid)
+    counts = np.bincount(table.y[train_rows], minlength=2)
     k = min(inner_folds, int(counts[counts > 0].min()))
-    if k < 2:
+    if len(grid) == 1 or k < 2:
         return grid[0]
-
-    inner = [train_rows[p] for p in stratified_folds(y_sub, k, cfg.seed)]
-    scores = {c: [] for c in grid}
-    for f in range(k):
-        for o in _fold_outcomes(table, inner, f, lambda rows: sweep_rows(
-                table, rows, grid, form, cfg, quantile_count)):
-            scores[o.budget].append(o.test_accuracy)
-    return max(grid, key=lambda c: (float(np.mean(scores[c])), -c))
+    points = sweep_validate(table, grid, form, folds=k, seed=cfg.seed,
+                            quantile_count=quantile_count, proto=cfg,
+                            rows=train_rows)
+    return max(points, key=lambda p: (p.test_accuracy, -p.budget)).budget
 
 
 @dataclass
@@ -176,17 +178,18 @@ class FoldOutcome:
     seconds: float
 
 
-def _fold_outcomes(table: TypedTable, fold_parts, fold: int,
-                   fit) -> list[FoldOutcome]:
-    """Hold out one fold, train on the rest with `fit(train_rows)`, which
-    returns (training dataset, [(budget, ruleset, colgen result), ...]),
-    and score every fitted model on both sides of the split."""
+def _fold_outcomes(table: TypedTable, fold_parts, proto: ColGenConfig,
+                   seed: int, fit, fold: int) -> list[FoldOutcome]:
+    """Hold out one fold, train on the rest with `fit(train_rows, cfg=...)`
+    at `proto` seeded `seed + fold`, which returns (training dataset,
+    [(budget, ruleset, colgen result), ...]), and score every fitted model
+    on both sides of the split."""
     t0 = time.perf_counter()
     test_rows = fold_parts[fold]
     train_rows = np.concatenate(
         [fold_parts[f] for f in range(len(fold_parts)) if f != fold])
     train_rows.sort()
-    train_ds, fitted = fit(train_rows)
+    train_ds, fitted = fit(train_rows, cfg=replace(proto, seed=seed + fold))
     ds_test = fold_dataset(table, test_rows, train_ds)
     seconds = time.perf_counter() - t0
     return [FoldOutcome(
@@ -203,31 +206,26 @@ def _fold_outcomes(table: TypedTable, fold_parts, fold: int,
     ) for C, rs, res in fitted]
 
 
-def _run_cv_fold(args):
-    (table, fold_parts, fold, c_grid, form, proto, quantile_count, seed,
-     inner_folds) = args
-    cfg = replace(proto, seed=seed + fold)
-
-    def fit(train_rows):
-        C = select_budget(table, train_rows, c_grid, form, cfg,
-                          quantile_count, inner_folds)
-        rs, res, train_ds = fit_rows(table, train_rows, form,
-                                     replace(cfg, complexity_bound=C),
-                                     quantile_count)
-        return train_ds, [(C, rs, res)]
-
-    outcome, = _fold_outcomes(table, fold_parts, fold, fit)
-    return outcome
-
-
-def _map_folds(worker, arg_list, jobs: int):
-    if jobs <= 1 or len(arg_list) <= 1:
-        return [worker(a) for a in arg_list]
+def _map_folds(worker, folds: int, jobs: int):
+    """`worker(f)` for every fold index f, in order."""
+    if jobs <= 1 or folds <= 1:
+        return [worker(f) for f in range(folds)]
     # imported here, so a sequential run never loads the process machinery
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(arg_list))) as pool:
-        return list(pool.map(worker, arg_list))
+    with ProcessPoolExecutor(max_workers=min(jobs, folds)) as pool:
+        return list(pool.map(worker, range(folds)))
+
+
+def _nested_fit(table: TypedTable, rows: np.ndarray, grid, form: str,
+                quantile_count: int, inner_folds: int, cfg: ColGenConfig):
+    """Select a budget on `rows`, then train on all of them with it."""
+    C = select_budget(table, rows, grid, form, cfg, quantile_count,
+                      inner_folds)
+    rs, res, train_ds = fit_rows(table, rows, form,
+                                 replace(cfg, complexity_bound=C),
+                                 quantile_count)
+    return train_ds, [(C, rs, res)]
 
 
 def cross_validate(table: TypedTable, c_grid, form: str = "dnf",
@@ -242,17 +240,16 @@ def cross_validate(table: TypedTable, c_grid, form: str = "dnf",
     score the held-out rows.  Fold results are deterministic for a fixed
     seed regardless of `jobs`; only the measured seconds vary.
     """
-    grid = sorted(set(int(c) for c in c_grid))
-    if not grid:
-        raise ValueError("the budget grid is empty")
+    grid = _budgets(c_grid)
     if inner_folds < 2:
         raise ValueError("inner folds must be at least 2")
     if proto is None:
         proto = ColGenConfig(complexity_bound=grid[-1])
     parts = stratified_folds(table.y, folds, seed)
-    args = [(table, parts, f, grid, form, proto, quantile_count, seed,
-             inner_folds) for f in range(folds)]
-    return _map_folds(_run_cv_fold, args, jobs)
+    fit = partial(_nested_fit, table, grid=grid, form=form,
+                  quantile_count=quantile_count, inner_folds=inner_folds)
+    worker = partial(_fold_outcomes, table, parts, proto, seed, fit)
+    return [outcome for outcome, in _map_folds(worker, folds, jobs)]
 
 
 @dataclass
@@ -283,42 +280,34 @@ def pareto_front(points) -> list[bool]:
     return flags
 
 
-def _run_sweep_fold(args):
-    table, fold_parts, fold, budgets, form, proto, quantile_count, seed = args
-    cfg = replace(proto, seed=seed + fold)
-    return _fold_outcomes(
-        table, fold_parts, fold,
-        lambda rows: sweep_rows(table, rows, budgets, form, cfg,
-                                quantile_count))
-
-
 def sweep_validate(table: TypedTable, budgets, form: str = "dnf",
                    folds: int = 10, seed: int = 0, jobs: int = 1,
                    quantile_count: int = 9,
-                   proto: ColGenConfig | None = None) -> list[SweepOutcome]:
-    """Cross-validated budget sweep.
+                   proto: ColGenConfig | None = None,
+                   rows: np.ndarray | None = None) -> list[SweepOutcome]:
+    """Cross-validated budget sweep over `rows` (default: all rows).
 
     Every fold trains the whole ascending budget list on its training rows
     with a shared clause pool, then scores each budget's model on the
     held-out rows.  Results are aggregated per budget and marked for Pareto
     efficiency on (mean test accuracy, mean complexity).
     """
-    budgets = sorted(set(int(b) for b in budgets))
-    if not budgets:
-        raise ValueError("the budget list is empty")
+    budgets = _budgets(budgets)
     if proto is None:
         proto = ColGenConfig(complexity_bound=budgets[-1])
-    parts = stratified_folds(table.y, folds, seed)
-    args = [(table, parts, f, budgets, form, proto, quantile_count, seed)
-            for f in range(folds)]
-    per_fold = _map_folds(_run_sweep_fold, args, jobs)
+    rows = np.arange(table.n) if rows is None else np.asarray(rows)
+    parts = [rows[p] for p in stratified_folds(table.y[rows], folds, seed)]
+    fit = partial(sweep_rows, table, budgets=budgets, form=form,
+                  quantile_count=quantile_count)
+    per_fold = _map_folds(
+        partial(_fold_outcomes, table, parts, proto, seed, fit), folds, jobs)
 
     outcomes = []
     for i, C in enumerate(budgets):
-        rows = [fold_rows[i] for fold_rows in per_fold]
-        acc_mean, acc_se = mean_stderr([r.test_accuracy for r in rows])
-        train_mean, _ = mean_stderr([r.train_accuracy for r in rows])
-        comp_mean, comp_se = mean_stderr([r.complexity for r in rows])
+        at_C = [fold_rows[i] for fold_rows in per_fold]
+        acc_mean, acc_se = mean_stderr([r.test_accuracy for r in at_C])
+        train_mean, _ = mean_stderr([r.train_accuracy for r in at_C])
+        comp_mean, comp_se = mean_stderr([r.complexity for r in at_C])
         outcomes.append(SweepOutcome(
             budget=C,
             test_accuracy=acc_mean,
@@ -327,7 +316,7 @@ def sweep_validate(table: TypedTable, budgets, form: str = "dnf",
             complexity=comp_mean,
             complexity_stderr=comp_se,
             pareto=False,
-            folds=rows,
+            folds=at_C,
         ))
     flags = pareto_front([(o.test_accuracy, o.complexity) for o in outcomes])
     for o, flag in zip(outcomes, flags):
