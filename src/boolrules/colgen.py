@@ -3,7 +3,7 @@ then pick the final rule set with a small branch-and-bound over the pool.
 
 Each round solves the restricted master LP over the pool and prices new
 clauses against its duals.  A "small" instance runs the exact search on
-the full data.  A "large" one (pricing nnz above `large_nnz`) prices on a
+the full data.  A "large" one (pricing nnz above `LARGE_NNZ`) prices on a
 row/feature sample first and runs the full-data exact search only when
 none of the sample's candidates prices negative on the full data.  That
 full-data search, finished or timed out, is the round's one certificate:
@@ -45,6 +45,7 @@ from .ruleset import Clause
 
 CEIL_EPS = 1e-7
 MAX_COLUMNS = 10  # clauses a pricing call returns and a round admits
+LARGE_NNZ = 1_000_000  # pricing nnz above which an instance is "large"
 
 
 def guarded_ceil(value: float) -> int:
@@ -61,16 +62,13 @@ class ColGenConfig:
     fit the budget anyway).  Time limits are wall-clock seconds: the
     overall limit covers the whole loop including the final integer solve,
     which gets whatever time is left; the pricing limit applies to each
-    exact pricing call.  An instance whose pricing nnz exceeds large_nnz
-    prices on a sample first and falls back to the full data when the
-    sample's candidates all fail.
+    exact pricing call.
     """
 
     complexity_bound: int
     clause_bound: int | None = None
     time_limit: float = 300.0
     pricing_time_limit: float = 45.0
-    large_nnz: int = 1000000
     seed: int = 0
 
     def __post_init__(self):
@@ -165,7 +163,6 @@ class MIPResult:
     optimal: bool
     nodes: int
     lp_value: float
-    elapsed: float
     pivots: int
 
 
@@ -216,8 +213,7 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     but is not solved again.  `pivots` sums the HiGHS simplex iterations of
     the node LPs solved here, so a given root adds none.
     """
-    t0 = time.perf_counter()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     pos_cover = np.asarray(pos_cover, dtype=float)
     neg_counts = np.asarray(neg_counts, dtype=float)
     complexities = np.asarray(complexities, dtype=float)
@@ -228,8 +224,7 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     nodes = pivots = 0
     lp_root = float(n_pos)
     if K == 0:
-        return MIPResult(best_obj, [], True, 0, lp_root,
-                         time.perf_counter() - t0, 0)
+        return MIPResult(best_obj, [], True, 0, lp_root, 0)
 
     def try_incumbent(chosen):
         nonlocal best_obj, best_sel
@@ -294,7 +289,7 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         stack.append(children[0])
 
     return MIPResult(best_obj, sorted(best_sel), optimal, nodes, lp_root,
-                     time.perf_counter() - t0, pivots)
+                     pivots)
 
 
 @dataclass
@@ -355,7 +350,7 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
     if n_pos == 0:
         raise ValueError("training needs at least one positive sample")
     depth = cfg.depth_limit(ds.d)
-    regime = "large" if ds.pricing_nnz() > cfg.large_nnz else "small"
+    regime = "large" if ds.pricing_nnz() > LARGE_NNZ else "small"
     budget = float(cfg.complexity_bound)
 
     trace: list[TraceEntry] = []

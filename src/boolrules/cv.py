@@ -208,7 +208,7 @@ def _fold_outcomes(table: TypedTable, fold_parts, proto: ColGenConfig,
 
 def _map_folds(worker, folds: int, jobs: int):
     """`worker(f)` for every fold index f, in order."""
-    if jobs <= 1 or folds <= 1:
+    if jobs <= 1:
         return [worker(f) for f in range(folds)]
     # imported here, so a sequential run never loads the process machinery
     from concurrent.futures import ProcessPoolExecutor

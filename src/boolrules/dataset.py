@@ -287,16 +287,20 @@ def numeric_features(values: np.ndarray, column: str, quantile_count: int = 9):
     """Threshold features of a numeric column cut at its empirical quantiles.
 
     Thresholds are the k/(quantile_count+1) quantiles (linear interpolation),
-    deduplicated.  Each kept threshold t yields [X <= t] and [X > t]; a
-    threshold equal to the column maximum would make both constant, so that
-    pair is dropped.
+    one per distinct split of the column: of the thresholds with the same
+    count of values at or below them, the smallest is kept.  Each kept
+    threshold t yields [X <= t] and [X > t]; a threshold at or above every
+    value would make both constant, so that pair is dropped.
     """
     if quantile_count < 1:
         raise DatasetError("quantile_count must be at least 1")
     probs = np.arange(1, quantile_count + 1) / (quantile_count + 1)
-    vmax = values.max()
+    values = np.sort(values)
+    cuts = np.unique(np.quantile(values, probs))
+    below, first = np.unique(np.searchsorted(values, cuts, side="right"),
+                             return_index=True)
     return [FeatureMeta(column, kind, float(t))
-            for t in np.unique(np.quantile(values, probs)) if t < vmax
+            for t in cuts[first[below < len(values)]]
             for kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)]
 
 

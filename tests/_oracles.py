@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way (vertex
 enumeration, exhaustive clause search, KKT conditions checked one row at a
 time, CSV ingest one cell at a time) so it shares no code with the package
-under test.
+under test.  The one exception is `budget_by_inner_folds`, which checks
+nested budget selection around the package's own fits and fold scoring.
 """
 
 import csv
@@ -228,6 +229,38 @@ def unreduced_master(pos_cover, neg_counts, complexities, budget,
     return (np.concatenate([np.ones(n_pos), np.asarray(neg_counts, float)]),
             np.concatenate([np.zeros(n_pos), lower]),
             np.concatenate([np.ones(n_pos), upper]), rows)
+
+
+def budget_by_inner_folds(table, train_rows, grid, form, cfg,
+                          quantile_count=9, inner_folds=5):
+    """Nested budget selection as a plain loop over inner folds.
+
+    `train_rows` is split into k = min(inner_folds, smallest class count)
+    stratified folds seeded by `cfg.seed`; inner fold f trains one budget
+    sweep with `sweep_rows` at seed `cfg.seed + f` and is scored by
+    `_fold_outcomes`.  The best mean held-out accuracy wins, ties going to
+    the smaller budget.  A single budget, or k < 2, gives the smallest.
+    """
+    from boolrules.cv import _fold_outcomes, stratified_folds, sweep_rows
+
+    grid = sorted(set(grid))
+    train_rows = np.asarray(train_rows)
+    y = np.asarray(table.y)[train_rows]
+    k = min(inner_folds, min(int((y == c).sum()) for c in np.unique(y)))
+    if len(grid) == 1 or k < 2:
+        return grid[0]
+    inner = [train_rows[p] for p in stratified_folds(y, k, cfg.seed)]
+
+    def fit(rows, cfg):
+        return sweep_rows(table, rows, grid, form, cfg, quantile_count)
+
+    scores = {c: [] for c in grid}
+    for f in range(k):
+        for o in _fold_outcomes(table, inner, cfg, cfg.seed, fit, f):
+            scores[o.budget].append(o.test_accuracy)
+    means = {c: float(np.mean(scores[c])) for c in grid}
+    best = max(means.values())
+    return min(c for c in grid if means[c] == best)
 
 
 def kkt_residuals(objective, lower, upper, rows, x, duals):

@@ -199,13 +199,14 @@ def test_max_columns_above_ten_is_honored(monkeypatch):
     assert res.rmlp_converged
 
 
-def test_forced_large_regime_samples_and_still_solves():
+def test_forced_large_regime_samples_and_still_solves(monkeypatch):
     rng = np.random.default_rng(23)
     ds = random_instance(rng)
     # thresholds pushed down so this tiny instance takes the sampling path;
     # once the sample's candidates all fail on the full data, the round
     # prices the full data exactly and certifies like the small regime
-    cfg = small_config(6, 2, large_nnz=2, seed=3)
+    monkeypatch.setattr(colgen, "LARGE_NNZ", 2)
+    cfg = small_config(6, 2, seed=3)
     res = run_column_generation(ds, cfg)
     assert res.regime == "large"
     assert res.trace[0].mode == "restricted-exact"
@@ -237,12 +238,13 @@ def test_sampled_pricing_skips_pool_clauses(monkeypatch):
     monkeypatch.setattr(colgen, "ClausePool", RecordedPool)
     monkeypatch.setattr(colgen, "MAX_COLUMNS", 3)
     monkeypatch.setattr(RestrictedPricing, "lift", recording_lift)
+    monkeypatch.setattr(colgen, "LARGE_NNZ", 2)
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         ds = make_binary_dataset(
             (rng.random((60, 5)) < 0.5).astype(np.uint8),
             (rng.random(60) < 0.5).astype(np.int8))
-        cfg = small_config(8, 3, large_nnz=2, seed=seed)
+        cfg = small_config(8, 3, seed=seed)
         res = run_column_generation(ds, cfg)
         assert pools[-1].ds is ds
         assert res.regime == "large"

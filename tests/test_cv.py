@@ -2,6 +2,7 @@
 and the cross-validated sweep."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from boolrules.cv import (
     sweep_validate,
 )
 from boolrules.dataset import DatasetError, binarize_table, read_csv_table
+
+from _oracles import budget_by_inner_folds
 
 
 def write_table(path, header, rows):
@@ -145,6 +148,65 @@ def test_budget_selection_prefers_accurate_budget(tmp_path):
     rows = np.arange(table.n)
     picked = select_budget(table, rows, [2, 6], "dnf", quick_config(6))
     assert picked == 6
+
+
+def noisy_table(path, seed, n=72, positives=None):
+    """Label = (a AND b) OR c over three 0/1 columns, plus a numeric
+    column, with 10% of the labels flipped.  `positives` keeps only that
+    many positive rows."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(n, 3))
+    y = (bits[:, 0] & bits[:, 1]) | bits[:, 2]
+    y[rng.choice(n, size=n // 10, replace=False)] ^= 1
+    keep = np.ones(n, dtype=bool)
+    if positives is not None:
+        keep[np.flatnonzero(y == 1)[positives:]] = False
+    rows = [[*map(str, b), f"{rng.integers(0, 6)}", ("neg", "pos")[t]]
+            for b, t, k in zip(bits.tolist(), y.tolist(), keep) if k]
+    write_table(path, ["a", "b", "c", "level", "label"], rows)
+    return read_csv_table(path, label_column="label")
+
+
+@pytest.mark.parametrize("seed, form, grid, inner_folds, positives", [
+    (0, "dnf", [2, 4, 8], 3, None),
+    (1, "cnf", [2, 4, 8], 3, None),
+    (2, "dnf", [3, 6], 2, None),
+    (3, "cnf", [3, 5, 9], 4, None),
+    # three positives among the training rows clamp 5 inner folds to 3
+    (4, "dnf", [2, 4, 8], 5, 4),
+    (5, "cnf", [6], 3, None),  # one budget: nothing to select
+])
+def test_select_budget_matches_inner_fold_reference(tmp_path, seed, form,
+                                                    grid, inner_folds,
+                                                    positives):
+    table = noisy_table(tmp_path / "t.csv", seed, positives=positives)
+    rng = np.random.default_rng(seed)
+    pos, neg = np.flatnonzero(table.y == 1), np.flatnonzero(table.y == 0)
+    # an outer fold's training rows: one positive and a third of the
+    # negatives held out
+    train = np.sort(np.concatenate(
+        [pos[1:], rng.permutation(neg)[len(neg) // 3:]]))
+    cfg = quick_config(max(grid), clause_bound=2, seed=seed)
+    if positives is not None:
+        assert (table.y[train] == 1).sum() == positives - 1 < inner_folds
+    assert select_budget(table, train, grid, form, cfg, 9, inner_folds) \
+        == budget_by_inner_folds(table, train, grid, form, cfg, 9,
+                                 inner_folds)
+
+
+def test_sweep_validate_over_rows_equals_the_sweep_of_those_rows(tmp_path):
+    table = noisy_table(tmp_path / "t.csv", 6)
+    rows = np.flatnonzero(np.arange(table.n) % 4 != 1)
+    alone = replace(table, values={c: v[rows] for c, v in table.values.items()},
+                    y=table.y[rows])
+    key = lambda f: (f.budget, f.test_accuracy, f.train_accuracy,
+                     f.complexity, f.z_train, f.lower_bound, f.z_rmlp,
+                     f.optimal)
+    over_rows, over_alone = (
+        sweep_validate(t, [2, 4, 8], folds=3, seed=6, proto=quick_config(8),
+                       rows=r) for t, r in ((table, rows), (alone, None)))
+    assert [[key(f) for f in o.folds] for o in over_rows] == \
+        [[key(f) for f in o.folds] for o in over_alone]
 
 
 def test_sweep_validate_aggregates_and_flags(tmp_path):

@@ -47,6 +47,19 @@ def test_decile_thresholds_on_one_to_ten():
         assert ((cols[j] ^ cols[j + 1]) == 1).all()
 
 
+def test_one_threshold_per_distinct_split():
+    # the deciles of 1, 2, 3, 4 are 1.3, 1.6, ..., 3.7: the three below 2
+    # split the column alike, as do the three in [2, 3) and the three in
+    # [3, 4), so the smallest of each is kept, giving 6 features, not 18
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    metas = numeric_features(values, "a")
+    assert len(metas) == 6
+    assert [m.value for m in metas[::2]] == pytest.approx([1.3, 2.2, 3.1])
+    cols = binarize_column(values, "a", metas)
+    assert [c.tolist() for c in cols[::2]] == \
+        [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0]]
+
+
 def test_threshold_at_maximum_dropped():
     assert numeric_features(np.full(6, 5.0), "v") == []
     # two distinct values: thresholds dedupe and the one at vmax vanishes

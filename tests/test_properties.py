@@ -17,9 +17,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from boolrules import colgen
 from boolrules.colgen import (
     ColGenConfig,
     guarded_ceil,
@@ -33,6 +35,8 @@ from boolrules.dataset import (
     FeatureMeta,
     binarize_table,
     build_matrix,
+    evaluate_conditions,
+    numeric_features,
     read_columns,
     read_csv_table,
 )
@@ -71,12 +75,13 @@ def instances(draw):
        seed=st.integers(0, 3))
 def test_certificate_brackets_the_enumerated_optimum(ds, C, D, seed):
     opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, min(D, ds.d))
-    # large_nnz=2 sends every instance down the sampled path
-    for large_nnz in (2, ColGenConfig.large_nnz):
-        cfg = ColGenConfig(complexity_bound=C, clause_bound=D,
-                           time_limit=60.0, pricing_time_limit=10.0,
-                           large_nnz=large_nnz, seed=seed)
-        res = run_column_generation(ds, cfg)
+    cfg = ColGenConfig(complexity_bound=C, clause_bound=D, time_limit=60.0,
+                       pricing_time_limit=10.0, seed=seed)
+    # LARGE_NNZ = 2 sends every instance down the sampled path
+    for large_nnz in (2, colgen.LARGE_NNZ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(colgen, "LARGE_NNZ", large_nnz)
+            res = run_column_generation(ds, cfg)
         assert res.regime == ("large" if large_nnz == 2 else "small")
         assert selection_loss(res.clauses, ds) == res.objective
         # every loop ends on a full-data exact search, which certifies
@@ -94,11 +99,13 @@ def test_certificate_brackets_the_enumerated_optimum(ds, C, D, seed):
        budgets=st.lists(st.integers(2, 8), min_size=2, max_size=4))
 def test_sweep_certificates_bracket_the_enumerated_optimum(ds, D, seed,
                                                            budgets):
-    for large_nnz in (2, ColGenConfig.large_nnz):
-        cfg = ColGenConfig(complexity_bound=2, clause_bound=D,
-                           time_limit=60.0, pricing_time_limit=10.0,
-                           large_nnz=large_nnz, seed=seed)
-        for res in sweep_complexity(ds, budgets, cfg):
+    cfg = ColGenConfig(complexity_bound=2, clause_bound=D, time_limit=60.0,
+                       pricing_time_limit=10.0, seed=seed)
+    for large_nnz in (2, colgen.LARGE_NNZ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(colgen, "LARGE_NNZ", large_nnz)
+            results = sweep_complexity(ds, budgets, cfg)
+        for res in results:
             C = res.complexity_bound
             opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C,
                                                  min(D, ds.d))
@@ -193,6 +200,29 @@ def test_empty_pool_answer_is_highs_answer_on_the_unreduced_master(n_pos,
     assert np.array_equal(ms.xi, x)
     assert np.array_equal(ms.mu, np.maximum(duals[:n_pos], 0.0))
     assert ms.lam == max(0.0, -float(duals[n_pos]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(values=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+       quantile_count=st.integers(1, 12))
+def test_numeric_features_split_the_column_each_their_own_way(values,
+                                                            quantile_count):
+    values = np.array(values, dtype=float)
+    metas = numeric_features(values, "v", quantile_count)
+    X = evaluate_conditions({"v": values}, metas, len(values))
+    splits = [tuple(X[:, j]) for j in range(0, len(metas), 2)]
+    assert len(set(splits)) == len(splits)
+    assert all(0 < sum(split) < len(values) for split in splits)
+    # nothing is lost: every quantile cut below the maximum splits the
+    # column as one kept threshold does, and no smaller cut
+    cuts = np.quantile(values, np.arange(1, quantile_count + 1)
+                       / (quantile_count + 1))
+    kept = [m.value for m in metas[::2]]
+    for split, t in zip(splits, kept):
+        assert t == min(c for c in cuts
+                        if tuple((values <= c).astype(np.uint8)) == split)
+    assert {tuple((values <= c).astype(np.uint8))
+            for c in cuts if c < values.max()} == set(splits)
 
 
 HEADER = ["num", "cat", "label"]
