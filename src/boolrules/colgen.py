@@ -22,7 +22,9 @@ as the masters; a node that fixes clauses has its LP presolved there, down
 to the free clauses and the positives they leave to cover.  Its root LP is
 the growth's last master whenever the pool has not grown since, so each
 LP is solved once: that covers every single fit and the last budget of a
-sweep.
+sweep.  Each fractional node LP's duals also fix, by reduced cost, the
+clauses that could not leave their bound without reaching the incumbent,
+so its subtree's LPs shrink.
 """
 
 from __future__ import annotations
@@ -204,14 +206,22 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     parent's rounded-up LP value, a floor on its own, and is dropped unsolved
     once the incumbent reaches it.  The incumbent is seeded once, by a
     greedy selection at the root, and improves only through integral node
-    LPs.  A time limit turns the result into a best-effort incumbent with
-    optimal=False.  Every node below the root fixes clauses, so
-    `solve_restricted_mlp` presolves its LP down to the free clauses and
-    the distinct cover patterns they leave.  `root`, when given, is the
-    optimal `MasterSolution` of the root LP over this very pool and budget,
-    which column generation has already solved; it still counts as a node,
-    but is not solved again.  `pivots` sums the HiGHS simplex iterations of
-    the node LPs solved here, so a given root adds none.
+    LPs.  After a fractional node LP of value z with duals (mu, lam), each
+    clause's reduced cost d_k = neg_k + lam * complexity_k - sum of mu over
+    the positives it covers bounds its subtree: a point with a free clause
+    at 0 raised to 1 costs at least z + d_k, one with a free clause at 1
+    lowered to 0 at least z - d_k.  Where that rounds up to the incumbent
+    or more, the clause is fixed at its bound for both children.  The
+    split duals of a presolved node LP give the same d on its free clauses
+    as the reduced LP's own.  A time limit turns the result into a
+    best-effort incumbent with optimal=False.  Every node below the root
+    fixes clauses, so `solve_restricted_mlp` presolves its LP down to the
+    free clauses and the distinct cover patterns they leave.  `root`, when
+    given, is the optimal `MasterSolution` of the root LP over this very
+    pool and budget, which column generation has already solved; it still
+    counts as a node, but is not solved again.  `pivots` sums the HiGHS
+    simplex iterations of the node LPs solved here, so a given root adds
+    none.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     pos_cover = np.asarray(pos_cover, dtype=float)
@@ -276,6 +286,15 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
             sel = [int(k) for k in np.flatnonzero(w > 0.5)]
             try_incumbent(sel)
             continue
+        # reduced-cost fixing: a free clause that cannot leave its bound
+        # without reaching the incumbent stays there (guarded_ceil,
+        # elementwise)
+        d = neg_counts + ms.lam * complexities - ms.mu @ pos_cover
+        at_bound = (w_lower == 0.0) & (w_upper == 1.0) & ~frac
+        w_upper = np.where(at_bound & (w < 0.5) & (
+            np.ceil(ms.objective + d - CEIL_EPS) >= best_obj), 0.0, w_upper)
+        w_lower = np.where(at_bound & (w > 0.5) & (
+            np.ceil(ms.objective - d - CEIL_EPS) >= best_obj), 1.0, w_lower)
         dist = np.where(frac, np.abs(w - 0.5), np.inf)
         k = int(dist.argmin())
         up_first = w[k] >= 0.5

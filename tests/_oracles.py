@@ -208,6 +208,26 @@ def best_ruleset_by_enumeration(X, y, budget, max_features):
     return best[0], best[1]
 
 
+def best_selection_by_enumeration(pos_cover, neg_counts, complexities,
+                                  budget):
+    """Exhaustive integer stage: the minimum of (missed positives) +
+    (summed negative counts) over every subset of the pool's clauses whose
+    complexities sum to at most the budget.  Returns (objective, subset),
+    the first best subset in order of size, then of index."""
+    n_pos, K = np.asarray(pos_cover).shape
+    best = (n_pos, ())
+    for size in range(1, K + 1):
+        for subset in itertools.combinations(range(K), size):
+            if sum(complexities[k] for k in subset) > budget:
+                continue
+            missed = sum(1 for i in range(n_pos)
+                         if not any(pos_cover[i][k] for k in subset))
+            obj = missed + sum(neg_counts[k] for k in subset)
+            if obj < best[0]:
+                best = (obj, subset)
+    return best
+
+
 def unreduced_master(pos_cover, neg_counts, complexities, budget,
                      w_lower=None, w_upper=None):
     """The restricted master, or a node LP with its fixings held by the

@@ -24,7 +24,11 @@ from boolrules.pricing import RestrictedPricing
 from boolrules.ruleset import selection_loss
 
 from _data import make_binary_dataset, tiny_example
-from _oracles import best_ruleset_by_enumeration, clause_reduced_cost
+from _oracles import (
+    best_ruleset_by_enumeration,
+    best_selection_by_enumeration,
+    clause_reduced_cost,
+)
 
 
 def small_config(C, D=None, **kw):
@@ -579,22 +583,57 @@ def test_mip_drops_children_at_their_parents_bound(monkeypatch):
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
         assert mip.objective == opt and mip.optimal
         assert mip.nodes == len(solved)
-        # a branching node has at least one child solved; its sibling, if
-        # within the budget and never solved, was dropped by the bound
+        # a node that branched on clause k has at least one child solved;
+        # its sibling, if within the budget and never solved, was dropped
+        # by the bound.  Both children carry the node's fixings, clause k
+        # and the same reduced-cost fixings, so a child is the node below
+        # it with the fewest fixings, and its sibling differs only at k
         seen = {fixings: ms for _, fixings, ms in solved}
         for fixings, ms in seen.items():
-            for k in np.flatnonzero(np.array(fixings) == 1):
-                for v, other in ((0, 2), (2, 0)):
-                    child = fixings[:k] + (v,) + fixings[k + 1:]
-                    sibling = fixings[:k] + (other,) + fixings[k + 1:]
-                    if child not in seen or sibling in seen:
-                        continue
-                    if comp[np.array(sibling) == 2].sum() > C:
-                        continue
-                    assert guarded_ceil(ms.objective) >= mip.objective
-                    dropped += 1
+            frac = np.abs(ms.w - 0.5) < 0.5 - 1e-6
+            if ms.status != "optimal" or not frac.any():
+                continue
+            k = int(np.where(frac, np.abs(ms.w - 0.5), np.inf).argmin())
+            node = np.array(fixings)
+            below = [np.array(f) for f in seen if f[k] != 1 and
+                     (np.array(f)[node != 1] == node[node != 1]).all()]
+            if not below:
+                continue
+            child = min(below, key=lambda f: int((f != 1).sum()))
+            sibling = child.copy()
+            sibling[k] = 2 - child[k]
+            if tuple(sibling) in seen or comp[sibling == 2].sum() > C:
+                continue
+            assert guarded_ceil(ms.objective) >= mip.objective
+            dropped += 1
     # without the parent bound each dropped child costs one more node LP
     assert dropped >= 2
+
+
+def test_mip_shuts_a_clause_out_by_its_root_reduced_cost(monkeypatch):
+    # the pairwise covers of three positives play w = 1/2 at the root for
+    # an LP value of 0, while the greedy seed leaves one positive out.
+    # Clause 3 covers all three but hits three negatives: at any optimal
+    # root duals its reduced cost is at least 2, more than the gap of 1
+    # between the incumbent and the rounded-up root value, so no node
+    # below the root may take it
+    pos_cover = np.array([[1.0, 0.0, 1.0, 1.0],
+                          [1.0, 1.0, 0.0, 1.0],
+                          [0.0, 1.0, 1.0, 1.0]])
+    neg_counts = np.array([0.0, 0.0, 0.0, 3.0])
+    complexities = np.full(4, 2.0)
+    solved = record_node_lps(monkeypatch)
+    mip = solve_restricted_mip(pos_cover, neg_counts, complexities, 3.0)
+    opt, _ = best_selection_by_enumeration(pos_cover, neg_counts,
+                                           complexities, 3.0)
+    assert mip.optimal and mip.objective == opt == 1
+    assert mip.nodes == len(solved)
+    (_, fixings, root), *below = solved
+    assert fixings == (1, 1, 1, 1)
+    d = neg_counts + root.lam * complexities - root.mu @ pos_cover
+    assert d[3] > mip.objective - guarded_ceil(root.objective)
+    assert below
+    assert all(f[3] == 0 for _, f, _ in below)
 
 
 def test_mip_pivots_sum_the_node_lps(monkeypatch):

@@ -3,11 +3,12 @@ regimes, for single fits and for budget sweeps, checked against the
 enumeration oracle; every master and node LP answer satisfies the KKT
 conditions of the unreduced LP and attains its enumerated value; a
 master's duals are those HiGHS gives the per-row build; the closed-form
-answer for an empty pool is HiGHS's own; a rule set
-predicts the same on raw cells, on binarized rows and after a JSON round
-trip; a CNF model is the DNF model of the negated data, complemented; and
-CSV ingest reads what the cell-by-cell oracle reads, or fails with the
-same message.
+answer for an empty pool is HiGHS's own; the integer stage proves the
+enumerated best selection of a clause pool, from a given root or its own;
+a rule set predicts the same on raw cells, on binarized rows and after a
+JSON round trip; a CNF model is the DNF model of the negated data,
+complemented; and CSV ingest reads what the cell-by-cell oracle reads, or
+fails with the same message.
 
 Hypothesis runs derandomized and without deadlines, so every run of the
 suite draws the same instances."""
@@ -47,6 +48,7 @@ from boolrules.ruleset import Clause, RuleSet, build_ruleset, predict, \
 from _data import make_binary_dataset
 from _oracles import (
     best_ruleset_by_enumeration,
+    best_selection_by_enumeration,
     highs_on_le_form,
     kkt_residuals,
     lp_minimum_by_vertex_enumeration,
@@ -200,6 +202,42 @@ def test_empty_pool_answer_is_highs_answer_on_the_unreduced_master(n_pos,
     assert np.array_equal(ms.xi, x)
     assert np.array_equal(ms.mu, np.maximum(duals[:n_pos], 0.0))
     assert ms.lam == max(0.0, -float(duals[n_pos]))
+
+
+@st.composite
+def pools(draw):
+    """A clause pool over 6 to 12 positives and 4 to 10 clauses, each
+    covering at most 5 of them, with negative counts of 0 or 1,
+    complexities of 2 or 3 and a budget for one or two clauses: where the
+    greedy seed misses the optimum by one, which is where a fixing one
+    error too eager loses it."""
+    n_pos, K = draw(st.integers(6, 12)), draw(st.integers(4, 10))
+    cover = np.zeros((n_pos, K))
+    for k in range(K):
+        rows = draw(st.sets(st.integers(0, n_pos - 1), max_size=5))
+        cover[sorted(rows), k] = 1.0
+    negc = draw(st.lists(st.integers(0, 1), min_size=K, max_size=K))
+    comp = draw(st.lists(st.integers(2, 3), min_size=K, max_size=K))
+    return (cover, np.array(negc, dtype=float), np.array(comp, dtype=float),
+            float(draw(st.integers(2, 6))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(pool=pools())
+def test_integer_stage_proves_the_enumerated_best_selection(pool):
+    # reduced-cost fixing reads every node LP's duals, the reused
+    # column-generation root's among them
+    cover, negc, comp, budget = pool
+    opt, _ = best_selection_by_enumeration(cover, negc, comp, budget)
+    root = solve_restricted_mlp(cover, negc, comp, budget)
+    for start in (root, None):
+        mip = colgen.solve_restricted_mip(cover, negc, comp, budget,
+                                          root=start)
+        assert mip.optimal
+        assert mip.objective == opt
+        assert comp[mip.selected].sum() <= budget
+        missed = (cover[:, mip.selected].sum(axis=1) == 0).sum()
+        assert missed + negc[mip.selected].sum() == opt
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
