@@ -24,7 +24,9 @@ the growth's last master whenever the pool has not grown since, so each
 LP is solved once: that covers every single fit and the last budget of a
 sweep.  Each fractional node LP's duals also fix, by reduced cost, the
 clauses that could not leave their bound without reaching the incumbent,
-so its subtree's LPs shrink.
+so its subtree's LPs shrink.  A node, the root included, where no three
+free clauses fit the budget its clauses fixed to 1 leave solves no LP at
+all: its best selection is listed among no, one or two more clauses.
 """
 
 from __future__ import annotations
@@ -164,7 +166,6 @@ class MIPResult:
     selected: list
     optimal: bool
     nodes: int
-    lp_value: float
     pivots: int
 
 
@@ -196,6 +197,33 @@ def _greedy_selection(pos_cover, neg_counts, complexities, budget) -> list:
         uncovered &= pos_cover[:, k] < 0.5
 
 
+def _best_small_addition(pos_cover, neg_counts, complexities, w_lower,
+                         free, room) -> list:
+    """The best selection below a node where no three free clauses fit
+    `room`: its clauses fixed to 1 plus no free clause, the best single or
+    the best pair that fits, scored on the positives the fixed clauses
+    leave uncovered (a pair by inclusion-exclusion).  Ties go to fewer
+    clauses, then to the lowest indices."""
+    ones = np.flatnonzero(w_lower >= 1.0)
+    rest = pos_cover[:, ones].sum(axis=1) == 0
+    fits = free[complexities[free] <= room + 1e-9]
+    P = pos_cover[rest][:, fits]
+    gain = P.sum(axis=0) - neg_counts[fits]
+    # a pair with a member that gains nothing never beats the other alone
+    keep = gain > 0
+    if not keep.any():
+        return [int(k) for k in ones]
+    fits, P, gain = fits[keep], P[:, keep], gain[keep]
+    comp = complexities[fits]
+    pair = gain[:, None] + gain[None, :] - P.T @ P
+    pair[np.tri(len(fits), dtype=bool)
+         | (comp[:, None] + comp[None, :] > room + 1e-9)] = -np.inf
+    a = int(gain.argmax())
+    i, j = np.unravel_index(int(pair.argmax()), pair.shape)
+    best = [fits[i], fits[j]] if pair[i, j] > gain[a] else [fits[a]]
+    return [int(k) for k in (*ones, *best)]
+
+
 def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
                          time_limit: float | None = None,
                          root=None) -> MIPResult:
@@ -206,22 +234,27 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     parent's rounded-up LP value, a floor on its own, and is dropped unsolved
     once the incumbent reaches it.  The incumbent is seeded once, by a
     greedy selection at the root, and improves only through integral node
-    LPs.  After a fractional node LP of value z with duals (mu, lam), each
-    clause's reduced cost d_k = neg_k + lam * complexity_k - sum of mu over
-    the positives it covers bounds its subtree: a point with a free clause
-    at 0 raised to 1 costs at least z + d_k, one with a free clause at 1
-    lowered to 0 at least z - d_k.  Where that rounds up to the incumbent
-    or more, the clause is fixed at its bound for both children.  The
-    split duals of a presolved node LP give the same d on its free clauses
-    as the reduced LP's own.  A time limit turns the result into a
-    best-effort incumbent with optimal=False.  Every node below the root
-    fixes clauses, so `solve_restricted_mlp` presolves its LP down to the
-    free clauses and the distinct cover patterns they leave.  `root`, when
-    given, is the optimal `MasterSolution` of the root LP over this very
-    pool and budget, which column generation has already solved; it still
-    counts as a node, but is not solved again.  `pivots` sums the HiGHS
-    simplex iterations of the node LPs solved here, so a given root adds
-    none.
+    LPs and enumerated nodes.  After a fractional node LP of value z with
+    duals (mu, lam), each clause's reduced cost d_k = neg_k + lam *
+    complexity_k - sum of mu over the positives it covers bounds its
+    subtree: a point with a free clause at 0 raised to 1 costs at least
+    z + d_k, one with a free clause at 1 lowered to 0 at least z - d_k.
+    Where that rounds up to the incumbent or more, the clause is fixed at
+    its bound for both children.  The split duals of a presolved node LP
+    give the same d on its free clauses as the reduced LP's own.  A time
+    limit turns the result into a best-effort incumbent with
+    optimal=False.  Every node below the root fixes clauses, so
+    `solve_restricted_mlp` presolves its LP down to the free clauses and
+    the distinct cover patterns they leave.  A node, the root included,
+    with fewer than three free clauses, or whose three cheapest free ones
+    cost more than the budget its clauses fixed to 1 leave, solves no LP:
+    `_best_small_addition` lists every selection below it.  Such a node
+    counts once in `nodes`, adds no pivots and has no children.  `root`,
+    when given, is the optimal `MasterSolution` of the root LP over this
+    very pool and budget, which column generation has already solved; it
+    still counts as a node, but is not solved again.  `pivots` sums the
+    HiGHS simplex iterations of the node LPs solved here, so a given root
+    adds none.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     pos_cover = np.asarray(pos_cover, dtype=float)
@@ -232,9 +265,8 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     best_obj = n_pos
     best_sel: list = []
     nodes = pivots = 0
-    lp_root = float(n_pos)
     if K == 0:
-        return MIPResult(best_obj, [], True, 0, lp_root, 0)
+        return MIPResult(best_obj, [], True, 0, 0)
 
     def try_incumbent(chosen):
         nonlocal best_obj, best_sel
@@ -255,8 +287,16 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         w_lower, w_upper, floor = stack.pop()
         if floor >= best_obj:
             continue
-        fixed_cost = complexities[w_lower >= 1.0].sum()
-        if fixed_cost > budget + 1e-9:
+        room = budget - complexities[w_lower >= 1.0].sum()
+        if room < -1e-9:
+            continue
+        free = np.flatnonzero((w_lower == 0.0) & (w_upper == 1.0))
+        three = np.sort(complexities[free])[:3]
+        if len(three) < 3 or three.sum() > room + 1e-9:
+            # at most two more clauses fit: list them instead of an LP
+            nodes += 1
+            try_incumbent(_best_small_addition(
+                pos_cover, neg_counts, complexities, w_lower, free, room))
             continue
         if root is not None:
             ms, root = root, None
@@ -266,8 +306,6 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
                 w_lower=w_lower, w_upper=w_upper, deadline=deadline)
             pivots += ms.iterations
         nodes += 1
-        if nodes == 1:
-            lp_root = ms.objective
         if ms.status == "infeasible":
             continue
         if ms.status != "optimal":
@@ -307,8 +345,7 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         stack.append(children[1])
         stack.append(children[0])
 
-    return MIPResult(best_obj, sorted(best_sel), optimal, nodes, lp_root,
-                     pivots)
+    return MIPResult(best_obj, sorted(best_sel), optimal, nodes, pivots)
 
 
 @dataclass
@@ -321,9 +358,9 @@ class ColGenResult:
     was priced out AND its rounded value meets the integer objective; a
     weaker certificate that happens to close the gap stays unclaimed.
     pool_size is the pool the selection chose from, mip_nodes counts its
-    branch-and-bound nodes, and mip_pivots the pivots of the node LPs it
-    solved; a root reused from the loop adds its pivots to the last trace
-    row instead.
+    branch-and-bound nodes, enumerated ones included, and mip_pivots the
+    pivots of the node LPs it solved; a root reused from the loop adds its
+    pivots to the last trace row instead.
     """
 
     complexity_bound: int

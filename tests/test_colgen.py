@@ -372,14 +372,16 @@ def test_highs_numerical_trouble_ends_the_fit_cleanly(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", troubled)
     ds = random_instance(np.random.default_rng(404))
     monkeypatch.setattr(colgen, "MAX_COLUMNS", 2)
-    res = run_column_generation(ds, small_config(6, 2))
+    res = run_column_generation(ds, small_config(9, 2))
     # round 2's and round 3's masters, then the root node LP: the pool grew
-    # after round 2, so its master cannot stand in for the root
+    # after round 2, so its master cannot stand in for the root, and any
+    # three of its clauses fit C = 9, so the root is not enumerated
     assert calls == 3
     assert res.iterations == 3
+    assert res.pool_size == 4
     assert res.trace[-1].mode == "master-failed"
     assert not (res.optimal or res.rmlp_converged or res.mip_optimal)
-    assert sum(c.complexity for c in res.clauses) <= 6
+    assert sum(c.complexity for c in res.clauses) <= 9
     assert selection_loss(res.clauses, ds) == res.objective
     assert res.lower_bound is not None
     assert res.lower_bound <= res.objective
@@ -501,18 +503,26 @@ def test_mip_budget_forces_a_choice():
     assert roomy.selected == [0, 1]
 
 
+def two_triangle_covers():
+    """Pairwise covers of two triangles of three positives each, every
+    clause of complexity 2: at C = 6 the LP plays w = 1/2 on all six and
+    reaches zero, while three whole clauses must leave one positive out."""
+    tri = np.array([[1.0, 0.0, 1.0],
+                    [1.0, 1.0, 0.0],
+                    [0.0, 1.0, 1.0]])
+    return np.block([[tri, np.zeros((3, 3))], [np.zeros((3, 3)), tri]])
+
+
 def test_mip_fractional_cover_needs_branching():
-    # pairwise covers of three positives: the LP plays w = 1/2 everywhere
-    # and reaches zero, the integer answer must drop one positive
-    pos_cover = np.array([[1.0, 0.0, 1.0],
-                          [1.0, 1.0, 0.0],
-                          [0.0, 1.0, 1.0]])
-    neg_counts = np.zeros(3)
-    complexities = np.full(3, 2.0)
-    mip = solve_restricted_mip(pos_cover, neg_counts, complexities, 3.0)
-    assert mip.lp_value == pytest.approx(0.0, abs=1e-7)
+    # three clauses fit the root, so it is an LP node, not an enumeration
+    pos_cover = two_triangle_covers()
+    neg_counts = np.zeros(6)
+    complexities = np.full(6, 2.0)
+    root = solve_restricted_mlp(pos_cover, neg_counts, complexities, 6.0)
+    assert root.objective == pytest.approx(0.0, abs=1e-7)
+    mip = solve_restricted_mip(pos_cover, neg_counts, complexities, 6.0)
     assert mip.objective == 1
-    assert len(mip.selected) == 1
+    assert len(mip.selected) == 3
     assert mip.optimal
     assert mip.nodes > 1
 
@@ -562,10 +572,48 @@ def record_node_lps(monkeypatch):
     return nodes
 
 
+def record_enumerated_nodes(monkeypatch):
+    """Record the fixings of every node the integer stage closes by
+    enumeration, coded as `record_node_lps` codes them."""
+    real = colgen._best_small_addition
+    nodes = []
+
+    def recording(pos_cover, neg_counts, complexities, w_lower, free, room):
+        fixings = 2 * w_lower.astype(int)
+        fixings[free] = 1
+        nodes.append(tuple(fixings))
+        return real(pos_cover, neg_counts, complexities, w_lower, free, room)
+
+    monkeypatch.setattr(colgen, "_best_small_addition", recording)
+    return nodes
+
+
+def test_mip_enumerates_below_a_node_with_room_for_two(monkeypatch):
+    # the root LP branches on clause 0 and takes it first; the room it
+    # leaves, 4, fits only two more clauses, so no LP is solved below it
+    pos_cover = two_triangle_covers()
+    neg_counts = np.zeros(6)
+    complexities = np.full(6, 2.0)
+    solved = record_node_lps(monkeypatch)
+    enumerated = record_enumerated_nodes(monkeypatch)
+    mip = solve_restricted_mip(pos_cover, neg_counts, complexities, 6.0)
+    opt, subset = best_selection_by_enumeration(pos_cover, neg_counts,
+                                                complexities, 6.0)
+    assert mip.optimal
+    assert (mip.objective, mip.selected) == (opt, list(subset))
+    assert mip.nodes == len(solved) + len(enumerated)
+    assert solved[0][1] == (1,) * 6
+    assert (2, 1, 1, 1, 1, 1) in enumerated
+    # every node with a clause fixed to 1 is enumerated, not solved
+    assert all(2 not in fixings for _, fixings, _ in solved)
+    assert mip.pivots == sum(ms.iterations for _, _, ms in solved)
+
+
 def test_mip_drops_children_at_their_parents_bound(monkeypatch):
-    # every clause of at most two literals over a 16-row instance; at C = 6
-    # and 7 an integral node improves the incumbent while its sibling
-    # waits on the stack with a parent bound the new incumbent meets
+    # every clause of at most two literals over a 16-row instance; at
+    # C = 6, 7 and 8 three clauses fit the root, and below it a node
+    # improves the incumbent while its sibling waits on the stack with a
+    # parent bound the new incumbent meets
     X_half = [[int(c) for c in row] for row in (
         "0111", "0001", "1101", "1100", "1011", "0111", "0011", "0111",
         "0101", "0010", "0011", "0001", "1011", "0010", "0010", "1100")]
@@ -576,64 +624,68 @@ def test_mip_drops_children_at_their_parents_bound(monkeypatch):
             pool.add(features)
     cover, negc, comp = pool.arrays()
     solved = record_node_lps(monkeypatch)
+    enumerated = record_enumerated_nodes(monkeypatch)
     dropped = 0
-    for C in (6, 7):
+    for C in (6, 7, 8):
         solved.clear()
+        enumerated.clear()
         mip = solve_restricted_mip(cover, negc, comp, float(C))
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, 2)
         assert mip.objective == opt and mip.optimal
-        assert mip.nodes == len(solved)
-        # a node that branched on clause k has at least one child solved;
-        # its sibling, if within the budget and never solved, was dropped
-        # by the bound.  Both children carry the node's fixings, clause k
-        # and the same reduced-cost fixings, so a child is the node below
-        # it with the fewest fixings, and its sibling differs only at k
+        assert mip.nodes == len(solved) + len(enumerated)
+        # a node that branched on clause k has at least one child solved
+        # or enumerated; its sibling, if within the budget and never
+        # reached, was dropped by the bound.  Both children carry the
+        # node's fixings, clause k and the same reduced-cost fixings, so a
+        # child is the node below it with the fewest fixings, and its
+        # sibling differs only at k
         seen = {fixings: ms for _, fixings, ms in solved}
+        reached = set(seen) | set(enumerated)
         for fixings, ms in seen.items():
             frac = np.abs(ms.w - 0.5) < 0.5 - 1e-6
             if ms.status != "optimal" or not frac.any():
                 continue
             k = int(np.where(frac, np.abs(ms.w - 0.5), np.inf).argmin())
             node = np.array(fixings)
-            below = [np.array(f) for f in seen if f[k] != 1 and
+            below = [np.array(f) for f in reached if f[k] != 1 and
                      (np.array(f)[node != 1] == node[node != 1]).all()]
             if not below:
                 continue
             child = min(below, key=lambda f: int((f != 1).sum()))
             sibling = child.copy()
             sibling[k] = 2 - child[k]
-            if tuple(sibling) in seen or comp[sibling == 2].sum() > C:
+            if tuple(sibling) in reached or comp[sibling == 2].sum() > C:
                 continue
             assert guarded_ceil(ms.objective) >= mip.objective
             dropped += 1
-    # without the parent bound each dropped child costs one more node LP
+    # without the parent bound each dropped child costs one more node
     assert dropped >= 2
 
 
 def test_mip_shuts_a_clause_out_by_its_root_reduced_cost(monkeypatch):
-    # the pairwise covers of three positives play w = 1/2 at the root for
-    # an LP value of 0, while the greedy seed leaves one positive out.
-    # Clause 3 covers all three but hits three negatives: at any optimal
-    # root duals its reduced cost is at least 2, more than the gap of 1
-    # between the incumbent and the rounded-up root value, so no node
-    # below the root may take it
-    pos_cover = np.array([[1.0, 0.0, 1.0, 1.0],
-                          [1.0, 1.0, 0.0, 1.0],
-                          [0.0, 1.0, 1.0, 1.0]])
-    neg_counts = np.array([0.0, 0.0, 0.0, 3.0])
-    complexities = np.full(4, 2.0)
+    # the pairwise covers of two triangles play w = 1/2 at the root for an
+    # LP value of 0, while the greedy seed leaves one positive out.
+    # Clause 6 covers all six but hits six negatives: at any optimal root
+    # duals lam <= 1 and mu sums to 6 lam, so its reduced cost 6 - 4 lam
+    # is at least 2, more than the gap of 1 between the incumbent and the
+    # rounded-up root value, and no node below the root may take it
+    pos_cover = np.hstack([two_triangle_covers(), np.ones((6, 1))])
+    neg_counts = np.array([0.0] * 6 + [6.0])
+    complexities = np.full(7, 2.0)
     solved = record_node_lps(monkeypatch)
-    mip = solve_restricted_mip(pos_cover, neg_counts, complexities, 3.0)
+    enumerated = record_enumerated_nodes(monkeypatch)
+    mip = solve_restricted_mip(pos_cover, neg_counts, complexities, 6.0)
     opt, _ = best_selection_by_enumeration(pos_cover, neg_counts,
-                                           complexities, 3.0)
+                                           complexities, 6.0)
     assert mip.optimal and mip.objective == opt == 1
-    assert mip.nodes == len(solved)
+    assert mip.nodes == len(solved) + len(enumerated)
     (_, fixings, root), *below = solved
-    assert fixings == (1, 1, 1, 1)
+    assert fixings == (1,) * 7
     d = neg_counts + root.lam * complexities - root.mu @ pos_cover
-    assert d[3] > mip.objective - guarded_ceil(root.objective)
-    assert below
-    assert all(f[3] == 0 for _, f, _ in below)
+    assert d[6] > mip.objective - guarded_ceil(root.objective)
+    assert below and enumerated
+    assert all(f[6] == 0 for _, f, _ in below)
+    assert all(f[6] == 0 for f in enumerated)
 
 
 def test_mip_pivots_sum_the_node_lps(monkeypatch):
@@ -650,9 +702,9 @@ def test_mip_pivots_sum_the_node_lps(monkeypatch):
 
 
 def test_converged_selection_reuses_the_last_master_as_its_root(monkeypatch):
-    # at C = 5 the LP bound falls short of the integer loss, so the
-    # selection branches below its root
-    ds, cfg = two_triangles(), small_config(5, 2)
+    # at C = 7 the LP bound falls short of the integer loss and three
+    # clauses fit the root, so the selection branches below its root LP
+    ds, cfg = two_triangles(), small_config(7, 2)
     pool = ClausePool(ds)
     growth = colgen._grow_pool(ds, cfg, pool)
     assert growth.converged
@@ -669,18 +721,23 @@ def test_converged_selection_reuses_the_last_master_as_its_root(monkeypatch):
 
     monkeypatch.setattr(colgen, "solve_restricted_mlp", counting_mlp)
     monkeypatch.setattr(colgen, "solve_restricted_mip", recording_mip)
+    enumerated = record_enumerated_nodes(monkeypatch)
     res = colgen._select(pool, cfg, growth)
     mip, = mips
     assert res.mip_nodes == mip.nodes >= 2
-    assert len(solved) == mip.nodes - 1
+    assert len(solved) == mip.nodes - 1 - len(enumerated)
     assert res.mip_pivots == sum(ms.iterations for ms in solved)
     # re-solving the root changes nothing but the pivots it costs, which
-    # are the last master's
-    again = real_mip(*pool.arrays(), 5.0)
+    # are the last master's, and it has the last master's value
+    again = real_mip(*pool.arrays(), 7.0)
     assert again.optimal and mip.optimal
-    assert ((mip.objective, mip.selected, mip.nodes, mip.lp_value)
-            == (again.objective, again.selected, again.nodes, again.lp_value))
+    assert ((mip.objective, mip.selected, mip.nodes)
+            == (again.objective, again.selected, again.nodes))
     assert again.pivots == mip.pivots + growth.trace[-1].master_pivots
+    resolved = real_mlp(*pool.arrays(), 7.0)
+    assert resolved.objective == pytest.approx(growth.master.objective,
+                                               abs=1e-7)
+    assert guarded_ceil(resolved.objective) < mip.objective
 
 
 def test_highs_never_sees_an_lp_without_a_free_clause(monkeypatch):
@@ -776,18 +833,22 @@ def test_sweep_grows_every_budget_then_selects_each_once(monkeypatch):
 
 
 def test_sweep_budget_whose_pool_grew_resolves_its_root(monkeypatch):
-    # only a budget whose last master saw the final pool skips its root
+    # only a budget whose last master saw the final pool skips its root;
+    # the pool grows at C = 8 and again at C = 12, and three clauses fit
+    # every root, so none is enumerated
     nodes = record_node_lps(monkeypatch)
+    enumerated = record_enumerated_nodes(monkeypatch)
     grown, solves, _ = recording_sweep(monkeypatch)
-    ds = random_instance(np.random.default_rng(10))
-    budgets = [2, 3, 5, 7]
+    ds = random_instance(np.random.default_rng(5))
+    budgets = [6, 8, 10, 12]
     sweep_complexity(ds, budgets, small_config(6, 2))
-    final = grown[7].trace[-1].pool_size
+    final = grown[12].trace[-1].pool_size
     solved = defaultdict(int)
     for budget, _, _ in nodes:
         solved[int(budget)] += 1
+    assert not enumerated
     reused = {C: grown[C].trace[-1].pool_size == final for C in budgets}
-    assert reused[7] and not reused[2]
+    assert reused[12] and not reused[6]
     for C, _, n in solves:
         assert n >= 1
         assert solved[C] == n - reused[C]
