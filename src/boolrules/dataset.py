@@ -1,18 +1,21 @@
 """CSV ingestion and binarization into complementary 0/1 feature pairs.
 
 Numeric columns are cut at empirical quantiles (deciles by default) and each
-threshold t yields the pair of features [X <= t] and [X > t].  Categorical
-columns yield an equality/inequality pair per category.  Every feature
-therefore has a complement at a known index, which is what lets a CNF model
-be trained as a DNF model on the negated dataset.
+threshold t yields the pair of features [X <= t] and [X > t].  The
+thresholds of all of a table's numeric columns come from one block pass:
+the columns are stacked, sorted and cut at their quantiles together.
+Categorical columns yield an equality/inequality pair per category.  Every
+feature therefore has a complement at a known index, which is what lets a
+CNF model be trained as a DNF model on the negated dataset.
 
 Both readers, `read_csv_table` for training and `read_columns` for
 `RuleSet.predict_rows`, parse cells a column at a time: a column is stripped
 and masked for missing cells once, and `_parse_floats` is the one place
 numbers are parsed.  `evaluate_conditions` evaluates every stored condition:
 on training rows (`binarize_table`), held-out folds (`build_matrix`) and raw
-rows.  A missing numeric cell is NaN there and fails both threshold tests; a
-missing categorical cell is "?".
+rows.  It compares a categorical column with a category once for both its
+= and != tests.  A missing numeric cell is NaN there and fails both
+threshold tests; a missing categorical cell is "?".
 """
 
 from __future__ import annotations
@@ -283,25 +286,39 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
                       negative_label=negative_label, dropped_rows=int(drop.sum()))
 
 
-def numeric_features(values: np.ndarray, column: str, quantile_count: int = 9):
-    """Threshold features of a numeric column cut at its empirical quantiles.
+def _quantile_thresholds(columns, quantile_count: int):
+    """The kept thresholds of each of m equal-length numeric columns, as
+    m ascending float arrays, from one (n, m) block.
 
     Thresholds are the k/(quantile_count+1) quantiles (linear interpolation),
     one per distinct split of the column: of the thresholds with the same
-    count of values at or below them, the smallest is kept.  Each kept
-    threshold t yields [X <= t] and [X > t]; a threshold at or above every
-    value would make both constant, so that pair is dropped.
+    count of values at or below them, the smallest is kept.  A threshold at
+    or above every value splits nothing, so it is dropped.
     """
     if quantile_count < 1:
         raise DatasetError("quantile_count must be at least 1")
     probs = np.arange(1, quantile_count + 1) / (quantile_count + 1)
-    values = np.sort(values)
-    cuts = np.unique(np.quantile(values, probs))
-    below, first = np.unique(np.searchsorted(values, cuts, side="right"),
-                             return_index=True)
-    return [FeatureMeta(column, kind, float(t))
-            for t in cuts[first[below < len(values)]]
+    block = np.sort(np.stack(columns, axis=1), axis=0)
+    cuts = np.sort(np.quantile(block, probs, axis=0), axis=0)
+    below = np.empty(cuts.shape, dtype=np.intp)
+    for j in range(block.shape[1]):
+        below[:, j] = np.searchsorted(block[:, j], cuts[:, j], side="right")
+    keep = below < len(block)
+    keep[1:] &= below[1:] != below[:-1]
+    return [cuts[keep[:, j], j] for j in range(block.shape[1])]
+
+
+def _threshold_pairs(column: str, thresholds: np.ndarray):
+    return [FeatureMeta(column, kind, t) for t in thresholds.tolist()
             for kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)]
+
+
+def numeric_features(values: np.ndarray, column: str, quantile_count: int = 9):
+    """Threshold features of a numeric column cut at its empirical quantiles:
+    [X <= t] and [X > t] for each threshold `_quantile_thresholds` keeps.
+    `binarize_table` cuts every numeric column of a table at once."""
+    [thresholds] = _quantile_thresholds([values], quantile_count)
+    return _threshold_pairs(column, thresholds)
 
 
 def categorical_features(values, column: str):
@@ -323,6 +340,7 @@ def evaluate_conditions(columns: dict, metas: list[FeatureMeta], n: int) -> np.n
     missing cell is the category "?".
     """
     out = np.empty((n, len(metas)), dtype=np.uint8)
+    equal = {}  # (column, category) -> its cells' == mask, for = and !=
     for j, m in enumerate(metas):
         vals = columns[m.column]
         if m.kind == KIND_NUMERIC_LEQ:
@@ -330,7 +348,9 @@ def evaluate_conditions(columns: dict, metas: list[FeatureMeta], n: int) -> np.n
         elif m.kind == KIND_NUMERIC_GT:
             out[:, j] = vals > m.value
         else:
-            eq = vals == m.value
+            eq = equal.get((m.column, m.value))
+            if eq is None:
+                eq = equal[m.column, m.value] = vals == m.value
             out[:, j] = eq if m.kind == KIND_CATEGORICAL_EQ else ~eq
     return out
 
@@ -348,10 +368,13 @@ def binarize_table(table: TypedTable, rows: np.ndarray | None = None,
         rows = np.arange(table.n)
     rows = np.asarray(rows)
     columns = {c: table.values[c][rows] for c in table.columns}
+    numeric = [c for c in table.columns if table.kinds[c] == "numeric"]
+    cuts = dict(zip(numeric, _quantile_thresholds(
+        [columns[c] for c in numeric], quantile_count))) if numeric else {}
     metas = []
     for c in table.columns:
-        if table.kinds[c] == "numeric":
-            metas += numeric_features(columns[c], c, quantile_count)
+        if c in cuts:
+            metas += _threshold_pairs(c, cuts[c])
         else:
             metas += categorical_features(columns[c], c)
     if not metas:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (vertex
 enumeration, exhaustive clause search, KKT conditions checked one row at a
-time, CSV ingest one cell at a time) so it shares no code with the package
-under test.  The one exception is `budget_by_inner_folds`, which checks
-nested budget selection around the package's own fits and fold scoring.
+time, CSV ingest one cell at a time, numeric thresholds one column at a
+time) so it shares no code with the package under test.  The one
+exception is `budget_by_inner_folds`, which checks nested budget selection
+around the package's own fits and fold scoring.
 """
 
 import csv
@@ -485,3 +486,32 @@ def read_columns_by_cells(header, rows, metas):
             columns[c] = np.array([v if v not in MISSING_CELLS else "?"
                                    for v in cells], dtype=object)
     return columns
+
+
+def numeric_features_by_column(values, column, quantile_count=9):
+    """The threshold features of one numeric column as (column, kind,
+    value) triples, from its own sort, quantiles and searchsorted: the
+    per-column reference for `dataset.binarize_table`, which cuts every
+    numeric column of a table from one block."""
+    if quantile_count < 1:
+        raise ValueError("quantile_count must be at least 1")
+    probs = np.arange(1, quantile_count + 1) / (quantile_count + 1)
+    values = np.sort(values)
+    cuts = np.unique(np.quantile(values, probs))
+    below, first = np.unique(np.searchsorted(values, cuts, side="right"),
+                             return_index=True)
+    return [(column, kind, float(t))
+            for t in cuts[first[below < len(values)]]
+            for kind in ("numeric-leq", "numeric-gt")]
+
+
+def holds(kind, value, cell):
+    """Whether one stored condition holds on one cell: a missing numeric
+    cell is NaN and fails both threshold tests."""
+    if kind == "numeric-leq":
+        return cell <= value
+    if kind == "numeric-gt":
+        return cell > value
+    if kind == "categorical-eq":
+        return cell == value
+    return cell != value

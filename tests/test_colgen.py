@@ -688,6 +688,35 @@ def test_mip_shuts_a_clause_out_by_its_root_reduced_cost(monkeypatch):
     assert all(f[6] == 0 for f in enumerated)
 
 
+def test_mip_fixes_a_clause_to_one_only_at_the_incumbent():
+    # nine positives, no negatives and budget 7.  The greedy seed takes
+    # clauses 3 and 4, three positives each, and misses three.  The root
+    # LP value is 2, the optimum's, and HiGHS's root answer puts clauses 0
+    # and 3 at w = 1 with reduced cost 0, so dropping either rounds up to
+    # 2: one below the incumbent, which is not enough to fix it to 1.  The
+    # one selection of loss 2, clauses 0, 2 and 4, leaves clause 3 out.
+    # Random pools seldom reach this line, since the greedy seed is often
+    # optimal already
+    covers = [{5, 7}, {3}, {4, 6}, {1, 2, 4}, {0, 3, 8}]
+    pos_cover = np.zeros((9, 5))
+    for k, rows in enumerate(covers):
+        pos_cover[sorted(rows), k] = 1.0
+    neg_counts = np.zeros(5)
+    complexities = np.array([2.0, 3.0, 2.0, 3.0, 3.0])
+    greedy = colgen._greedy_selection(pos_cover, neg_counts, complexities, 7.0)
+    assert sorted(greedy) == [3, 4]
+    opt, subset = best_selection_by_enumeration(pos_cover, neg_counts,
+                                                complexities, 7.0)
+    assert (opt, subset) == (2, (0, 2, 4))
+    root = solve_restricted_mlp(pos_cover, neg_counts, complexities, 7.0)
+    assert guarded_ceil(root.objective) == 2
+    for start in (root, None):
+        mip = solve_restricted_mip(pos_cover, neg_counts, complexities, 7.0,
+                                   root=start)
+        assert mip.optimal
+        assert (mip.objective, mip.selected) == (2, [0, 2, 4])
+
+
 def test_mip_pivots_sum_the_node_lps(monkeypatch):
     # each budget's count covers its one selection over the final pool
     solved = record_node_lps(monkeypatch)

@@ -17,6 +17,7 @@ from boolrules.dataset import (
     read_csv_table,
 )
 from _data import make_binary_dataset, tictactoe_rows, write_tictactoe_csv
+from _oracles import holds
 
 
 def write_csv(path, text):
@@ -256,6 +257,41 @@ def test_conditions_on_missing_cells():
             read_columns(["v", "c"], [["1", "red"], [bad, "red"]], [leq])
     # only the columns the conditions read are parsed
     assert set(read_columns(["v", "c"], [["oops", "red"]], [eq])) == {"c"}
+
+
+def test_each_category_is_compared_once_for_both_its_tests(tmp_path):
+    # c = a is tested as = only, c != b as != only, c = d as both (!=
+    # first), c = a is listed twice, and column e has a category "a" of
+    # its own, so a comparison is shared only by the same column and
+    # category
+    metas = [FeatureMeta("c", "categorical-eq", "a"),
+             FeatureMeta("c", "categorical-neq", "b"),
+             FeatureMeta("c", "categorical-neq", "d"),
+             FeatureMeta("e", "categorical-eq", "a"),
+             FeatureMeta("c", "categorical-eq", "d"),
+             FeatureMeta("c", "categorical-eq", "a"),
+             FeatureMeta("c", "categorical-neq", "?")]
+    p = write_csv(tmp_path / "t.csv", """
+        c,e,cls
+        a,a,no
+        b,b,yes
+        d,a,no
+        ?,b,yes
+        a,,yes
+        ,d,no
+    """.replace(" ", ""))
+    table = read_csv_table(p, "cls", missing="category")
+    rows = np.array([5, 0, 2, 4])
+    header, raw = ["c", "e"], [line.split(",") for line in
+                               ["a,a", "b,b", "d,a", "?,b", "a,", ",d"]]
+    # binarize_table's and build_matrix's columns, then predict_rows'
+    for columns in ({c: table.values[c][rows] for c in header},
+                    read_columns(header, raw, metas)):
+        n = len(columns["c"])
+        want = [[holds(m.kind, m.value, columns[m.column][i]) for m in metas]
+                for i in range(n)]
+        np.testing.assert_array_equal(evaluate_conditions(columns, metas, n),
+                                      np.array(want, dtype=np.uint8))
 
 
 def test_read_columns_rejects_short_rows_and_absent_columns():

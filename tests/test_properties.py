@@ -5,8 +5,9 @@ conditions of the unreduced LP and attains its enumerated value; a
 master's duals are those HiGHS gives the per-row build; the closed-form
 answer for an empty pool is HiGHS's own; the integer stage proves the
 enumerated best selection of a clause pool, from a given root or its own;
-a rule set predicts the same on raw cells, on binarized rows and after a
-JSON round trip; a CNF model is the DNF model of the negated data,
+binarizing a table cuts each numeric column as its own sort and quantiles
+do; a rule set predicts the same on raw cells, on binarized rows and after
+a JSON round trip; a CNF model is the DNF model of the negated data,
 complemented; and CSV ingest reads what the cell-by-cell oracle reads, or
 fails with the same message.
 
@@ -34,6 +35,7 @@ from boolrules.dataset import (
     BinaryDataset,
     DatasetError,
     FeatureMeta,
+    TypedTable,
     binarize_table,
     build_matrix,
     evaluate_conditions,
@@ -50,8 +52,10 @@ from _oracles import (
     best_ruleset_by_enumeration,
     best_selection_by_enumeration,
     highs_on_le_form,
+    holds,
     kkt_residuals,
     lp_minimum_by_vertex_enumeration,
+    numeric_features_by_column,
     read_columns_by_cells,
     read_csv_table_by_cells,
     unreduced_master,
@@ -263,6 +267,72 @@ def test_numeric_features_split_the_column_each_their_own_way(values,
                         if tuple((values <= c).astype(np.uint8)) == split)
     assert {tuple((values <= c).astype(np.uint8))
             for c in cuts if c < values.max()} == set(splits)
+
+
+@st.composite
+def typed_tables(draw):
+    """A TypedTable of 1 to 30 rows and 1 to 5 columns, each numeric (a
+    few small integers, so ties, or one constant, or floats with signed
+    zeros) or categorical (missing cells are "?"), plus a row subset to
+    binarize (None for all rows) and a quantile count of 1 to 20."""
+    n = draw(st.integers(1, 30))
+    shapes = draw(st.lists(st.sampled_from(
+        ["ties", "constant", "floats", "categorical"]), min_size=1, max_size=5))
+    columns, kinds, values = [], {}, {}
+    for j, shape in enumerate(shapes):
+        c = f"c{j}"
+        if shape == "categorical":
+            cells = draw(st.lists(st.sampled_from(["a", "b", "c", "?"]),
+                                  min_size=n, max_size=n))
+            values[c] = np.array(cells, dtype=object)
+        else:
+            cells = {
+                "ties": st.lists(st.integers(-2, 4), min_size=n, max_size=n),
+                "constant": st.integers(-2, 4).map(lambda v: [v] * n),
+                "floats": st.lists(st.floats(-100, 100), min_size=n,
+                                   max_size=n),
+            }[shape]
+            values[c] = np.array(draw(cells), dtype=float)
+        columns.append(c)
+        kinds[c] = "categorical" if shape == "categorical" else "numeric"
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=np.uint8)
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=n, unique=True))
+    table = TypedTable(columns=columns, kinds=kinds, values=values, y=y,
+                       label_column="label", positive_label="1",
+                       negative_label="0")
+    return table, rows, draw(st.integers(1, 20))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(drawn=typed_tables())
+def test_block_thresholds_are_the_per_column_reference(drawn):
+    # binarize_table cuts every numeric column from one sorted block; each
+    # column must get the features its own sort and quantiles give, with
+    # Python float thresholds, in CSV column order, and the same X
+    table, rows, quantile_count = drawn
+    picked = np.arange(table.n) if rows is None else np.array(rows)
+    want = []
+    for c in table.columns:
+        col = table.values[c][picked]
+        if table.kinds[c] == "numeric":
+            want += numeric_features_by_column(col, c, quantile_count)
+        elif len(set(col)) > 1:
+            want += [(c, kind, cat) for cat in sorted(set(col))
+                     for kind in ("categorical-eq", "categorical-neq")]
+    if not want or len(set(table.y[picked].tolist())) < 2:
+        with pytest.raises(DatasetError):
+            binarize_table(table, rows, quantile_count)
+        return
+    ds = binarize_table(table, rows, quantile_count)
+    exact = [(c, kind, type(v), repr(v)) for c, kind, v in want]
+    assert [(m.column, m.kind, type(m.value), repr(m.value))
+            for m in ds.features] == exact
+    X = [[holds(kind, v, table.values[c][i]) for c, kind, v in want]
+         for i in picked]
+    np.testing.assert_array_equal(ds.X, np.array(X, dtype=np.uint8))
+    np.testing.assert_array_equal(ds.y, table.y[picked])
 
 
 HEADER = ["num", "cat", "label"]
