@@ -17,7 +17,7 @@ import numpy as np
 
 from .colgen import ColGenConfig
 from .cv import accuracy, cross_validate, fit_rows, mean_stderr, sweep_validate
-from .dataset import DataRowError, DatasetError, read_csv_table
+from .dataset import DataRowError, DatasetError, read_csv_rows, read_csv_table
 from .ruleset import RuleSet
 
 METRICS_HEADER = ["dataset", "fold", "C", "test_acc", "train_acc",
@@ -203,22 +203,15 @@ def predict(model, input_path, output):
         _fail(f"cannot load model {model}: {exc}")
 
     try:
-        with open(input_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            # every non-blank row, with its line in the file
-            numbered = [(reader.line_num, row) for row in reader if row]
-    except UnicodeDecodeError:
-        _fail(f"{input_path}: not UTF-8 text")
-    if not numbered:
-        labels = []
-    else:
-        header = [cell.strip() for cell in numbered[0][1]]
-        try:
-            labels = rs.predict_rows(header, [row for _, row in numbered[1:]])
-        except DataRowError as exc:  # named by its line in the file
-            _fail(f"{input_path}: row {numbered[exc.index + 1][0]}{exc.detail}")
-        except ValueError as exc:
-            _fail(f"{exc} (input columns: {', '.join(header)})")
+        header, rows, lines = read_csv_rows(input_path)
+    except DatasetError as exc:
+        _fail(str(exc))
+    try:
+        labels = rs.predict_rows(header, rows) if header else []
+    except DataRowError as exc:  # named by its line in the file
+        _fail(f"{input_path}: row {lines[exc.index]}{exc.detail}")
+    except ValueError as exc:
+        _fail(f"{exc} (input columns: {', '.join(header)})")
 
     text = "".join(label + "\n" for label in labels)
     if output is None:

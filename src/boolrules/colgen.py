@@ -81,7 +81,8 @@ class ColGenConfig:
                              "(the cheapest clause costs 2)")
         if self.clause_bound is not None and self.clause_bound < 1:
             raise ValueError("clause_bound must be at least 1")
-        if self.time_limit <= 0 or self.pricing_time_limit <= 0:
+        # `not limit > 0` also rejects NaN, which no deadline test would end
+        if not (self.time_limit > 0 and self.pricing_time_limit > 0):
             raise ValueError("time limits must be positive")
 
     def depth_limit(self, d: int) -> int:

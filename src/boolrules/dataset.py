@@ -8,14 +8,15 @@ Categorical columns yield an equality/inequality pair per category.  Every
 feature therefore has a complement at a known index, which is what lets a
 CNF model be trained as a DNF model on the negated dataset.
 
-Both readers, `read_csv_table` for training and `read_columns` for
-`RuleSet.predict_rows`, parse cells a column at a time: a column is stripped
-and masked for missing cells once, and `_parse_floats` is the one place
-numbers are parsed.  `evaluate_conditions` evaluates every stored condition:
-on training rows (`binarize_table`), held-out folds (`build_matrix`) and raw
-rows.  It compares a categorical column with a category once for both its
-= and != tests.  A missing numeric cell is NaN there and fails both
-threshold tests; a missing categorical cell is "?".
+`read_csv_rows` is the one file reader, and two cell parsers take its rows a
+column at a time, `read_csv_table` for training and `read_columns` for
+`RuleSet.predict_rows`: a column is stripped and masked for missing cells
+once, and `_parse_floats` is the one place numbers are parsed.
+`evaluate_conditions` evaluates every stored condition: on training rows
+(`binarize_table`), held-out folds (`build_matrix`) and raw rows, comparing a
+categorical column with a category once for its = and != tests.  A missing
+numeric cell is NaN there and fails both threshold tests; a missing
+categorical cell is "?".
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ class DatasetError(ValueError):
 
 class DataRowError(ValueError):
     """A bad row among those `read_columns` reads: "data row {index + 1}"
-    and then `detail`.  A reader that knows each row's line in its file
-    can name that instead."""
+    and then `detail`; `read_csv_rows` gives its file line to name instead."""
 
     def __init__(self, index: int, detail: str):
         super().__init__(f"data row {index + 1}{detail}")
@@ -187,51 +187,57 @@ def _parse_floats(cells):
     """Python's float of every cell as a float array, or None if a cell
     does not parse or is not finite.  The one place numbers are parsed."""
     try:
-        values = np.array(list(map(float, cells)), dtype=float)
+        values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
 
 
-def read_csv_table(path, label_column: str, positive_label: str | None = None,
-                   missing: str = "drop") -> TypedTable:
-    """Parse a CSV file into a TypedTable.
-
-    The file is read as UTF-8.  The first non-blank row is the header, and
-    blank lines are skipped.  Cells are stripped of surrounding whitespace;
-    "" and "?" mean missing.  A column is numeric iff it has a non-missing
-    cell and every non-missing cell parses as a finite number.  Under
-    missing="drop" every row containing a missing cell is dropped; under
-    missing="category" a missing cell in a categorical column becomes the
-    category "?" and only rows with missing numeric cells or a missing
-    label are dropped.  The positive label defaults to the
-    lexicographically larger of the two label values.  Errors about a row
-    name its line in the file.
-    """
-    if missing not in ("drop", "category"):
-        raise DatasetError(f"unknown missing-value policy {missing!r}")
+def read_csv_rows(path):
+    """The stripped header, the data rows and, for errors to name, the line
+    of the file each data row ends on.  The one CSV reader: the file is
+    UTF-8, blank lines are skipped, and the first non-blank row is the
+    header (empty for an empty file)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next((row for row in reader if row), None)
-            if header is None:
-                raise DatasetError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            if label_column not in header:
-                raise DatasetError(f"label column {label_column!r} not found in "
-                                   f"{path} (columns: {', '.join(header)})")
-            if len(set(header)) != len(header):
-                raise DatasetError(f"{path}: duplicate column names in header")
-            rows = []
-            for row in reader:
-                if len(row) != len(header):
-                    if not row:
-                        continue
-                    raise DatasetError(f"{path}: row {reader.line_num} has "
-                                       f"{len(row)} cells, expected {len(header)}")
+            header = next(filter(None, reader), [])
+            rows, lines = [], []
+            for row in filter(None, reader):
                 rows.append(row)
+                lines.append(reader.line_num)
     except UnicodeDecodeError:
         raise DatasetError(f"{path}: not UTF-8 text") from None
+    return [h.strip() for h in header], rows, lines
+
+
+def read_csv_table(path, label_column: str, positive_label: str | None = None,
+                   missing: str = "drop") -> TypedTable:
+    """Parse a CSV file, as `read_csv_rows` reads it, into a TypedTable.
+
+    Every row has the header's width.  Cells are stripped; "" and "?" mean
+    missing.  A column is numeric iff it has a non-missing cell and every
+    non-missing cell parses as a finite number.  Under missing="drop" every
+    row containing a missing cell is dropped; under missing="category" a
+    missing cell in a categorical column becomes the category "?" and only
+    rows with missing numeric cells or a missing label are dropped.  The
+    positive label defaults to the lexicographically larger of the two
+    label values.  Errors about a row name its line in the file.
+    """
+    if missing not in ("drop", "category"):
+        raise DatasetError(f"unknown missing-value policy {missing!r}")
+    header, rows, lines = read_csv_rows(path)
+    if not header:
+        raise DatasetError(f"{path}: empty file")
+    if label_column not in header:
+        raise DatasetError(f"label column {label_column!r} not found in "
+                           f"{path} (columns: {', '.join(header)})")
+    if len(set(header)) != len(header):
+        raise DatasetError(f"{path}: duplicate column names in header")
+    if rows and set(map(len, rows)) != {len(header)}:
+        k = next(k for k, row in enumerate(rows) if len(row) != len(header))
+        raise DatasetError(f"{path}: row {lines[k]} has {len(rows[k])} "
+                           f"cells, expected {len(header)}")
 
     feature_cols = [c for c in header if c != label_column]
     if not feature_cols:
@@ -367,6 +373,8 @@ def binarize_table(table: TypedTable, rows: np.ndarray | None = None,
     if rows is None:
         rows = np.arange(table.n)
     rows = np.asarray(rows)
+    if not len(rows):
+        raise DatasetError("no rows selected to binarize")
     columns = {c: table.values[c][rows] for c in table.columns}
     numeric = [c for c in table.columns if table.kinds[c] == "numeric"]
     cuts = dict(zip(numeric, _quantile_thresholds(

@@ -1,5 +1,6 @@
 """Shared fixtures: a tiny worked example, generated tic-tac-toe endgames,
-random synthetic datasets, and loaders for the optional benchmark CSVs.
+random synthetic datasets, loaders for the optional benchmark CSVs, and a
+patch that makes small fits sample their pricing instances.
 """
 
 import csv
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from boolrules import colgen, pricing
 from boolrules.dataset import BinaryDataset, FeatureMeta
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -120,3 +122,22 @@ def benchmark_csv(name):
     provided.  See scripts/prepare_datasets.py for how to create them."""
     path = DATA_DIR / name
     return path if path.exists() else None
+
+
+def force_sampling(mp, sample_target, nnz_cap, drops):
+    """Send every fit down the sampled path (`LARGE_NNZ` = 2), with samples
+    of about `sample_target` rows and `nnz_cap` zero entries plus features,
+    so that small instances lose rows and features too.  Each sampling call
+    appends (dropped a row, dropped a feature) to `drops`."""
+    real = colgen.restrict_pricing
+
+    def recording(X, *args):
+        rp = real(X, *args)
+        drops.append((len(rp.rows) < X.shape[0],
+                      len(rp.features) < X.shape[1]))
+        return rp
+
+    mp.setattr(colgen, "LARGE_NNZ", 2)
+    mp.setattr(colgen, "restrict_pricing", recording)
+    mp.setattr(pricing, "SAMPLE_TARGET", sample_target)
+    mp.setattr(pricing, "NNZ_CAP", nnz_cap)

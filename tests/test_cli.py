@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 import boolrules
 from boolrules.cli import METRICS_HEADER, SWEEP_HEADER, main
-from boolrules.dataset import FeatureMeta, binarize_table, read_csv_table
+from boolrules.dataset import (FeatureMeta, binarize_table, read_csv_rows,
+                               read_csv_table)
 from boolrules.ruleset import RuleSet, predict
 
 
@@ -237,6 +238,43 @@ def test_predict_errors_name_file_lines_past_blank_lines(tmp_path, runner):
     assert r.exit_code == 2
     assert r.output.splitlines() == [
         f"error: {data}: row 6 has 1 cells, fewer than the header's 2"]
+
+
+def test_train_and_predict_read_a_file_alike(tmp_path, runner):
+    # blank lines before the header and between rows, and a quoted cell
+    # over lines 4-5: a row is named by the line it ends on
+    data = tmp_path / "odd.csv"
+    data.write_text('\n\n a ,b,cls\n1,"two\nlines",x\n\n2,y,o\n')
+    assert read_csv_rows(data) == (
+        ["a", "b", "cls"], [["1", "two\nlines", "x"], ["2", "y", "o"]], [5, 7])
+    # a short row after another blank line: both commands name line 9
+    with open(data, "a") as fh:
+        fh.write("\n3,z\n")
+    r = runner.invoke(main, ["train", "--input", str(data), "--label-column",
+                             "cls", "-C", "4"])
+    assert r.exit_code == 2
+    assert r.output.splitlines() == [
+        f"error: {data}: row 9 has 2 cells, expected 3"]
+    model = tmp_path / "model.json"
+    model.write_text(RuleSet(
+        "dnf", ((FeatureMeta("b", "categorical-eq", "y"),),),
+        "yes", "no").to_json())
+    r = runner.invoke(main, ["predict", str(model), "--input", str(data)])
+    assert r.exit_code == 2
+    assert r.output.splitlines() == [
+        f"error: {data}: row 9 has 2 cells, fewer than the header's 3"]
+
+
+def test_nan_time_limits_exit_two_with_one_line(tmp_path, runner):
+    data = write_color_csv(tmp_path / "toy.csv")
+    for flag in ("--time-limit", "--pricing-time-limit"):
+        r = runner.invoke(main, ["train", "--input", str(data),
+                                 "--label-column", "label", "-C", "4",
+                                 "--output", str(tmp_path / "m.json"),
+                                 flag, "nan"])
+        assert r.exit_code == 2
+        assert r.output.splitlines() == ["error: time limits must be positive"]
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_bad_model_file_exits_two(tmp_path, runner):

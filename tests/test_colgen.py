@@ -2,6 +2,7 @@
 certificate behavior, the restricted integer solve, and the budget sweep."""
 
 import itertools
+import math
 import time
 from collections import defaultdict
 
@@ -23,7 +24,7 @@ from boolrules.lp_engine import solve_restricted_mlp
 from boolrules.pricing import RestrictedPricing
 from boolrules.ruleset import selection_loss
 
-from _data import make_binary_dataset, tiny_example
+from _data import force_sampling, make_binary_dataset, tiny_example
 from _oracles import (
     best_ruleset_by_enumeration,
     best_selection_by_enumeration,
@@ -76,6 +77,14 @@ def test_config_validation():
         ColGenConfig(complexity_bound=4, time_limit=0.0)
     with pytest.raises(ValueError, match="time limits"):
         ColGenConfig(complexity_bound=4, pricing_time_limit=-1.0)
+    # every deadline derived from a NaN limit compares false, so a NaN
+    # limit would never end a run; an infinite one is a choice
+    with pytest.raises(ValueError, match="time limits"):
+        ColGenConfig(complexity_bound=4, time_limit=math.nan)
+    with pytest.raises(ValueError, match="time limits"):
+        ColGenConfig(complexity_bound=4, pricing_time_limit=math.nan)
+    ColGenConfig(complexity_bound=4, time_limit=math.inf,
+                 pricing_time_limit=math.inf)
 
 
 def test_reduced_cost_dense_matches_definition():
@@ -206,13 +215,16 @@ def test_max_columns_above_ten_is_honored(monkeypatch):
 def test_forced_large_regime_samples_and_still_solves(monkeypatch):
     rng = np.random.default_rng(23)
     ds = random_instance(rng)
-    # thresholds pushed down so this tiny instance takes the sampling path;
-    # once the sample's candidates all fail on the full data, the round
-    # prices the full data exactly and certifies like the small regime
-    monkeypatch.setattr(colgen, "LARGE_NNZ", 2)
+    # thresholds pushed down so this tiny instance takes the sampling path
+    # on samples smaller than itself; once the sample's candidates all
+    # fail on the full data, the round prices the full data exactly and
+    # certifies like the small regime
+    drops = []
+    force_sampling(monkeypatch, 5, 20, drops)
     cfg = small_config(6, 2, seed=3)
     res = run_column_generation(ds, cfg)
     assert res.regime == "large"
+    assert any(rows for rows, _ in drops) and any(f for _, f in drops)
     assert res.trace[0].mode == "restricted-exact"
     last = res.trace[-1]
     assert last.mode == "restricted-exact+exact"
@@ -242,7 +254,8 @@ def test_sampled_pricing_skips_pool_clauses(monkeypatch):
     monkeypatch.setattr(colgen, "ClausePool", RecordedPool)
     monkeypatch.setattr(colgen, "MAX_COLUMNS", 3)
     monkeypatch.setattr(RestrictedPricing, "lift", recording_lift)
-    monkeypatch.setattr(colgen, "LARGE_NNZ", 2)
+    drops = []
+    force_sampling(monkeypatch, 30, 120, drops)
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         ds = make_binary_dataset(
@@ -254,6 +267,7 @@ def test_sampled_pricing_skips_pool_clauses(monkeypatch):
         assert res.regime == "large"
         check_against_enumeration(ds, res, 8, 3)
     assert sum(len(r) for r in returned) >= 20
+    assert any(rows for rows, _ in drops) and any(f for _, f in drops)
     assert not any(in_pool for r in returned for in_pool in r)
 
 

@@ -350,6 +350,17 @@ def test_single_class_rejected(tmp_path):
         binarize_table(table, rows=np.array([0, 1]))
 
 
+def test_an_empty_row_selection_is_rejected(tmp_path):
+    # one error before any column work, for a table with numeric columns
+    # and for a categorical-only one
+    mixed = write_csv(tmp_path / "m.csv", "a,c,cls\n1,u,x\n2,v,y\n")
+    plain = write_csv(tmp_path / "c.csv", "c,cls\nu,x\nv,y\n")
+    for path in (mixed, plain):
+        table = read_csv_table(path, "cls")
+        with pytest.raises(DatasetError, match="^no rows selected"):
+            binarize_table(table, rows=np.array([], dtype=int))
+
+
 def test_constant_features_rejected(tmp_path):
     p = write_csv(tmp_path / "t.csv", "a,cls\n5,x\n5,y\n")
     with pytest.raises(DatasetError, match="usable"):

@@ -1,6 +1,7 @@
 """Property tests: the certificate holds on random instances in both pricing
 regimes, for single fits and for budget sweeps, checked against the
-enumeration oracle; every master and node LP answer satisfies the KKT
+enumeration oracle, with samples small enough to drop rows and features;
+every master and node LP answer satisfies the KKT
 conditions of the unreduced LP and attains its enumerated value; a
 master's duals are those HiGHS gives the per-row build; the closed-form
 answer for an empty pool is HiGHS's own; the integer stage proves the
@@ -47,7 +48,7 @@ from boolrules.lp_engine import solve_restricted_mlp
 from boolrules.ruleset import Clause, RuleSet, build_ruleset, predict, \
     selection_loss
 
-from _data import make_binary_dataset
+from _data import force_sampling, make_binary_dataset
 from _oracles import (
     best_ruleset_by_enumeration,
     best_selection_by_enumeration,
@@ -76,53 +77,83 @@ def instances(draw):
     return make_binary_dataset(X_half, y)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(ds=instances(), C=st.integers(2, 8), D=st.integers(1, 3),
-       seed=st.integers(0, 3))
-def test_certificate_brackets_the_enumerated_optimum(ds, C, D, seed):
-    opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, min(D, ds.d))
-    cfg = ColGenConfig(complexity_bound=C, clause_bound=D, time_limit=60.0,
-                       pricing_time_limit=10.0, seed=seed)
-    # LARGE_NNZ = 2 sends every instance down the sampled path
-    for large_nnz in (2, colgen.LARGE_NNZ):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(colgen, "LARGE_NNZ", large_nnz)
-            res = run_column_generation(ds, cfg)
-        assert res.regime == ("large" if large_nnz == 2 else "small")
-        assert selection_loss(res.clauses, ds) == res.objective
-        # every loop ends on a full-data exact search, which certifies
-        assert res.lower_bound is not None
-        assert res.lower_bound <= opt <= res.objective
-        if res.optimal:
-            assert res.lower_bound == opt == res.objective
-        # a priced-out master's own value, rounded up, is the bound
-        if res.rmlp_converged:
-            assert res.lower_bound == guarded_ceil(res.z_rmlp)
+# samples of 1-16 rows and 1-64 zero entries plus features: instances have
+# at most 14 rows and 6 features, so most sampling calls drop some of each
+SAMPLE_SIZES = {"sample_target": st.integers(1, 16),
+                "nnz_cap": st.integers(1, 64)}
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(ds=instances(), D=st.integers(1, 3), seed=st.integers(0, 3),
-       budgets=st.lists(st.integers(2, 8), min_size=2, max_size=4))
-def test_sweep_certificates_bracket_the_enumerated_optimum(ds, D, seed,
-                                                           budgets):
-    cfg = ColGenConfig(complexity_bound=2, clause_bound=D, time_limit=60.0,
-                       pricing_time_limit=10.0, seed=seed)
-    for large_nnz in (2, colgen.LARGE_NNZ):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(colgen, "LARGE_NNZ", large_nnz)
-            results = sweep_complexity(ds, budgets, cfg)
-        for res in results:
-            C = res.complexity_bound
-            opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C,
-                                                 min(D, ds.d))
+def assert_samples_dropped_rows_and_features(drops):
+    """Some sampling calls met the oracle on fewer rows, and some on fewer
+    features, than the instance has."""
+    assert any(rows for rows, _ in drops)
+    assert any(feats for _, feats in drops)
+
+
+def test_certificate_brackets_the_enumerated_optimum():
+    drops = []
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=150)
+    @given(ds=instances(), C=st.integers(2, 8), D=st.integers(1, 3),
+           seed=st.integers(0, 3), **SAMPLE_SIZES)
+    def check(ds, C, D, seed, sample_target, nnz_cap):
+        opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C, min(D, ds.d))
+        cfg = ColGenConfig(complexity_bound=C, clause_bound=D,
+                           time_limit=60.0, pricing_time_limit=10.0,
+                           seed=seed)
+        for sampled in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if sampled:
+                    force_sampling(mp, sample_target, nnz_cap, drops)
+                res = run_column_generation(ds, cfg)
+            assert res.regime == ("large" if sampled else "small")
             assert selection_loss(res.clauses, ds) == res.objective
-            assert sum(c.complexity for c in res.clauses) <= C
+            # every loop ends on a full-data exact search, which certifies
             assert res.lower_bound is not None
             assert res.lower_bound <= opt <= res.objective
             if res.optimal:
                 assert res.lower_bound == opt == res.objective
+            # a priced-out master's own value, rounded up, is the bound
             if res.rmlp_converged:
                 assert res.lower_bound == guarded_ceil(res.z_rmlp)
+
+    check()
+    assert_samples_dropped_rows_and_features(drops)
+
+
+def test_sweep_certificates_bracket_the_enumerated_optimum():
+    drops = []
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=40)
+    @given(ds=instances(), D=st.integers(1, 3), seed=st.integers(0, 3),
+           budgets=st.lists(st.integers(2, 8), min_size=2, max_size=4),
+           **SAMPLE_SIZES)
+    def check(ds, D, seed, budgets, sample_target, nnz_cap):
+        cfg = ColGenConfig(complexity_bound=2, clause_bound=D,
+                           time_limit=60.0, pricing_time_limit=10.0,
+                           seed=seed)
+        for sampled in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if sampled:
+                    force_sampling(mp, sample_target, nnz_cap, drops)
+                results = sweep_complexity(ds, budgets, cfg)
+            for res in results:
+                C = res.complexity_bound
+                opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C,
+                                                     min(D, ds.d))
+                assert selection_loss(res.clauses, ds) == res.objective
+                assert sum(c.complexity for c in res.clauses) <= C
+                assert res.lower_bound is not None
+                assert res.lower_bound <= opt <= res.objective
+                if res.optimal:
+                    assert res.lower_bound == opt == res.objective
+                if res.rmlp_converged:
+                    assert res.lower_bound == guarded_ceil(res.z_rmlp)
+
+    check()
+    assert_samples_dropped_rows_and_features(drops)
 
 
 @st.composite
