@@ -42,6 +42,12 @@ def _parse_grid(text: str, name: str) -> list[int]:
     return values
 
 
+def _at_least_one(ctx, param, value):
+    if value < 1:
+        _fail(f"{param.opts[0]} must be at least 1")
+    return value
+
+
 def _load_table(input_path, label_column, positive_label, missing):
     try:
         return read_csv_table(input_path, label_column=label_column,
@@ -101,6 +107,7 @@ data_options = [
                  help="Drop rows with missing cells, or treat a missing "
                       "categorical cell as its own category."),
     click.option("--quantiles", default=9, show_default=True,
+                 callback=_at_least_one,
                  help="Candidate thresholds per numeric column."),
 ]
 
@@ -118,6 +125,7 @@ fold_options = [
     click.option("--folds", default=10, show_default=True,
                  help="Cross-validation folds (cv: the outer ones)."),
     click.option("--jobs", default=1, show_default=True,
+                 callback=_at_least_one,
                  help="Parallel fold workers; 1 is the reproducible mode, "
                       "and cv then writes 0.0 in the seconds column."),
     click.option("--time-limit", default=120.0, show_default=True,

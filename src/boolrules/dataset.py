@@ -10,8 +10,12 @@ CNF model be trained as a DNF model on the negated dataset.
 
 `read_csv_rows` is the one file reader, and two cell parsers take its rows a
 column at a time, `read_csv_table` for training and `read_columns` for
-`RuleSet.predict_rows`: a column is stripped and masked for missing cells
-once, and `_parse_floats` is the one place numbers are parsed.
+`RuleSet.predict_rows`.  A feature column whose raw cells all parse as
+finite numbers is read in that one float pass: it is numeric and has no
+missing cell.  The whitespace `float` skips is a subset of what `str.strip`
+removes, so the typing rule is unchanged; any other column is stripped and
+masked for missing cells once.  `_parse_floats` is the one place numbers
+are parsed.
 `evaluate_conditions` evaluates every stored condition: on training rows
 (`binarize_table`), held-out folds (`build_matrix`) and raw rows, comparing a
 categorical column with a category once for its = and != tests.  A missing
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -183,11 +188,14 @@ def _missing(col):
     return (col == "") | (col == "?")
 
 
-def _parse_floats(cells):
+def _parse_floats(cells, count=None):
     """Python's float of every cell as a float array, or None if a cell
-    does not parse or is not finite.  The one place numbers are parsed."""
+    does not parse or is not finite.  The one place numbers are parsed.
+    `count` is the number of cells, needed when `cells` has no length; an
+    iterator is then read only up to its first cell that fails."""
     try:
-        values = np.fromiter(map(float, cells), float, len(cells))
+        values = np.fromiter(map(float, cells), float,
+                             len(cells) if count is None else count)
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
@@ -244,17 +252,21 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
         raise DatasetError(f"{path}: no feature columns besides the label")
     if not rows:
         raise DatasetError(f"{path}: no data rows")
+    cells, masks, floats = {}, {}, {}
     # zip(*rows) is safe: every row has len(header) cells
-    cells = {c: np.array(list(map(str.strip, col)), dtype=object)
-             for c, col in zip(header, zip(*rows))}
-    del rows
-    masks = {c: _missing(col) for c, col in cells.items()}
-
-    floats = {}
-    for c in feature_cols:
-        col, miss = cells[c], masks[c]
-        if not miss.all() and (parsed := _parse_floats(col[~miss])) is not None:
+    for c, raw in zip(header, zip(*rows)):
+        # float skips only whitespace that str.strip removes too, and never
+        # parses "" or "?": a feature column whose raw cells all parse is
+        # numeric and has no missing cell
+        if c != label_column and (parsed := _parse_floats(raw)) is not None:
+            floats[c], masks[c] = parsed, np.zeros(len(raw), dtype=bool)
+            continue
+        col = cells[c] = np.array(list(map(str.strip, raw)), dtype=object)
+        miss = masks[c] = _missing(col)
+        if (c != label_column and not miss.all()
+                and (parsed := _parse_floats(col[~miss])) is not None):
             floats[c] = parsed
+    del rows
 
     labels, drop = cells[label_column], masks[label_column]
     for c in feature_cols:
@@ -278,12 +290,12 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
 
     values = {}
     for c in feature_cols:
-        col, miss = cells[c], masks[c]
+        miss = masks[c]
         if c in floats:
             # a kept row has no missing numeric cell
             values[c] = floats[c][keep[~miss]]
         else:
-            values[c] = col[keep]
+            values[c] = cells[c][keep]
             values[c][miss[keep]] = "?"
     y = (labels == positive_label).astype(np.uint8)
     kinds = {c: ("numeric" if c in floats else "categorical") for c in feature_cols}
@@ -412,11 +424,12 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
     """Parse the columns that `metas` read from raw CSV rows (lists of
     string cells aligned with `header`) for `evaluate_conditions`.
 
-    Cells are stripped; "" and "?" are missing.  Raises ValueError for a
-    column absent from the header or repeated in it, a row shorter than the
-    header, or an unreadable or non-finite numeric cell; the last two as
-    DataRowError, which names the data row (the first row after the
-    header is row 1).
+    A numeric column whose raw cells all parse is read in one float pass;
+    otherwise cells are stripped, and "" and "?" are missing.  Raises
+    ValueError for a column absent from the header or repeated in it, a
+    row shorter than the header, or an unreadable or non-finite numeric
+    cell; the last two as DataRowError, which names the data row (the
+    first row after the header is row 1).
     """
     needed = {m.column for m in metas}
     absent = sorted(needed - set(header))
@@ -435,6 +448,10 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
     columns = {}
     for c in sorted(needed):
         i = header.index(c)
+        if c in numeric and (floats := _parse_floats(
+                map(itemgetter(i), rows), len(rows))) is not None:
+            columns[c] = floats
+            continue
         col = np.array([row[i].strip() for row in rows], dtype=object)
         if c in numeric:
             miss = _missing(col)

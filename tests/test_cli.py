@@ -277,6 +277,35 @@ def test_nan_time_limits_exit_two_with_one_line(tmp_path, runner):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_quantiles_below_one_exit_two_with_one_line(tmp_path, runner, value):
+    # no numeric column, so no threshold is ever cut to catch the value
+    data = tmp_path / "colors.csv"
+    data.write_text("color,label\n" + "red,pos\nblue,neg\n" * 10)
+    out = tmp_path / "out"
+    for cmd in (["train", "-C", "4", "--output", str(out)],
+                ["cv", "-C", "4", "--folds", "2", "--metrics", str(out)],
+                ["sweep", "--c-grid", "2,4", "--folds", "2",
+                 "--metrics", str(out)]):
+        r = runner.invoke(main, [*cmd, "--input", str(data), "--label-column",
+                                 "label", "--quantiles", value])
+        assert r.exit_code == 2, cmd
+        assert r.output == "error: --quantiles must be at least 1\n", cmd
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_below_one_exit_two_with_one_line(tmp_path, runner, value):
+    data = write_color_csv(tmp_path / "toy.csv")
+    for cmd in (["cv", "-C", "4"], ["sweep", "--c-grid", "2,4"]):
+        r = runner.invoke(main, [*cmd, "--input", str(data), "--label-column",
+                                 "label", "--folds", "2", "--jobs", value,
+                                 "--metrics", str(tmp_path / "out.csv")])
+        assert r.exit_code == 2, cmd
+        assert r.output == "error: --jobs must be at least 1\n", cmd
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_bad_model_file_exits_two(tmp_path, runner):
     data = write_color_csv(tmp_path / "toy.csv")
     bad = tmp_path / "bad.json"

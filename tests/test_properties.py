@@ -468,28 +468,38 @@ def test_cnf_fit_is_the_complemented_dnf_fit_of_the_negation(data, C, D,
 
 
 NUMBER_CELLS = ["0", "-0", "2.5", " 7 ", "1e3", "1_000", "\u0663"]
+MISSING_CELLS = ["", "?", " ? "]
 OTHER_CELLS = ["nan", "inf", "-inf", "1e400", "x", " y", "1x"]
 ODD_LABELS = [" yes ", "", "?", "maybe", "no", "yes"]
+# float skips " " and "\xa0" as str.strip does; only str.strip removes "\x1c"
+PADS = [[""], ["", " ", "\xa0"], ["", " ", "\xa0", "\x1c"]]
 
 
 @st.composite
 def raw_csvs(draw):
     """A CSV's lines as cell lists: a header of padded names with a label
     column, then rows (some ragged), with blank lines before the header
-    and between rows.  A column draws its cells from numbers and missing
-    cells, or also from cells that do not parse as finite numbers.  Labels
-    alternate between "no" and "yes" unless drawn from ODD_LABELS."""
+    and between rows.  A column draws its cells from numbers only, from
+    numbers and missing cells, or also from cells that do not parse as
+    finite numbers, and pads them with nothing, with whitespace `float`
+    skips, or also with "\x1c", which only `str.strip` removes.  Labels
+    alternate between "no" and "yes", or "0" and "1", unless drawn from
+    ODD_LABELS."""
     k = draw(st.integers(1, 3))
     names = ["a", "b", "c"][:k]
     names.insert(draw(st.integers(0, k)), "label")
     header = [draw(st.sampled_from([c, f" {c} "])) for c in names]
-    pools = {c: ["", "?", " ? "] + NUMBER_CELLS
-             + (OTHER_CELLS if draw(st.booleans()) else []) for c in names}
+    pools = {c: draw(st.sampled_from([
+        NUMBER_CELLS, MISSING_CELLS + NUMBER_CELLS,
+        MISSING_CELLS + NUMBER_CELLS + OTHER_CELLS])) for c in names}
+    pads = {c: draw(st.sampled_from(PADS)) for c in names}
+    label_pair = draw(st.sampled_from([("no", "yes"), ("0", "1")]))
     lines = [header]
     for i in range(draw(st.sampled_from([0, 2, 4, 6, 9, 12]))):
         lines += [[]] * draw(st.sampled_from([0, 0, 0, 1, 2]))
-        pools["label"] = [["no", "yes"][i % 2]] * 12 + ODD_LABELS
-        row = [draw(st.sampled_from(pools[c])) for c in names]
+        pools["label"] = [label_pair[i % 2]] * 12 + ODD_LABELS
+        row = [draw(st.sampled_from(pads[c])) + draw(st.sampled_from(pools[c]))
+               + draw(st.sampled_from(pads[c])) for c in names]
         ragged = draw(st.sampled_from([0] * 40 + [-1, 1]))
         lines.append(row[:ragged] if ragged < 0 else row + ["x"] * ragged)
     lines += [[]] * draw(st.sampled_from([0, 0, 1]))
@@ -516,7 +526,7 @@ def outcome(read, *args, **kwargs):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(lines=raw_csvs(), missing=st.sampled_from(["drop", "category"]),
-       positive=st.sampled_from([None, "yes", "no"]),
+       positive=st.sampled_from([None, "yes", "no", "1"]),
        kinds=st.lists(st.sampled_from(["numeric-leq", "numeric-gt",
                                        "categorical-eq", None]),
                       min_size=4, max_size=4),
