@@ -20,13 +20,16 @@ way a budget's time limit covers its growth and its selection.
 The branch-and-bound's node LPs go through the same `solve_restricted_mlp`
 as the masters; a node that fixes clauses has its LP presolved there, down
 to the free clauses and the positives they leave to cover.  Its root LP is
-the growth's last master whenever the pool has not grown since, so each
-LP is solved once: that covers every single fit and the last budget of a
-sweep.  Each fractional node LP's duals also fix, by reduced cost, the
-clauses that could not leave their bound without reaching the incumbent,
-so its subtree's LPs shrink.  A node, the root included, where no three
-free clauses fit the budget its clauses fixed to 1 leave solves no LP at
-all: its best selection is listed among no, one or two more clauses.
+the growth's last master whenever the pool has not grown since, or the
+growth converged: pricing then proved that no later clause the budget can
+afford improves that master, so it is the root with w = 0 on the clauses
+the later budgets of a sweep added.  Each LP is solved once for every
+single fit and for every converged budget of a sweep.  Each fractional
+node LP's duals also fix, by reduced cost, the clauses that could not
+leave their bound without reaching the incumbent, so its subtree's LPs
+shrink.  A node, the root included, where no three free clauses fit the
+budget its clauses fixed to 1 leave solves no LP at all: its best
+selection is listed among no, one or two more clauses.
 """
 
 from __future__ import annotations
@@ -251,11 +254,12 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     cost more than the budget its clauses fixed to 1 leave, solves no LP:
     `_best_small_addition` lists every selection below it.  Such a node
     counts once in `nodes`, adds no pivots and has no children.  `root`,
-    when given, is the optimal `MasterSolution` of the root LP over this
-    very pool and budget, which column generation has already solved; it
-    still counts as a node, but is not solved again.  `pivots` sums the
-    HiGHS simplex iterations of the node LPs solved here, so a given root
-    adds none.
+    when given, is a `MasterSolution` column generation has already
+    solved: the optimal root LP over this pool and budget, or over the
+    clauses of the pool any selection within the budget can use, with
+    w = 0 on the others (see `_select`).  It still counts as a node, but
+    is not solved again.  `pivots` sums the HiGHS simplex iterations of
+    the node LPs solved here, so a given root adds none.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     pos_cover = np.asarray(pos_cover, dtype=float)
@@ -360,8 +364,8 @@ class ColGenResult:
     weaker certificate that happens to close the gap stays unclaimed.
     pool_size is the pool the selection chose from, mip_nodes counts its
     branch-and-bound nodes, enumerated ones included, and mip_pivots the
-    pivots of the node LPs it solved; a root reused from the loop adds its
-    pivots to the last trace row instead.
+    pivots of the node LPs it solved; a root reused from the loop, padded
+    or not, adds its pivots to the last trace row instead.
     """
 
     complexity_bound: int
@@ -502,16 +506,36 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
 def _select(pool: ClausePool, cfg: ColGenConfig,
             growth: _Growth) -> ColGenResult:
     """Pick the best selection within the budget from the whole pool.
-    The selection gets what the growth left of `cfg.time_limit`.  When the
-    pool has not grown since the growth's last master, that master is the
-    root LP of the branch and bound, and is not solved again."""
+    The selection gets what the growth left of `cfg.time_limit`.
+
+    The growth's last master is the root LP of the branch and bound, and
+    is not solved again, when the pool has not grown since it was solved.
+    When later budgets of a sweep have grown the pool, a converged
+    growth's master is still the root, with w = 0 on the later clauses,
+    and its other fields as they are.  That is exact:
+
+    - The converged round's full-data exact pricing proved that every
+      clause outside the then-pool, of at most `depth_limit(C)`
+      conditions, has reduced cost at least -NEGATIVE_EPS at that
+      master's duals.  So the padded point is LP-optimal over any later
+      pool of such clauses.
+    - A pool clause deeper than `depth_limit(C)` costs more than C: every
+      pool clause already respects the clause bound and the data width,
+      so only the C - 1 cap can make the limit smaller.  Such a clause is
+      0 in every integer point, so the root's rounded-up value and the
+      reduced-cost fixings read off its duals still hold for every
+      integer point.
+
+    A growth that did not converge proved nothing about the later
+    clauses, so its selection solves the root LP over the whole pool."""
     t0 = time.perf_counter()
     pos_cover, neg_counts, complexities = pool.arrays()
     time_left = max(cfg.time_limit - growth.seconds
                     - (time.perf_counter() - t0), 0.0)
     root = growth.master
-    if root is not None and len(root.w) != len(pool):
-        root = None
+    if root is not None and len(root.w) < len(pool):
+        root = (replace(root, w=np.pad(root.w, (0, len(pool) - len(root.w))))
+                if growth.converged else None)
     mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
                                float(cfg.complexity_bound),
                                time_limit=time_left, root=root)

@@ -214,10 +214,14 @@ def best_selection_by_enumeration(pos_cover, neg_counts, complexities,
     """Exhaustive integer stage: the minimum of (missed positives) +
     (summed negative counts) over every subset of the pool's clauses whose
     complexities sum to at most the budget.  Returns (objective, subset),
-    the first best subset in order of size, then of index."""
+    the first best subset in order of size, then of index.  Sizes stop
+    where even the cheapest clauses overspend the budget."""
     n_pos, K = np.asarray(pos_cover).shape
+    cheapest = np.cumsum(np.sort(complexities))
     best = (n_pos, ())
     for size in range(1, K + 1):
+        if cheapest[size - 1] > budget:
+            break
         for subset in itertools.combinations(range(K), size):
             if sum(complexities[k] for k in subset) > budget:
                 continue

@@ -5,6 +5,8 @@ import itertools
 import math
 import time
 from collections import defaultdict
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -105,9 +107,11 @@ def test_reduced_cost_dense_matches_definition():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def random_instance(rng):
-    n = int(rng.integers(6, 26))
-    k = int(rng.integers(2, 6))
+def random_instance(rng, rows=(6, 26), columns=(2, 6)):
+    """Half-open ranges for the row count and the raw column count; each
+    raw column enters with its complement."""
+    n = int(rng.integers(*rows))
+    k = int(rng.integers(*columns))
     X_half = (rng.random((n, k)) < 0.5).astype(np.uint8)
     y = (rng.random(n) < 0.5).astype(np.int8)
     if y.sum() == 0:
@@ -875,26 +879,126 @@ def test_sweep_grows_every_budget_then_selects_each_once(monkeypatch):
         assert p.objective == opt
 
 
-def test_sweep_budget_whose_pool_grew_resolves_its_root(monkeypatch):
-    # only a budget whose last master saw the final pool skips its root;
-    # the pool grows at C = 8 and again at C = 12, and three clauses fit
-    # every root, so none is enumerated
-    nodes = record_node_lps(monkeypatch)
+class Selection(NamedTuple):
+    budget: int
+    arrays: tuple  # (pos_cover, neg_counts, complexities)
+    root: object  # the MasterSolution it was given, or None
+    result: object  # its MIPResult
+    node_lps: list  # as `record_node_lps` records them
+    enumerated: list  # as `record_enumerated_nodes` records them
+
+
+def recording_selections(monkeypatch):
+    """Record every integer solve as a `Selection`, in call order."""
+    node_lps = record_node_lps(monkeypatch)
     enumerated = record_enumerated_nodes(monkeypatch)
-    grown, solves, _ = recording_sweep(monkeypatch)
+    real = colgen.solve_restricted_mip
+    selections = []
+
+    def mip(pos_cover, neg_counts, complexities, budget, **kw):
+        lps, enum = len(node_lps), len(enumerated)
+        out = real(pos_cover, neg_counts, complexities, budget, **kw)
+        selections.append(Selection(
+            int(budget), (pos_cover, neg_counts, complexities),
+            kw.get("root"), out, node_lps[lps:], enumerated[enum:]))
+        return out
+
+    monkeypatch.setattr(colgen, "solve_restricted_mip", mip)
+    return selections
+
+
+def assert_padded_root(selection, growth):
+    """The selection's root is the growth's last master, with w = 0 on the
+    clauses added after it."""
+    master, root = growth.master, selection.root
+    old = len(master.w)
+    assert root is not None and len(root.w) == selection.arrays[0].shape[1]
+    assert np.array_equal(root.w[:old], master.w) and not root.w[old:].any()
+    assert root.objective == master.objective and root.lam == master.lam
+    assert np.array_equal(root.mu, master.mu)
+
+
+def test_sweep_reuses_every_converged_master_as_its_root(monkeypatch):
+    # every growth converges, the pool grows at C = 8 and again at C = 12,
+    # and three clauses fit every root.  Each selection takes its budget's
+    # last master as its root, padded for the clauses the later budgets
+    # added, and solves only the LPs below it
+    grown, _, _ = recording_sweep(monkeypatch)
+    selections = recording_selections(monkeypatch)
     ds = random_instance(np.random.default_rng(5))
     budgets = [6, 8, 10, 12]
-    sweep_complexity(ds, budgets, small_config(6, 2))
+    points = sweep_complexity(ds, budgets, small_config(6, 2))
     final = grown[12].trace[-1].pool_size
-    solved = defaultdict(int)
-    for budget, _, _ in nodes:
-        solved[int(budget)] += 1
-    assert not enumerated
-    reused = {C: grown[C].trace[-1].pool_size == final for C in budgets}
-    assert reused[12] and not reused[6]
-    for C, _, n in solves:
-        assert n >= 1
-        assert solved[C] == n - reused[C]
+    assert len(grown[6].master.w) < final
+    for p, s in zip(points, selections):
+        C, growth = s.budget, grown[s.budget]
+        assert C == p.complexity_bound and growth.converged
+        assert_padded_root(s, growth)
+        assert len(s.node_lps) == s.result.nodes - 1 - len(s.enumerated)
+        # pricing proved the padded root optimal over the final pool
+        resolved = solve_restricted_mlp(*s.arrays, float(C))
+        assert resolved.objective == pytest.approx(growth.master.objective,
+                                                   abs=1e-7)
+        opt, _ = best_selection_by_enumeration(*s.arrays, float(C))
+        assert p.mip_optimal and p.objective == opt
+
+
+def test_sweep_pads_a_root_past_clauses_its_budget_cannot_afford(monkeypatch):
+    # with no clause bound, C = 6 prices clauses of up to 5 literals and
+    # C = 14 clauses of up to 13, and C = 14 adds some of 6 literals or
+    # more.  Those cost more than 6, so no selection at C = 6 takes them;
+    # they join its root at w = 0 all the same, and the branch and bound
+    # below that root still proves the pool's best selection
+    grown, _, _ = recording_sweep(monkeypatch)
+    selections = recording_selections(monkeypatch)
+    ds = random_instance(np.random.default_rng(98), rows=(14, 30),
+                         columns=(6, 8))
+    small, _ = sweep_complexity(ds, [6, 14], small_config(6))
+    s = selections[0]
+    _, _, comp = s.arrays
+    assert grown[6].converged
+    assert_padded_root(s, grown[6])
+    assert (comp[len(grown[6].master.w):] > 6).any()
+    assert s.result.nodes > 1
+    opt, _ = best_selection_by_enumeration(*s.arrays, 6.0)
+    assert small.mip_optimal and small.objective == opt
+
+
+def test_sweep_resolves_the_root_of_a_budget_that_did_not_converge(
+        monkeypatch):
+    # every pricing call of the C = 6 growth comes back empty and
+    # unproven, so it stops on the empty pool's master without converging;
+    # C = 9 then grows the pool.  Over that pool the greedy seed at C = 6
+    # misses the best selection by one, and the empty pool's master padded
+    # with w = 0 sits at the empty selection: taken as the root, it would
+    # end the search on the greedy seed
+    real_grow, real_price = colgen._grow_pool, colgen.price_exact
+
+    def unproven(*args, **kw):
+        return replace(real_price(*args, **kw), clauses=[],
+                       proven_optimal=False)
+
+    def grow(ds, cfg, pool):
+        with pytest.MonkeyPatch.context() as mp:
+            if cfg.complexity_bound == 6:
+                mp.setattr(colgen, "price_exact", unproven)
+            return real_grow(ds, cfg, pool)
+
+    monkeypatch.setattr(colgen, "_grow_pool", grow)
+    grown, _, _ = recording_sweep(monkeypatch)
+    selections = recording_selections(monkeypatch)
+    ds = random_instance(np.random.default_rng(45))
+    small, _ = sweep_complexity(ds, [6, 9], small_config(6, 2))
+    assert not grown[6].converged and len(grown[6].master.w) == 0
+    s = selections[0]
+    cover, negc, comp = s.arrays
+    opt, _ = best_selection_by_enumeration(cover, negc, comp, 6.0)
+    greedy = colgen._greedy_selection(cover, negc, comp, 6.0)
+    assert colgen._selection_objective(cover, negc, greedy) == opt + 1
+    assert small.mip_optimal and small.objective == opt
+    # the root LP is solved over the whole pool
+    assert s.root is None
+    assert s.node_lps[0][1] == (1,) * len(comp)
 
 
 def test_single_budget_sweep_is_run_column_generation():

@@ -122,6 +122,20 @@ def test_certificate_brackets_the_enumerated_optimum():
     assert_samples_dropped_rows_and_features(drops)
 
 
+def record_selections(mp):
+    """Record every integer solve as (pool arrays, budget, MIPResult)."""
+    real = colgen.solve_restricted_mip
+    selections = []
+
+    def recording(pos_cover, neg_counts, complexities, budget, **kw):
+        out = real(pos_cover, neg_counts, complexities, budget, **kw)
+        selections.append(((pos_cover, neg_counts, complexities), budget, out))
+        return out
+
+    mp.setattr(colgen, "solve_restricted_mip", recording)
+    return selections
+
+
 def test_sweep_certificates_bracket_the_enumerated_optimum():
     drops = []
 
@@ -138,9 +152,17 @@ def test_sweep_certificates_bracket_the_enumerated_optimum():
             with pytest.MonkeyPatch.context() as mp:
                 if sampled:
                     force_sampling(mp, sample_target, nnz_cap, drops)
+                selections = record_selections(mp)
                 results = sweep_complexity(ds, budgets, cfg)
-            for res in results:
+            assert len(selections) == len(results)
+            for res, (arrays, budget, mip) in zip(results, selections):
                 C = res.complexity_bound
+                assert budget == C and res.objective == mip.objective
+                # a proof of the integer stage, from a reused or padded
+                # root or its own, is a proof over the pool it was given
+                if res.mip_optimal:
+                    opt_pool, _ = best_selection_by_enumeration(*arrays, C)
+                    assert res.objective == opt_pool
                 opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, C,
                                                      min(D, ds.d))
                 assert selection_loss(res.clauses, ds) == res.objective
