@@ -49,8 +49,7 @@ def stratified_folds(y, folds: int, seed: int) -> list[np.ndarray]:
                 f"class {cls} has only {len(members)} samples, "
                 f"fewer than the {folds} requested folds")
         members = rng.permutation(members)
-        for i, row in enumerate(members):
-            assignment[row] = (cursor + i) % folds
+        assignment[members] = (cursor + np.arange(len(members))) % folds
         cursor = (cursor + len(members)) % folds
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 

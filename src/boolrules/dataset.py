@@ -8,14 +8,11 @@ Categorical columns yield an equality/inequality pair per category.  Every
 feature therefore has a complement at a known index, which is what lets a
 CNF model be trained as a DNF model on the negated dataset.
 
-`read_csv_rows` is the one file reader, and two cell parsers take its rows a
-column at a time, `read_csv_table` for training and `read_columns` for
-`RuleSet.predict_rows`.  A feature column whose raw cells all parse as
-finite numbers is read in that one float pass: it is numeric and has no
-missing cell.  The whitespace `float` skips is a subset of what `str.strip`
-removes, so the typing rule is unchanged; any other column is stripped and
-masked for missing cells once.  `_parse_floats` is the one place numbers
-are parsed.
+`read_csv_rows` is the one file reader and `_read_column` the one column
+parser, for `read_csv_table` (training) and `read_columns`
+(`RuleSet.predict_rows`) alike.  Its first pass reads a column's raw cells
+as floats; only a column they do not all parse in is stripped and masked
+for missing cells.  `_parse_floats` is the one place numbers are parsed.
 `evaluate_conditions` evaluates every stored condition: on training rows
 (`binarize_table`), held-out folds (`build_matrix`) and raw rows, comparing a
 categorical column with a category once for its = and != tests.  A missing
@@ -183,11 +180,6 @@ class TypedTable:
         return len(self.y)
 
 
-def _missing(col):
-    """Mask of the missing cells, "" and "?", of a stripped object array."""
-    return (col == "") | (col == "?")
-
-
 def _parse_floats(cells, count=None):
     """Python's float of every cell as a float array, or None if a cell
     does not parse or is not finite.  The one place numbers are parsed.
@@ -199,6 +191,34 @@ def _parse_floats(cells, count=None):
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
+
+
+def _read_column(rows, i, numeric=None):
+    """Column `i` of the raw rows as `evaluate_conditions` reads it: floats
+    with NaN at the missing cells, or stripped strings with "?" at them.
+    A stripped cell of "" or "?" is missing.
+
+    numeric=None types the column: floats iff it has a present cell and
+    every present cell is a finite number.  True asks for floats: a column
+    of only missing cells is all NaN, and one whose present cells do not
+    all parse comes back as strings.  False returns strings.
+    """
+    # float skips only whitespace that str.strip removes too, and never
+    # parses "" or "?": a column whose raw cells all parse is numeric and
+    # has no missing cell
+    if numeric is not False and (floats := _parse_floats(
+            map(itemgetter(i), rows), len(rows))) is not None:
+        return floats
+    col = np.array([row[i].strip() or "?" for row in rows], dtype=object)
+    if numeric is False:
+        return col
+    miss = col == "?"
+    if (numeric or not miss.all()) and (
+            floats := _parse_floats(col[~miss])) is not None:
+        values = np.full(len(col), np.nan)
+        values[~miss] = floats
+        return values
+    return col
 
 
 def read_csv_rows(path):
@@ -252,26 +272,17 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
         raise DatasetError(f"{path}: no feature columns besides the label")
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    cells, masks, floats = {}, {}, {}
-    # zip(*rows) is safe: every row has len(header) cells
-    for c, raw in zip(header, zip(*rows)):
-        # float skips only whitespace that str.strip removes too, and never
-        # parses "" or "?": a feature column whose raw cells all parse is
-        # numeric and has no missing cell
-        if c != label_column and (parsed := _parse_floats(raw)) is not None:
-            floats[c], masks[c] = parsed, np.zeros(len(raw), dtype=bool)
-            continue
-        col = cells[c] = np.array(list(map(str.strip, raw)), dtype=object)
-        miss = masks[c] = _missing(col)
-        if (c != label_column and not miss.all()
-                and (parsed := _parse_floats(col[~miss])) is not None):
-            floats[c] = parsed
+    values = {c: _read_column(rows, i) for i, c in enumerate(header)
+              if c != label_column}
+    labels = _read_column(rows, header.index(label_column), numeric=False)
     del rows
 
-    labels, drop = cells[label_column], masks[label_column]
-    for c in feature_cols:
-        if missing == "drop" or c in floats:
-            drop = drop | masks[c]
+    drop = labels == "?"
+    for col in values.values():
+        if col.dtype != object:
+            drop |= np.isnan(col)
+        elif missing == "drop":
+            drop |= col == "?"
     keep = ~drop
     labels = labels[keep]
     if not len(labels):
@@ -288,17 +299,10 @@ def read_csv_table(path, label_column: str, positive_label: str | None = None,
                            f"values {label_values}")
     negative_label = next(v for v in label_values if v != positive_label)
 
-    values = {}
-    for c in feature_cols:
-        miss = masks[c]
-        if c in floats:
-            # a kept row has no missing numeric cell
-            values[c] = floats[c][keep[~miss]]
-        else:
-            values[c] = cells[c][keep]
-            values[c][miss[keep]] = "?"
+    values = {c: col[keep] for c, col in values.items()}
+    kinds = {c: ("categorical" if col.dtype == object else "numeric")
+             for c, col in values.items()}
     y = (labels == positive_label).astype(np.uint8)
-    kinds = {c: ("numeric" if c in floats else "categorical") for c in feature_cols}
     return TypedTable(columns=feature_cols, kinds=kinds, values=values, y=y,
                       label_column=label_column, positive_label=positive_label,
                       negative_label=negative_label, dropped_rows=int(drop.sum()))
@@ -424,12 +428,11 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
     """Parse the columns that `metas` read from raw CSV rows (lists of
     string cells aligned with `header`) for `evaluate_conditions`.
 
-    A numeric column whose raw cells all parse is read in one float pass;
-    otherwise cells are stripped, and "" and "?" are missing.  Raises
-    ValueError for a column absent from the header or repeated in it, a
-    row shorter than the header, or an unreadable or non-finite numeric
-    cell; the last two as DataRowError, which names the data row (the
-    first row after the header is row 1).
+    Each column is read by `_read_column`, a numeric one as floats.
+    Raises ValueError for a column absent from the header or repeated in
+    it, a row shorter than the header, or an unreadable or non-finite
+    numeric cell; the last two as DataRowError, which names the data row
+    (the first row after the header is row 1).
     """
     needed = {m.column for m in metas}
     absent = sorted(needed - set(header))
@@ -447,25 +450,12 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
     numeric = {m.column for m in metas if m.kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)}
     columns = {}
     for c in sorted(needed):
-        i = header.index(c)
-        if c in numeric and (floats := _parse_floats(
-                map(itemgetter(i), rows), len(rows))) is not None:
-            columns[c] = floats
-            continue
-        col = np.array([row[i].strip() for row in rows], dtype=object)
-        if c in numeric:
-            miss = _missing(col)
-            floats = _parse_floats(col[~miss])
-            if floats is None:
-                k = next(k for k, cell in enumerate(col)
-                         if not miss[k] and _parse_floats([cell]) is None)
-                raise DataRowError(k, f", column {c}: {col[k]!r} is not a "
-                                      f"finite number")
-            columns[c] = np.full(len(col), np.nan)
-            columns[c][~miss] = floats
-        else:
-            col[col == ""] = "?"  # the other missing cell is "?" already
-            columns[c] = col
+        col = columns[c] = _read_column(rows, header.index(c), c in numeric)
+        if c in numeric and col.dtype == object:
+            k = next(k for k, cell in enumerate(col)
+                     if cell != "?" and _parse_floats([cell]) is None)
+            raise DataRowError(k, f", column {c}: {col[k]!r} is not a "
+                                  f"finite number")
     return columns
 
 

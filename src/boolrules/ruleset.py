@@ -43,8 +43,7 @@ class Clause:
 
     def covers(self, X: np.ndarray) -> np.ndarray:
         """Boolean vector: rows of X where every clause feature is 1."""
-        sub = X[:, list(self.features)]
-        return sub.all(axis=1) if sub.ndim == 2 else sub.astype(bool)
+        return X[:, list(self.features)].all(axis=1)
 
 
 def selection_loss(clauses, ds: BinaryDataset) -> int:

@@ -197,14 +197,18 @@ def test_missing_policies(tmp_path):
 
 def test_type_inference(tmp_path):
     p = write_csv(tmp_path / "t.csv", """
-        sci,mixed,cls
-        1.5e3,1,yes
-        -2,2a,no
-        0.5,3,yes
+        sci,mixed,gone,cls
+        1.5e3,1,?,yes
+        -2,2a,,no
+        0.5,3,?,yes
     """.replace(" ", ""))
-    t = read_csv_table(p, "cls")
+    # a column of only missing cells has no number in it: it is
+    # categorical, and under missing="category" its rows stay
+    t = read_csv_table(p, "cls", missing="category")
     assert t.kinds["sci"] == "numeric"
     assert t.kinds["mixed"] == "categorical"
+    assert t.kinds["gone"] == "categorical" and t.n == 3
+    assert list(t.values["gone"]) == ["?"] * 3
 
 
 def test_negation_involution():
@@ -252,6 +256,13 @@ def test_conditions_on_missing_cells():
     np.testing.assert_array_equal(
         evaluate_conditions(columns, metas, len(rows)),
         [[0, 0, 0, 1, 1, 0]] * 3 + [[1, 0, 1, 0, 0, 1]])
+    # a numeric column the model reads whose cells are all missing is all
+    # NaN: both threshold tests fail on every row, and nothing is raised
+    rows = [["", "red"], ["?", "red"], [" ? ", "blue"]]
+    columns = read_columns(["v", "c"], rows, metas)
+    assert np.isnan(columns["v"]).all()
+    np.testing.assert_array_equal(
+        evaluate_conditions(columns, [leq, gt], len(rows)), [[0, 0]] * 3)
     for bad in ("nan", "inf", "oops"):
         with pytest.raises(ValueError, match="data row 2, column v"):
             read_columns(["v", "c"], [["1", "red"], [bad, "red"]], [leq])
