@@ -17,19 +17,20 @@ and selects over it; `sweep_complexity` grows one shared pool for every
 budget first, then selects each budget once over the final pool.  Either
 way a budget's time limit covers its growth and its selection.
 
-The branch-and-bound's node LPs go through the same `solve_restricted_mlp`
-as the masters; a node that fixes clauses has its LP presolved there, down
-to the free clauses and the positives they leave to cover.  Its root LP is
-the growth's last master whenever the pool has not grown since, or the
-growth converged: pricing then proved that no later clause the budget can
-afford improves that master, so it is the root with w = 0 on the clauses
-the later budgets of a sweep added.  Each LP is solved once for every
-single fit and for every converged budget of a sweep.  Each fractional
-node LP's duals also fix, by reduced cost, the clauses that could not
-leave their bound without reaching the incumbent, so its subtree's LPs
-shrink.  A node, the root included, where no three free clauses fit the
-budget its clauses fixed to 1 leave solves no LP at all: its best
-selection is listed among no, one or two more clauses.
+The branch-and-bound's node LPs go through `solve_restricted_mlp`, as the
+masters do.  A master is solved in its primal form, since its duals steer
+pricing; a node that fixes clauses has its LP presolved there, down to the
+free clauses and the positives they leave to cover, and solved as its dual,
+one row per free clause.  The root LP is the growth's last master whenever
+the pool has not grown since, or the growth converged: pricing then proved
+that no later clause the budget can afford improves that master, so it is
+the root with w = 0 on the clauses the later budgets of a sweep added.
+Each LP is solved once for every single fit and for every converged budget
+of a sweep.  Each fractional node LP's duals also fix, by reduced cost, the
+clauses that could not leave their bound without reaching the incumbent, so
+its subtree's LPs shrink.  A node, the root included, where no three free
+clauses fit the budget its clauses fixed to 1 leave solves no LP at all:
+its best selection is listed among no, one or two more clauses.
 """
 
 from __future__ import annotations
@@ -249,17 +250,17 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     limit turns the result into a best-effort incumbent with
     optimal=False.  Every node below the root fixes clauses, so
     `solve_restricted_mlp` presolves its LP down to the free clauses and
-    the distinct cover patterns they leave.  A node, the root included,
-    with fewer than three free clauses, or whose three cheapest free ones
-    cost more than the budget its clauses fixed to 1 leave, solves no LP:
-    `_best_small_addition` lists every selection below it.  Such a node
-    counts once in `nodes`, adds no pivots and has no children.  `root`,
-    when given, is a `MasterSolution` column generation has already
-    solved: the optimal root LP over this pool and budget, or over the
-    clauses of the pool any selection within the budget can use, with
-    w = 0 on the others (see `_select`).  It still counts as a node, but
-    is not solved again.  `pivots` sums the HiGHS simplex iterations of
-    the node LPs solved here, so a given root adds none.
+    the distinct cover patterns they leave, and solves it as its dual.  A
+    node, the root included, with fewer than three free clauses, or whose
+    three cheapest free ones cost more than the budget its clauses fixed to
+    1 leave, solves no LP: `_best_small_addition` lists every selection
+    below it.  Such a node counts once in `nodes`, adds no pivots and has
+    no children.  `root`, when given, is a `MasterSolution` column
+    generation has already solved: the optimal root LP over this pool and
+    budget, or over the clauses of the pool any selection within the budget
+    can use, with w = 0 on the others (see `_select`).  It still counts as
+    a node, but is not solved again.  `pivots` sums the HiGHS simplex
+    iterations of the node LPs solved here, so a given root adds none.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     pos_cover = np.asarray(pos_cover, dtype=float)

@@ -8,24 +8,31 @@ Every LP the package solves is a restricted master,
          sum_k complexity_k w_k <= budget   (the budget row)
          0 <= xi, w <= 1,
 
-or a node LP that also fixes some clauses to 0 or to 1.
-`build_restricted_mlp` writes it in the form HiGHS takes: the objective, a
-CSC matrix `A_ub` whose cover rows are negated to `<=` rows, and `b_ub`.
-`solve_restricted_mlp` hands that to HiGHS's dual simplex through
-scipy.optimize.linprog (method "highs-ds") and reads the cover duals mu
-and the budget dual lam from its `ineqlin.marginals`.  Each solve starts
-cold; HiGHS presolves it first.  A [0, 1] box is never unbounded.
-scipy.optimize is imported on the first solve, so loading a model to
-predict never pays for it.
+or a node LP that also fixes some clauses to 0 or to 1.  Both go to
+HiGHS's dual simplex through scipy.optimize.linprog (method "highs-ds"),
+each solve cold and presolved by HiGHS first.  scipy.optimize is imported
+on the first solve, so loading a model to predict never pays for it.
 
-A branch-and-bound node LP that fixes clauses is presolved here before it
-reaches HiGHS: clauses fixed to 0 or 1 leave it, the positives a clause
-fixed to 1 covers lose their rows, and the other positives share one row
-per cover pattern over the free clauses (the duplicate-row reduction of
-Andersen & Andersen, Math. Programming 71, 1995).  Column-generation
-masters are solved unreduced.  A master or node LP with no free clause,
-the master over an empty pool among them, never reaches HiGHS: its
-answer is written down directly.
+A master, every clause free, is solved in this primal form, since its
+duals steer column generation and the dual form returns other optimal
+ones.  `build_restricted_mlp` writes it as HiGHS takes it: the objective,
+a CSC matrix `A_ub` whose cover rows are negated to `<=` rows, and
+`b_ub`.  The point (xi, w) is linprog's x; the cover duals mu and the
+budget dual lam are read from its `ineqlin.marginals`.  A [0, 1] box is
+never unbounded.
+
+A node LP that fixes clauses is presolved here first: clauses fixed to 0
+or 1 leave it, the positives a clause fixed to 1 covers lose their rows,
+and the other positives share one row per cover pattern over the free
+clauses (the duplicate-row reduction of Andersen & Andersen, Math.
+Programming 71, 1995).  That leaves many more rows than columns, so the
+reduced LP is handed to HiGHS transposed, as its dual with one row per
+free clause (`_node_dual`).  Its variables are the group duals mu_g, lam
+and the clause bound duals t; w is read from its row marginals, each
+group's xi from mu_g's upper-bound marginal, each positive's mu as mu_g
+over its group's size, and lam from the point.  A master or node LP with
+no free clause, the master over an empty pool among them, never reaches
+HiGHS: its answer is written down directly.
 """
 
 from __future__ import annotations
@@ -44,15 +51,18 @@ INFEASIBLE = "infeasible"
 TIME_LIMIT = "time-limit"
 NUMERICAL = "numerical"
 
-# scipy.optimize.linprog's status codes; 1 is its iteration or time limit,
-# and only a time limit is ever set here.  Any other code, 3 (unbounded)
-# among them, is numerical trouble on a [0, 1] box.
-_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE}
+# scipy.optimize.linprog's status codes for each shape; 1 is its iteration
+# or time limit, and only a time limit is ever set here.  A master's [0, 1]
+# box is never unbounded, so its 3 is numerical trouble.  A node's dual is
+# always feasible (mu = lam = t = 0), so its 2 is numerical trouble and its
+# 3, an unbounded dual, an infeasible node.  Any other code is numerical.
+_MASTER_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE}
+_NODE_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 3: INFEASIBLE}
 
 
-def _highs(objective, A_ub, b_ub, deadline):
-    """Solve min objective'x s.t. A_ub x <= b_ub, 0 <= x <= 1 with HiGHS's
-    dual simplex.
+def _highs(objective, A_ub, b_ub, bounds, statuses, deadline):
+    """Solve min objective'x s.t. A_ub x <= b_ub within `bounds` with
+    HiGHS's dual simplex, mapping linprog's status through `statuses`.
 
     `deadline` is an absolute time.perf_counter() value; a solve asked for
     after it, or still running at it, stops with status "time-limit".
@@ -67,9 +77,9 @@ def _highs(objective, A_ub, b_ub, deadline):
         options["time_limit"] = left
     from scipy.optimize import linprog
 
-    res = linprog(objective, A_ub=A_ub, b_ub=b_ub, bounds=(0, 1),
+    res = linprog(objective, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
                   method="highs-ds", options=options)
-    status = _STATUS.get(res.status, NUMERICAL)
+    status = statuses.get(res.status, NUMERICAL)
     return status, (res if status == OPTIMAL else None), int(res.nit)
 
 
@@ -91,26 +101,23 @@ class MasterSolution:
 
 
 def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
-                         complexities: np.ndarray, budget: float,
-                         xi_cost=None):
+                         complexities: np.ndarray, budget: float):
     """Assemble the restricted master LP as HiGHS takes it:
     (objective, A_ub, b_ub) for min objective'x s.t. A_ub x <= b_ub,
     0 <= x <= 1.
 
     pos_cover is an (n_pos, K) 0/1 matrix (clause k covers positive i),
     neg_counts the per-clause count of covered negatives, complexities the
-    per-clause cost against `budget`.  xi_cost is each cover row's cost for
-    leaving it uncovered, 1 by default; a row that stands for m merged
-    positives costs m.  Variable order is the n_pos xi slack variables
-    first, then the K clause variables.  A_ub is CSC, with the n_pos cover
-    rows negated, -xi_i - sum_{k covers i} w_k <= -1, then the budget row.
+    per-clause cost against `budget`.  Variable order is the n_pos xi slack
+    variables first, then the K clause variables.  A_ub is CSC, with the
+    n_pos cover rows negated, -xi_i - sum_{k covers i} w_k <= -1, then the
+    budget row.
     """
     pos_cover = np.asarray(pos_cover)
     if pos_cover.ndim != 2:
         raise ValueError("pos_cover must be a 2-d (n_pos, K) matrix")
     n_pos, K = pos_cover.shape
-    objective = np.concatenate([np.ones(n_pos) if xi_cost is None else
-                                np.asarray(xi_cost, dtype=float),
+    objective = np.concatenate([np.ones(n_pos),
                                 np.asarray(neg_counts, dtype=float)])
     # column by column: xi_i sits in cover row i; clause k in the cover rows
     # of the positives it covers, then in the budget row
@@ -135,7 +142,7 @@ def _presolve_node(pos_cover, neg_counts, complexities, budget, one, free):
     cover lose their rows.  The other positives are grouped by their cover
     pattern over the free clauses; a group of m shares one row whose xi
     costs m, which leaves the LP value unchanged.  Returns the reduced
-    (cover, neg_counts, complexities, budget, xi_cost), the constant to add
+    (cover, neg_counts, complexities, budget, sizes), the constant to add
     to its objective, the uncovered positives and the group of each."""
     rest = np.flatnonzero(~pos_cover[:, one].any(axis=1))
     patterns = np.packbits(pos_cover[np.ix_(rest, free)] > 0.5, axis=1)
@@ -151,6 +158,29 @@ def _presolve_node(pos_cover, neg_counts, complexities, budget, one, free):
             np.argsort(order)[group.reshape(-1)])
 
 
+def _node_dual(cover, neg_counts, complexities, room, sizes):
+    """The dual of a presolved node LP, as HiGHS takes it:
+    (objective, A_ub, b_ub, bounds) for the minimum of minus
+
+        max  sum_g mu_g - lam room - sum_k t_k
+        s.t. sum_{g in k} mu_g - lam c_k - t_k <= neg_k  (a row per clause)
+             0 <= mu_g <= m_g,  lam, t >= 0.
+
+    `cover` is the (G, F) cover of the G row groups by the F free clauses,
+    and m_g = `sizes`, each group's xi cost.  Variable order is the G
+    group duals mu, then lam, then the F clause bound duals t.  A_ub is
+    CSC; its row k's marginal is minus w_k, and mu_g's upper-bound
+    marginal minus xi_g."""
+    G, F = cover.shape
+    A_ub = sp.csc_matrix(np.hstack([cover.T, -complexities[:, None],
+                                    -np.eye(F)]))
+    objective = np.concatenate([np.full(G, -1.0), [room], np.ones(F)])
+    bounds = np.zeros((G + 1 + F, 2))
+    bounds[:G, 1] = sizes
+    bounds[G:, 1] = np.inf
+    return objective, A_ub, neg_counts, bounds
+
+
 def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
                          w_lower=None, w_upper=None,
                          deadline=None) -> MasterSolution:
@@ -159,9 +189,10 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
     `w_lower`/`w_upper` are a branch-and-bound node's clause bounds, each
     clause free in [0, 1] or fixed to 0 or to 1.  An LP with no free
     clause is answered by `_without_free_clauses`, with zero iterations.
-    Any other node that fixes a clause is presolved by `_presolve_node`;
-    its solution is expanded back to the full pool, each merged row's dual
-    split evenly over its positives.
+    A master, every clause free, is solved as `build_restricted_mlp`
+    writes it.  Any other node is presolved by `_presolve_node` and solved
+    as the dual `_node_dual` writes; its answer is expanded back to the
+    full pool, each merged row's dual split evenly over its positives.
     """
     n_pos, K = pos_cover.shape
     lower = np.zeros(K) if w_lower is None else np.asarray(w_lower, float)
@@ -174,33 +205,42 @@ def solve_restricted_mlp(pos_cover, neg_counts, complexities, budget,
     if not free.any():
         return _without_free_clauses(pos_cover, neg_counts, complexities,
                                      budget, one)
-    if free.all():
-        reduced = (pos_cover, neg_counts, complexities, budget, None)
+    master = free.all()
+    if master:
         constant, rest = 0.0, np.arange(n_pos)
         group, sizes = rest, np.ones(n_pos)
+        lp = (*build_restricted_mlp(pos_cover, neg_counts, complexities,
+                                    budget), (0, 1), _MASTER_STATUS)
     else:
         reduced, constant, rest, group = _presolve_node(
             pos_cover, np.asarray(neg_counts, dtype=float),
             np.asarray(complexities, dtype=float), float(budget), one, free)
         sizes = reduced[4]
-    status, res, iterations = _highs(*build_restricted_mlp(*reduced),
-                                     deadline)
+        lp = (*_node_dual(*reduced), _NODE_STATUS)
+    status, res, iterations = _highs(*lp, deadline)
     if res is None:
         return _no_point(status, n_pos, one, iterations)
     G = len(sizes)
+    if master:
+        # the marginals are those of the <= rows: a cover row's dual is
+        # minus its marginal, and lam, the budget dual's magnitude, is
+        # minus the budget row's
+        value, x, dual = res.fun, res.x, -res.ineqlin.marginals
+    else:
+        # the dual's point is (mu, lam, t); w is minus its row marginals
+        # and xi minus mu's upper-bound marginals
+        value, dual = -res.fun, res.x
+        x = np.concatenate([-res.upper.marginals[:G],
+                            -res.ineqlin.marginals])
     xi = np.zeros(n_pos)
-    xi[rest] = res.x[group]
+    xi[rest] = x[group]
     w = one.astype(float)
-    w[free] = res.x[G:]
-    # the marginals are those of the <= rows: a cover row's dual is minus
-    # its marginal, and lam, the budget dual's magnitude, is minus the
-    # budget row's
-    dual = -res.ineqlin.marginals
+    w[free] = x[G:]
     mu = np.zeros(n_pos)
     mu[rest] = np.maximum(dual[group], 0.0) / sizes[group]
     return MasterSolution(
         status=status,
-        objective=float(res.fun) + constant,
+        objective=float(value) + constant,
         xi=xi,
         w=w,
         mu=mu,

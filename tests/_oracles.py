@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way (vertex
 enumeration, exhaustive clause search, KKT conditions checked one row at a
 time, CSV ingest one cell at a time, numeric thresholds one column at a
-time) so it shares no code with the package under test.  The one
-exception is `budget_by_inner_folds`, which checks nested budget selection
-around the package's own fits and fold scoring.
+time) so it shares no code with the package under test.
+`best_selection_by_milp`, for clause pools too large to enumerate, hands
+the explicit integer program to scipy's HiGHS `milp`, which the package
+never calls.  The one exception is `budget_by_inner_folds`, which checks
+nested budget selection around the package's own fits and fold scoring.
 """
 
 import csv
@@ -231,6 +233,40 @@ def best_selection_by_enumeration(pos_cover, neg_counts, complexities,
             if obj < best[0]:
                 best = (obj, subset)
     return best
+
+
+def best_selection_by_milp(pos_cover, neg_counts, complexities, budget):
+    """The integer stage as scipy's HiGHS `milp` solves it, for pools too
+    large to enumerate: min sum_i xi_i + sum_k negcov_k w_k subject to
+    xi_i + sum_{k covers i} w_k >= 1 (a row per positive, built one at a
+    time) and sum_k complexity_k w_k <= budget, with xi in [0, 1] and w
+    binary.  Returns (objective, subset), the objective counted on the
+    subset milp chose, which must agree with milp's own value."""
+    from scipy.optimize import LinearConstraint, milp
+
+    pos_cover = np.asarray(pos_cover)
+    n_pos, K = pos_cover.shape
+    A = np.zeros((n_pos + 1, n_pos + K))
+    for i in range(n_pos):
+        A[i, i] = 1.0
+        for k in range(K):
+            if pos_cover[i, k]:
+                A[i, n_pos + k] = 1.0
+    A[n_pos, n_pos:] = complexities
+    lower = np.append(np.ones(n_pos), -np.inf)
+    upper = np.append(np.full(n_pos, np.inf), float(budget))
+    res = milp(np.concatenate([np.ones(n_pos), neg_counts]),
+               constraints=LinearConstraint(A, lower, upper),
+               integrality=np.concatenate([np.zeros(n_pos), np.ones(K)]),
+               bounds=(0, 1), options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    subset = tuple(int(k) for k in range(K) if res.x[n_pos + k] > 0.5)
+    assert sum(complexities[k] for k in subset) <= budget
+    missed = sum(1 for i in range(n_pos)
+                 if not any(pos_cover[i][k] for k in subset))
+    obj = missed + sum(neg_counts[k] for k in subset)
+    assert abs(obj - res.fun) <= 1e-6, (obj, res.fun)
+    return obj, subset
 
 
 def unreduced_master(pos_cover, neg_counts, complexities, budget,

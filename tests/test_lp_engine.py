@@ -89,17 +89,53 @@ def fake_linprog(status):
     return linprog
 
 
-# a [0, 1] box is never unbounded, so linprog's 3 is numerical trouble
-@pytest.mark.parametrize("code, status", [
-    (1, "time-limit"), (2, "infeasible"), (3, "numerical"), (4, "numerical")])
-def test_highs_statuses_map_to_solver_statuses(monkeypatch, code, status):
+# a master's [0, 1] box is never unbounded, so its 3 is numerical trouble;
+# a node LP is solved as its dual, which is never infeasible, so there 3
+# (an unbounded dual) is an infeasible node and 2 is numerical trouble
+STATUS_CASES = [
+    ("master", 1, "time-limit"), ("master", 2, "infeasible"),
+    ("master", 3, "numerical"), ("master", 4, "numerical"),
+    ("node", 1, "time-limit"), ("node", 2, "numerical"),
+    ("node", 3, "infeasible"), ("node", 4, "numerical")]
+
+
+@pytest.mark.parametrize("shape, code, status", STATUS_CASES, ids=[
+    f"{code}-{status}" if shape == "master" else f"node-{code}-{status}"
+    for shape, code, status in STATUS_CASES])
+def test_highs_statuses_map_to_solver_statuses(monkeypatch, shape, code,
+                                               status):
     monkeypatch.setattr(scipy.optimize, "linprog", fake_linprog(code))
-    # clause 1 is fixed to 1, so the node LP reaches HiGHS presolved
+    # with clause 1 fixed to 1, the node LP reaches HiGHS presolved, as
+    # its dual
+    w_lower = np.array([0.0, 1.0 if shape == "node" else 0.0, 0.0])
     ms = solve_restricted_mlp(np.ones((2, 3)), np.zeros(3), np.full(3, 2.0),
-                              6.0, w_lower=np.array([0.0, 1.0, 0.0]))
+                              6.0, w_lower=w_lower)
     assert (ms.status, ms.iterations) == (status, 3)
     assert math.isnan(ms.objective) and not ms.mu.any() and ms.lam == 0.0
-    assert ms.w.tolist() == [0.0, 1.0, 0.0] and not ms.xi.any()
+    assert ms.w.tolist() == w_lower.tolist() and not ms.xi.any()
+
+
+def test_overspent_node_is_infeasible_through_its_unbounded_dual(
+        monkeypatch):
+    # clauses 1 and 2 fixed to 1 cost 6 against a budget of 5 while clauses
+    # 0 and 3 are still free: the node LP has no feasible point, so HiGHS
+    # finds its dual unbounded
+    real = scipy.optimize.linprog
+    codes = []
+
+    def recording(*args, **kw):
+        res = real(*args, **kw)
+        codes.append(res.status)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    cover = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]], dtype=float)
+    ms = solve_restricted_mlp(cover, np.ones(4), np.full(4, 3.0), 5.0,
+                              w_lower=np.array([0.0, 1.0, 1.0, 0.0]))
+    assert codes == [3]
+    assert ms.status == "infeasible" and math.isnan(ms.objective)
+    assert ms.w.tolist() == [0.0, 1.0, 1.0, 0.0] and not ms.xi.any()
+    assert not ms.mu.any() and ms.lam == 0.0
 
 
 def test_degenerate_lp_terminates():
@@ -284,30 +320,25 @@ def test_build_restricted_mlp_rows_match_per_row_construction(monkeypatch):
     seen = capture_highs_input(monkeypatch)
     rng = np.random.default_rng(5)
     cases = [
-        (np.zeros((4, 0)), None),                              # K=0
-        (np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]]), None),   # uncovered
-        (np.ones((3, 2)), None),                               # all covered
-        (np.zeros((0, 3)), None),                              # no positives
-        # merged rows cost their group sizes, which changes no row
-        (np.array([[1, 0, 1], [0, 1, 1]]), np.array([3.0, 2.0])),
-    ] + [((rng.random((int(rng.integers(1, 15)), int(rng.integers(1, 9))))
-           < 0.3).astype(float), None) for _ in range(30)]
-    for cover, xi_cost in cases:
+        np.zeros((4, 0)),                              # K=0
+        np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]]),   # uncovered
+        np.ones((3, 2)),                               # all covered
+        np.zeros((0, 3)),                              # no positives
+    ] + [(rng.random((int(rng.integers(1, 15)), int(rng.integers(1, 9))))
+          < 0.3).astype(float) for _ in range(30)]
+    for cover in cases:
         n_pos, K = cover.shape
         comp = np.arange(2.0, 2.0 + K)
         negc = np.arange(K, dtype=float)
-        objective, A_ub, b_ub = build_restricted_mlp(cover, negc, comp, 5.0,
-                                                     xi_cost=xi_cost)
+        objective, A_ub, b_ub = build_restricted_mlp(cover, negc, comp, 5.0)
         ref, _, _, rows = unreduced_master(cover, negc, comp, 5.0)
         # the <= form, array for array
         A_ref, b_ref = le_form(rows, n_pos + K)
         assert_same_csc(A_ub, sp.csc_matrix(A_ref))
         assert b_ub.tolist() == b_ref.tolist()
-        assert objective[n_pos:].tolist() == ref[n_pos:].tolist()
-        assert objective[:n_pos].tolist() == (
-            [1.0] * n_pos if xi_cost is None else xi_cost.tolist())
+        assert objective.tolist() == ref.tolist()
         # and the master solve hands HiGHS those very arrays
-        if K and xi_cost is None:
+        if K:
             solve_restricted_mlp(cover, negc, comp, 5.0)
             A_seen, b_seen = seen.pop()
             assert_same_csc(A_seen, A_ub)

@@ -5,10 +5,13 @@ every master and node LP answer satisfies the KKT
 conditions of the unreduced LP and attains its enumerated value; a
 master's duals are those HiGHS gives the per-row build; the closed-form
 answer for an empty pool is HiGHS's own; the integer stage proves the
-enumerated best selection of a clause pool, from a given root or its own;
-binarizing a table cuts each numeric column as its own sort and quantiles
-do; a rule set predicts the same on raw cells, on binarized rows and after
-a JSON round trip; a CNF model is the DNF model of the negated data,
+enumerated best selection of a clause pool, from a given root or its own,
+and on pools too large to enumerate, the best selection HiGHS's `milp`
+finds; so does every proven selection of a sweep over such instances,
+from padded roots and after growths that stopped unconverged; binarizing
+a table cuts each numeric column as its own sort and quantiles do; a rule
+set predicts the same on raw cells, on binarized rows and after a JSON
+round trip; a CNF model is the DNF model of the negated data,
 complemented; and CSV ingest reads what the cell-by-cell oracle reads, or
 fails with the same message.
 
@@ -17,6 +20,7 @@ suite draws the same instances."""
 
 import csv
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +56,7 @@ from _data import force_sampling, make_binary_dataset
 from _oracles import (
     best_ruleset_by_enumeration,
     best_selection_by_enumeration,
+    best_selection_by_milp,
     highs_on_le_form,
     holds,
     kkt_residuals,
@@ -64,11 +69,11 @@ from _oracles import (
 
 
 @st.composite
-def instances(draw):
-    """At most 14 rows and 6 features (3 raw columns and their
+def instances(draw, rows=(2, 14), columns=(1, 3)):
+    """By default at most 14 rows and 6 features (3 raw columns and their
     complements), with at least one positive."""
-    n = draw(st.integers(2, 14))
-    k = draw(st.integers(1, 3))
+    n = draw(st.integers(*rows))
+    k = draw(st.integers(*columns))
     cells = draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
     labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     y = np.array(labels, dtype=np.uint8)
@@ -176,6 +181,83 @@ def test_sweep_certificates_bracket_the_enumerated_optimum():
 
     check()
     assert_samples_dropped_rows_and_features(drops)
+
+
+def test_sweep_selections_prove_the_milp_best_selection_of_their_pool():
+    # instances whose pools reach 40 clauses and more, where a converged
+    # budget's last master, padded with w = 0 for the clauses later budgets
+    # added, is often the root LP of its selection.  One drawn budget's
+    # pricing may stop finding clauses, unproven, from a drawn round on, as
+    # a pricing time limit would leave it: that growth ends without
+    # converging, and a later budget may grow the pool past its master
+    roots = []
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=60)
+    @given(ds=instances(rows=(14, 29), columns=(6, 7)),
+           budgets=st.lists(st.integers(6, 14), min_size=2, max_size=3,
+                            unique=True),
+           stall=st.sampled_from([None, 0, 1]),
+           stall_round=st.integers(1, 3), seed=st.integers(0, 3))
+    def check(ds, budgets, stall, stall_round, seed):
+        cfg = ColGenConfig(complexity_bound=2, time_limit=60.0,
+                           pricing_time_limit=10.0, seed=seed)
+        stalled = None if stall is None else sorted(budgets)[stall]
+        real_grow, real_price = colgen._grow_pool, colgen.price_exact
+        real_select = colgen._select
+
+        def grow(ds, cfg, pool):
+            if cfg.complexity_bound != stalled:
+                return real_grow(ds, cfg, pool)
+            calls = []
+
+            def price(*args, **kw):
+                calls.append(None)
+                res = real_price(*args, **kw)
+                return (res if len(calls) < stall_round else
+                        replace(res, clauses=[], proven_optimal=False))
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(colgen, "price_exact", price)
+                return real_grow(ds, cfg, pool)
+
+        def select(pool, cfg, growth):
+            # the root is an LP unless no three clauses fit the budget
+            three = np.sort(pool.arrays()[2])[:3]
+            roots.append((growth.master is not None
+                          and len(growth.master.w) < len(pool),
+                          growth.converged,
+                          len(three) == 3
+                          and three.sum() <= cfg.complexity_bound))
+            return real_select(pool, cfg, growth)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(colgen, "_grow_pool", grow)
+            mp.setattr(colgen, "_select", select)
+            selections = record_selections(mp)
+            results = sweep_complexity(ds, budgets, cfg)
+        assert len(selections) == len(results)
+        for res, (arrays, budget, mip) in zip(results, selections):
+            C = res.complexity_bound
+            assert budget == C and res.objective == mip.objective
+            assert selection_loss(res.clauses, ds) == res.objective
+            assert sum(c.complexity for c in res.clauses) <= C
+            # the best selection of the pool is no better than the global
+            # optimum the lower bound is certified against
+            opt_pool, _ = best_selection_by_milp(*arrays, C)
+            assert res.lower_bound is not None
+            assert res.lower_bound <= opt_pool <= res.objective
+            if res.mip_optimal:
+                assert res.objective == opt_pool
+            if res.optimal:
+                assert res.lower_bound == res.objective
+
+    check()
+    # padded roots solved as LPs, and growths that stopped unconverged
+    # before the pool grew past their master, were both reached
+    assert any(grown and converged and lp for grown, converged, lp in roots)
+    assert any(grown and not converged and lp
+               for grown, converged, lp in roots)
 
 
 @st.composite
@@ -297,6 +379,64 @@ def test_integer_stage_proves_the_enumerated_best_selection(pool):
         assert comp[mip.selected].sum() <= budget
         missed = (cover[:, mip.selected].sum(axis=1) == 0).sum()
         assert missed + negc[mip.selected].sum() == opt
+
+
+@st.composite
+def large_pools(draw):
+    """A clause pool over 14 to 29 positives and 30 to 50 clauses, too
+    large to enumerate: covers of a drawn density, negative counts of 0 to
+    2, complexities of 2 to 4 and a budget of 6 to 14, so that many
+    selections solve node LPs.  Up to a third of the clauses are planted
+    copies of others, placed anywhere in the pool: exact duplicates, or
+    dominated copies that cover only some of the original's positives at
+    no fewer negatives and no less complexity."""
+    n_pos, K = draw(st.integers(14, 29)), draw(st.integers(30, 50))
+    planted = draw(st.integers(0, K // 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cover = rng.random((n_pos, K)) < rng.choice([0.15, 0.25, 0.35])
+    negc = rng.integers(0, 3, K)
+    comp = rng.integers(2, 5, K)
+    for k in range(K - planted, K):
+        j = rng.integers(K - planted)
+        if draw(st.booleans()):
+            cover[:, k], negc[k], comp[k] = cover[:, j], negc[j], comp[j]
+        else:
+            cover[:, k] = cover[:, j] & (rng.random(n_pos) < 0.7)
+            negc[k] = negc[j] + rng.integers(0, 2)
+            comp[k] = comp[j] + rng.integers(0, 2)
+    order = rng.permutation(K)
+    return (cover[:, order].astype(float), negc[order].astype(float),
+            comp[order].astype(float), float(rng.integers(6, 15)))
+
+
+def test_integer_stage_proves_the_milp_best_selection():
+    # pools the enumeration oracle cannot reach, with duplicate and
+    # dominated clauses; every node below the root solves its LP as the
+    # presolved node LP's dual, and the root is either the master
+    # column generation would hand over or solved here
+    node_lps = []
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=60)
+    @given(pool=large_pools())
+    def check(pool):
+        cover, negc, comp, budget = pool
+        opt, _ = best_selection_by_milp(cover, negc, comp, budget)
+        root = solve_restricted_mlp(cover, negc, comp, budget)
+        for start in (root, None):
+            mip = colgen.solve_restricted_mip(cover, negc, comp, budget,
+                                              root=start)
+            assert mip.optimal
+            assert mip.objective == opt
+            assert comp[mip.selected].sum() <= budget
+            missed = (cover[:, mip.selected].sum(axis=1) == 0).sum()
+            assert missed + negc[mip.selected].sum() == opt
+            if start is not None:
+                node_lps.append(mip.pivots > 0)
+
+    check()
+    # a quarter of the proofs or more went through node LPs below the root
+    assert sum(node_lps) >= len(node_lps) // 4
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
