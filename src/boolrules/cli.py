@@ -264,9 +264,7 @@ def _write_metrics(path, tag, outcomes, zero_seconds):
 @main.command()
 @add_options(data_options)
 @add_options(model_options)
-@click.option("--complexity-bound", "-C", default=None, type=int,
-              help="Single budget; shorthand for --c-grid with one value.")
-@click.option("--c-grid", default=None,
+@click.option("--c-grid", required=True,
               help="Comma-separated candidate budgets for nested selection.")
 @add_options(fold_options)
 @click.option("--inner-folds", default=5, show_default=True,
@@ -275,22 +273,16 @@ def _write_metrics(path, tag, outcomes, zero_seconds):
               type=click.Path(dir_okay=False, writable=True),
               help="Where to write the per-fold metrics CSV.")
 def cv(input_path, label_column, positive_label, missing, quantiles, form,
-       clause_bound, seed, complexity_bound, c_grid, folds, jobs, time_limit,
+       clause_bound, seed, c_grid, folds, jobs, time_limit,
        pricing_time_limit, inner_folds, metrics):
     """Stratified cross-validation with nested budget selection."""
-    if c_grid is not None and complexity_bound is not None:
-        _fail("pass --c-grid or --complexity-bound, not both")
-    if c_grid is None and complexity_bound is None:
-        _fail("pass --c-grid or --complexity-bound")
-    grid = ([complexity_bound] if c_grid is None
-            else _parse_grid(c_grid, "--c-grid"))
+    grid = _parse_grid(c_grid, "--c-grid")
     table = _load_table(input_path, label_column, positive_label, missing)
     proto = _colgen_config(max(grid), clause_bound, time_limit,
                            pricing_time_limit, seed)
     try:
         outcomes = cross_validate(table, grid, form=form, folds=folds,
-                                  seed=seed, jobs=jobs,
-                                  quantile_count=quantiles,
+                                  jobs=jobs, quantile_count=quantiles,
                                   inner_folds=inner_folds, proto=proto)
     except (DatasetError, ValueError) as exc:
         _fail(str(exc))
@@ -326,8 +318,8 @@ def sweep(input_path, label_column, positive_label, missing, quantiles, form,
                            pricing_time_limit, seed)
     try:
         points = sweep_validate(table, grid, form=form, folds=folds,
-                                seed=seed, jobs=jobs,
-                                quantile_count=quantiles, proto=proto)
+                                jobs=jobs, quantile_count=quantiles,
+                                proto=proto)
     except (DatasetError, ValueError) as exc:
         _fail(str(exc))
 

@@ -12,10 +12,10 @@ kept across rounds and reported with the final model.  A round ends the
 growth early, with one trace row, when its master is not optimal or the
 time limit is spent.
 
-Growth and selection are two steps.  `run_column_generation` grows a pool
-and selects over it; `sweep_complexity` grows one shared pool for every
-budget first, then selects each budget once over the final pool.  Either
-way a budget's time limit covers its growth and its selection.
+Growth and selection are two steps.  `sweep_complexity` grows one shared
+pool for every budget first, then selects each budget once over the final
+pool; `run_column_generation` is its one-budget sweep.  A budget's time
+limit covers its growth and its selection.
 
 The branch-and-bound's node LPs go through `solve_restricted_mlp`, as the
 masters do.  A master is solved in its primal form, since its duals steer
@@ -566,10 +566,10 @@ def run_column_generation(ds: BinaryDataset,
     Returns the chosen clauses as pool indices resolved to Clause objects,
     the integer training objective, and the best certified lower bound
     (None when nothing could be certified).  `cfg.time_limit` covers the
-    growth and the selection, which gets whatever time is left.
+    growth and the selection, which gets whatever time is left.  It is the
+    sweep of the one budget `cfg.complexity_bound`.
     """
-    pool = ClausePool(ds)
-    return _select(pool, cfg, _grow_pool(ds, cfg, pool))
+    return sweep_complexity(ds, [cfg.complexity_bound], cfg)[0]
 
 
 def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):

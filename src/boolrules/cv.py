@@ -4,10 +4,11 @@ selection, and the out-of-fold budget sweep.
 Everything here works on a TypedTable so each training fold can derive its
 own thresholds and category sets; held-out rows are binarized with the
 training fold's stored conditions, never their own.  There is one fold
-loop, `_fold_outcomes` mapped over fold indices; fold f trains with seed
-`seed + f`.  `sweep_validate` runs it over a budget sweep, and nested
-budget selection is that same sweep over an outer fold's training rows:
-`select_budget` keeps its most accurate budget.
+loop, `_fold_outcomes` mapped over fold indices; the folds are drawn with
+`proto.seed`, and fold f trains with seed `proto.seed + f`.
+`sweep_validate` runs it over a budget sweep, and nested budget selection
+is that same sweep over an outer fold's training rows: `select_budget`
+keeps its most accurate budget.
 """
 
 from __future__ import annotations
@@ -81,10 +82,9 @@ def accuracy(rs: RuleSet, ds: BinaryDataset) -> float:
     return float((predict(rs, ds) == ds.y).mean())
 
 
-def _ruleset(res, work: BinaryDataset, train_ds: BinaryDataset, form: str,
-             seed: int) -> RuleSet:
-    """The model of one colgen result on `work` (the training dataset, or
-    its negation for CNF), with its training record."""
+def _ruleset(res, train_ds: BinaryDataset, form: str, seed: int) -> RuleSet:
+    """The model of one colgen result trained on `train_ds` (on its
+    negation for CNF), with its training record."""
     training = {
         "complexity_bound": res.complexity_bound,
         "objective": res.objective,
@@ -99,8 +99,7 @@ def _ruleset(res, work: BinaryDataset, train_ds: BinaryDataset, form: str,
         "pool_size": res.pool_size,
         "seed": seed,
     }
-    return build_ruleset(res.clauses, work, form, training=training,
-                         original=train_ds if form == "cnf" else None)
+    return build_ruleset(res.clauses, train_ds, form, training=training)
 
 
 def fit_rows(table: TypedTable, rows: np.ndarray, form: str,
@@ -115,7 +114,7 @@ def fit_rows(table: TypedTable, rows: np.ndarray, form: str,
                               quantile_count=quantile_count)
     work = train_ds.negated() if form == "cnf" else train_ds
     res = run_column_generation(work, cfg)
-    return _ruleset(res, work, train_ds, form, cfg.seed), res, train_ds
+    return _ruleset(res, train_ds, form, cfg.seed), res, train_ds
 
 
 def sweep_rows(table: TypedTable, rows: np.ndarray, budgets, form: str,
@@ -128,8 +127,8 @@ def sweep_rows(table: TypedTable, rows: np.ndarray, budgets, form: str,
                               quantile_count=quantile_count)
     work = train_ds.negated() if form == "cnf" else train_ds
     return train_ds, [
-        (res.complexity_bound, _ruleset(res, work, train_ds, form, cfg.seed),
-         res) for res in sweep_complexity(work, budgets, cfg)]
+        (res.complexity_bound, _ruleset(res, train_ds, form, cfg.seed), res)
+        for res in sweep_complexity(work, budgets, cfg)]
 
 
 def _budgets(values) -> list[int]:
@@ -155,7 +154,7 @@ def select_budget(table: TypedTable, train_rows: np.ndarray, c_grid, form: str,
     k = min(inner_folds, int(counts[counts > 0].min()))
     if len(grid) == 1 or k < 2:
         return grid[0]
-    points = sweep_validate(table, grid, form, folds=k, seed=cfg.seed,
+    points = sweep_validate(table, grid, form, folds=k,
                             quantile_count=quantile_count, proto=cfg,
                             rows=train_rows)
     return max(points, key=lambda p: (p.test_accuracy, -p.budget)).budget
@@ -178,9 +177,9 @@ class FoldOutcome:
 
 
 def _fold_outcomes(table: TypedTable, fold_parts, proto: ColGenConfig,
-                   seed: int, fit, fold: int) -> list[FoldOutcome]:
+                   fit, fold: int) -> list[FoldOutcome]:
     """Hold out one fold, train on the rest with `fit(train_rows, cfg=...)`
-    at `proto` seeded `seed + fold`, which returns (training dataset,
+    at `proto` seeded `proto.seed + fold`, which returns (training dataset,
     [(budget, ruleset, colgen result), ...]), and score every fitted model
     on both sides of the split."""
     t0 = time.perf_counter()
@@ -188,7 +187,8 @@ def _fold_outcomes(table: TypedTable, fold_parts, proto: ColGenConfig,
     train_rows = np.concatenate(
         [fold_parts[f] for f in range(len(fold_parts)) if f != fold])
     train_rows.sort()
-    train_ds, fitted = fit(train_rows, cfg=replace(proto, seed=seed + fold))
+    train_ds, fitted = fit(train_rows,
+                           cfg=replace(proto, seed=proto.seed + fold))
     ds_test = fold_dataset(table, test_rows, train_ds)
     seconds = time.perf_counter() - t0
     return [FoldOutcome(
@@ -228,7 +228,7 @@ def _nested_fit(table: TypedTable, rows: np.ndarray, grid, form: str,
 
 
 def cross_validate(table: TypedTable, c_grid, form: str = "dnf",
-                   folds: int = 10, seed: int = 0, jobs: int = 1,
+                   folds: int = 10, jobs: int = 1,
                    quantile_count: int = 9,
                    inner_folds: int = 5,
                    proto: ColGenConfig | None = None) -> list[FoldOutcome]:
@@ -236,18 +236,19 @@ def cross_validate(table: TypedTable, c_grid, form: str = "dnf",
 
     Per fold: pick a budget from `c_grid` by inner CV on the training rows
     (`inner_folds` folds, at least 2), retrain on all of them with it, and
-    score the held-out rows.  Fold results are deterministic for a fixed
-    seed regardless of `jobs`; only the measured seconds vary.
+    score the held-out rows.  The folds and their training seeds come from
+    `proto.seed`.  Fold results are deterministic for a fixed seed
+    regardless of `jobs`; only the measured seconds vary.
     """
     grid = _budgets(c_grid)
     if inner_folds < 2:
         raise ValueError("inner folds must be at least 2")
     if proto is None:
         proto = ColGenConfig(complexity_bound=grid[-1])
-    parts = stratified_folds(table.y, folds, seed)
+    parts = stratified_folds(table.y, folds, proto.seed)
     fit = partial(_nested_fit, table, grid=grid, form=form,
                   quantile_count=quantile_count, inner_folds=inner_folds)
-    worker = partial(_fold_outcomes, table, parts, proto, seed, fit)
+    worker = partial(_fold_outcomes, table, parts, proto, fit)
     return [outcome for outcome, in _map_folds(worker, folds, jobs)]
 
 
@@ -280,7 +281,7 @@ def pareto_front(points) -> list[bool]:
 
 
 def sweep_validate(table: TypedTable, budgets, form: str = "dnf",
-                   folds: int = 10, seed: int = 0, jobs: int = 1,
+                   folds: int = 10, jobs: int = 1,
                    quantile_count: int = 9,
                    proto: ColGenConfig | None = None,
                    rows: np.ndarray | None = None) -> list[SweepOutcome]:
@@ -288,18 +289,20 @@ def sweep_validate(table: TypedTable, budgets, form: str = "dnf",
 
     Every fold trains the whole ascending budget list on its training rows
     with a shared clause pool, then scores each budget's model on the
-    held-out rows.  Results are aggregated per budget and marked for Pareto
+    held-out rows.  The folds and their training seeds come from
+    `proto.seed`.  Results are aggregated per budget and marked for Pareto
     efficiency on (mean test accuracy, mean complexity).
     """
     budgets = _budgets(budgets)
     if proto is None:
         proto = ColGenConfig(complexity_bound=budgets[-1])
     rows = np.arange(table.n) if rows is None else np.asarray(rows)
-    parts = [rows[p] for p in stratified_folds(table.y[rows], folds, seed)]
+    parts = [rows[p] for p in stratified_folds(table.y[rows], folds,
+                                                proto.seed)]
     fit = partial(sweep_rows, table, budgets=budgets, form=form,
                   quantile_count=quantile_count)
     per_fold = _map_folds(
-        partial(_fold_outcomes, table, parts, proto, seed, fit), folds, jobs)
+        partial(_fold_outcomes, table, parts, proto, fit), folds, jobs)
 
     outcomes = []
     for i, C in enumerate(budgets):

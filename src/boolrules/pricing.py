@@ -152,7 +152,10 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
     On completion the minimum is exact, even when it is nonnegative.  On
     timeout the result still carries a certified floor: the minimum of the
     incumbent and the bounds of every batch left on the stack.
+    `max_returned` below 1 raises ValueError.
     """
+    if max_returned < 1:
+        raise ValueError("max_returned must be at least 1")
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
     exclude = frozenset(exclude) if exclude else frozenset()

@@ -150,7 +150,7 @@ class RuleSet:
         return cls(form=_field(doc, str, "form"), clauses=clauses,
                    positive_label=_field(doc, str, "label_map", "positive"),
                    negative_label=_field(doc, str, "label_map", "negative"),
-                   training=doc.get("training", {}))
+                   training=_field(doc, dict, "training") if "training" in doc else {})
 
 
 def _field(doc, kind, *path):
@@ -180,27 +180,24 @@ def _condition(c, where: str) -> FeatureMeta:
     return FeatureMeta(c["column"], kind, value)
 
 
-def build_ruleset(clauses, ds: BinaryDataset, form: str, training: dict | None = None,
-                  original: BinaryDataset | None = None) -> RuleSet:
+def build_ruleset(clauses, ds: BinaryDataset, form: str,
+                  training: dict | None = None) -> RuleSet:
     """Turn index clauses from training into a portable RuleSet.
 
-    For DNF, `ds` is the training dataset and conditions are its feature
-    metas.  For CNF, training ran on the negated dataset `ds`; pass the
-    pre-negation dataset as `original`.  Feature j of the negated data is
-    true exactly when original feature j is false, so by De Morgan the final
-    AND-of-ORs uses the original metas at the same indices and the label
-    names of the original dataset.
+    `ds` is the dataset as ingested, for either form, and gives the
+    conditions and the label names.  A CNF model's clauses were found on
+    `ds.negated()`, whose feature j is true exactly when `ds`'s feature j
+    is false, so by De Morgan its AND-of-ORs uses `ds.features[j]`.
     """
-    src = original if form == "cnf" else ds
-    if src.features is None:
+    if ds.features is None:
         raise ValueError("dataset has no feature metadata; cannot build a rule set")
     conds = tuple(
-        tuple(src.features[j] for j in cl.features)
+        tuple(ds.features[j] for j in cl.features)
         for cl in clauses
     )
     return RuleSet(form=form, clauses=conds,
-                   positive_label=src.positive_label,
-                   negative_label=src.negative_label,
+                   positive_label=ds.positive_label,
+                   negative_label=ds.negative_label,
                    training=dict(training or {}))
 
 
@@ -243,15 +240,9 @@ def hamming_loss(rs: RuleSet, ds: BinaryDataset) -> int:
     """Training-orientation Hamming loss on `ds`.
 
     For DNF: false negatives plus one per (negative sample, covering clause)
-    pair.  For CNF the same quantity is computed on the negated dataset with
-    complemented conditions, which is exactly the objective the trainer
-    minimized.
+    pair.  A CNF model is scored the same way on `ds.negated()`, where its
+    clauses' indices name the complemented conditions it was trained on,
+    which is exactly the objective the trainer minimized.
     """
-    if rs.form == "cnf":
-        comp = RuleSet(form="dnf",
-                       clauses=tuple(tuple(c.complement() for c in cl) for cl in rs.clauses),
-                       positive_label=rs.negative_label,
-                       negative_label=rs.positive_label)
-        return hamming_loss(comp, ds.negated())
     clauses = _index_clauses(rs, ds)
-    return selection_loss(clauses, ds)
+    return selection_loss(clauses, ds.negated() if rs.form == "cnf" else ds)

@@ -317,7 +317,7 @@ def budget_by_inner_folds(table, train_rows, grid, form, cfg,
 
     scores = {c: [] for c in grid}
     for f in range(k):
-        for o in _fold_outcomes(table, inner, cfg, cfg.seed, fit, f):
+        for o in _fold_outcomes(table, inner, cfg, fit, f):
             scores[o.budget].append(o.test_accuracy)
     means = {c: float(np.mean(scores[c])) for c in grid}
     best = max(means.values())

@@ -81,7 +81,7 @@ def test_criterion_1_tictactoe_exact_reproduction(tmp_path):
     assert res.objective == 0
 
     outcomes = cross_validate(
-        table, [32], folds=10, seed=0, jobs=1,
+        table, [32], folds=10, jobs=1,
         proto=ColGenConfig(complexity_bound=32, clause_bound=3,
                            time_limit=120.0, pricing_time_limit=30.0))
     note_folds("criterion-1 cv", outcomes)
@@ -102,7 +102,7 @@ def test_criterion_2_mushroom_cross_validation():
     assert table.n == 8124
 
     outcomes = cross_validate(
-        table, [20], folds=10, seed=0, jobs=JOBS,
+        table, [20], folds=10, jobs=JOBS,
         proto=ColGenConfig(complexity_bound=20, clause_bound=3,
                            time_limit=120.0, pricing_time_limit=30.0))
     note_folds("criterion-2 cv", outcomes)
@@ -125,7 +125,7 @@ def test_criterion_3_heart_disease_sweep():
     assert table.n == 299
 
     points = sweep_validate(
-        table, [5, 10, 15, 20, 30, 50], folds=10, seed=0, jobs=JOBS,
+        table, [5, 10, 15, 20, 30, 50], folds=10, jobs=JOBS,
         proto=ColGenConfig(complexity_bound=50, clause_bound=3,
                            time_limit=120.0, pricing_time_limit=30.0))
     for p in points:
@@ -290,7 +290,7 @@ def test_criterion_8_cnf_duality():
         # route one: the package's CNF path (train on the negation, store
         # conditions translated back to the original orientation)
         res_cnf = run_column_generation(neg, cfg)
-        rs_cnf = build_ruleset(res_cnf.clauses, neg, "cnf", original=ds)
+        rs_cnf = build_ruleset(res_cnf.clauses, ds, "cnf")
         note_result(f"criterion-8 trial {trial}", res_cnf)
 
         # route two: by hand, using the same machinery as a plain DNF
@@ -314,7 +314,7 @@ def test_criterion_9_reproducible_metrics(tmp_path):
         metrics = tmp_path / f"metrics{i}.csv"
         result = runner.invoke(cli_main, [
             "cv", "--input", str(data), "--label-column", "class",
-            "-C", "32", "--clause-bound", "3", "--folds", "10",
+            "--c-grid", "32", "--clause-bound", "3", "--folds", "10",
             "--seed", "7", "--jobs", "1", "--metrics", str(metrics)])
         assert result.exit_code == 0, result.output
         paths.append(metrics)

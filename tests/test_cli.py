@@ -158,7 +158,7 @@ def test_non_utf8_input_exits_two_with_one_line(tmp_path, runner):
     for args in (["train", "--input", str(bad), "--label-column", "a",
                   "-C", "4", "--output", str(tmp_path / "out.json")],
                  ["cv", "--input", str(bad), "--label-column", "a",
-                  "-C", "4", "--metrics", str(tmp_path / "m.csv")],
+                  "--c-grid", "4", "--metrics", str(tmp_path / "m.csv")],
                  ["predict", str(model), "--input", str(bad)]):
         r = runner.invoke(main, args)
         assert r.exit_code == 2, args
@@ -284,7 +284,7 @@ def test_quantiles_below_one_exit_two_with_one_line(tmp_path, runner, value):
     data.write_text("color,label\n" + "red,pos\nblue,neg\n" * 10)
     out = tmp_path / "out"
     for cmd in (["train", "-C", "4", "--output", str(out)],
-                ["cv", "-C", "4", "--folds", "2", "--metrics", str(out)],
+                ["cv", "--c-grid", "4", "--folds", "2", "--metrics", str(out)],
                 ["sweep", "--c-grid", "2,4", "--folds", "2",
                  "--metrics", str(out)]):
         r = runner.invoke(main, [*cmd, "--input", str(data), "--label-column",
@@ -297,7 +297,7 @@ def test_quantiles_below_one_exit_two_with_one_line(tmp_path, runner, value):
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_jobs_below_one_exit_two_with_one_line(tmp_path, runner, value):
     data = write_color_csv(tmp_path / "toy.csv")
-    for cmd in (["cv", "-C", "4"], ["sweep", "--c-grid", "2,4"]):
+    for cmd in (["cv", "--c-grid", "4"], ["sweep", "--c-grid", "2,4"]):
         r = runner.invoke(main, [*cmd, "--input", str(data), "--label-column",
                                  "label", "--folds", "2", "--jobs", value,
                                  "--metrics", str(tmp_path / "out.csv")])
@@ -368,6 +368,8 @@ def set_condition(at=0, **fields):
                  id="inf-threshold"),
     pytest.param(set_condition(at=1, value=3), "categorical-eq value 3",
                  id="numeric-category"),
+    pytest.param(lambda doc: doc.update(training=[1, 2]),
+                 "training is not a dict", id="training-not-an-object"),
 ])
 def test_malformed_model_exits_two_naming_the_fault(tmp_path, runner, edit,
                                                     named):
@@ -429,7 +431,7 @@ def test_cv_parallel_matches_sequential_content(tmp_path, runner):
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
     for path, jobs in ((seq, "1"), (par, "2")):
         r = runner.invoke(main, ["cv", "--input", str(data), "--label-column",
-                                 "label", "-C", "4", "--folds", "5",
+                                 "label", "--c-grid", "4", "--folds", "5",
                                  "--seed", "3", "--jobs", jobs,
                                  "--metrics", str(path)])
         assert r.exit_code == 0, r.output
@@ -441,7 +443,7 @@ def test_cv_parallel_matches_sequential_content(tmp_path, runner):
 def test_cv_argument_errors(tmp_path, runner):
     data = write_color_csv(tmp_path / "toy.csv")
     r = runner.invoke(main, ["cv", "--input", str(data), "--label-column",
-                             "label", "-C", "4", "--folds", "1"])
+                             "label", "--c-grid", "4", "--folds", "1"])
     assert r.exit_code == 2 and "folds" in r.output
 
     # a grid to choose from needs at least two inner folds to choose by
@@ -456,20 +458,13 @@ def test_cv_argument_errors(tmp_path, runner):
                              "--label-column", "label"])
     assert r.exit_code == 2 and "--c-grid" in r.output
 
-    # a budget and a grid together would drop one of them
-    r = runner.invoke(main, ["cv", "--input", str(data), "--label-column",
-                             "label", "-C", "8", "--c-grid", "4"])
-    assert r.exit_code == 2
-    assert r.output == ("error: pass --c-grid or --complexity-bound, "
-                        "not both\n")
-
     r = runner.invoke(main, ["cv", "--input", str(data), "--label-column",
                              "label", "--c-grid", "4,x"])
     assert r.exit_code == 2 and "integers" in r.output
 
     small = write_color_csv(tmp_path / "small.csv", n_pos=3, n_neg=20)
     r = runner.invoke(main, ["cv", "--input", str(small), "--label-column",
-                             "label", "-C", "4", "--folds", "5"])
+                             "label", "--c-grid", "4", "--folds", "5"])
     assert r.exit_code == 2 and "fewer than" in r.output
 
 

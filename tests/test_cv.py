@@ -110,8 +110,7 @@ def test_pareto_front_dominance():
 
 def test_cross_validation_on_separable_data(tmp_path):
     table = color_table(tmp_path / "toy.csv")
-    out = cross_validate(table, [2, 4], folds=5, seed=1,
-                         proto=quick_config(4))
+    out = cross_validate(table, [2, 4], folds=5, proto=quick_config(4, seed=1))
     assert [r.fold for r in out] == list(range(5))
     for r in out:
         assert r.test_accuracy == 1.0
@@ -126,20 +125,20 @@ def test_cross_validation_deterministic_across_jobs(tmp_path):
     table = color_table(tmp_path / "toy.csv")
     key = lambda r: (r.fold, r.budget, r.test_accuracy, r.train_accuracy,
                      r.complexity, r.z_train, r.lower_bound)
-    one = cross_validate(table, [2], folds=5, seed=7, jobs=1,
-                         proto=quick_config(2))
-    two = cross_validate(table, [2], folds=5, seed=7, jobs=1,
-                         proto=quick_config(2))
-    par = cross_validate(table, [2], folds=5, seed=7, jobs=2,
-                         proto=quick_config(2))
+    one = cross_validate(table, [2], folds=5, jobs=1,
+                         proto=quick_config(2, seed=7))
+    two = cross_validate(table, [2], folds=5, jobs=1,
+                         proto=quick_config(2, seed=7))
+    par = cross_validate(table, [2], folds=5, jobs=2,
+                         proto=quick_config(2, seed=7))
     assert [key(r) for r in one] == [key(r) for r in two]
     assert [key(r) for r in one] == [key(r) for r in par]
 
 
 def test_cnf_form_trains_through_negation(tmp_path):
     table = color_table(tmp_path / "toy.csv")
-    out = cross_validate(table, [4], folds=5, seed=2, form="cnf",
-                         proto=quick_config(4))
+    out = cross_validate(table, [4], folds=5, form="cnf",
+                         proto=quick_config(4, seed=2))
     assert all(r.test_accuracy == 1.0 for r in out)
 
 
@@ -203,7 +202,7 @@ def test_sweep_validate_over_rows_equals_the_sweep_of_those_rows(tmp_path):
                      f.complexity, f.z_train, f.lower_bound, f.z_rmlp,
                      f.optimal)
     over_rows, over_alone = (
-        sweep_validate(t, [2, 4, 8], folds=3, seed=6, proto=quick_config(8),
+        sweep_validate(t, [2, 4, 8], folds=3, proto=quick_config(8, seed=6),
                        rows=r) for t, r in ((table, rows), (alone, None)))
     assert [[key(f) for f in o.folds] for o in over_rows] == \
         [[key(f) for f in o.folds] for o in over_alone]
@@ -211,8 +210,7 @@ def test_sweep_validate_over_rows_equals_the_sweep_of_those_rows(tmp_path):
 
 def test_sweep_validate_aggregates_and_flags(tmp_path):
     table = color_table(tmp_path / "toy.csv")
-    out = sweep_validate(table, [4, 2], folds=5, seed=1,
-                         proto=quick_config(4))
+    out = sweep_validate(table, [4, 2], folds=5, proto=quick_config(4, seed=1))
     assert [o.budget for o in out] == [2, 4]
     for o in out:
         assert o.test_accuracy == 1.0

@@ -577,10 +577,7 @@ def test_raw_binarized_and_reloaded_predictions_agree(data, form, picks):
         build_matrix(train_table, np.arange(train_table.n), ds.features),
         ds.X)
     clauses = [Clause(tuple(j % ds.d for j in pick)) for pick in picks]
-    if form == "dnf":
-        rs = build_ruleset(clauses, ds, "dnf")
-    else:
-        rs = build_ruleset(clauses, ds.negated(), "cnf", original=ds)
+    rs = build_ruleset(clauses, ds, form)
     scored = BinaryDataset(X=build_matrix(table, np.arange(table.n),
                                           ds.features),
                            y=table.y, features=ds.features,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,14 @@ def test_cnf_predictions_are_and_of_ors():
         ds = random_dataset(rng, n_max=15, k_max=4)
         neg = ds.negated()
         clauses = random_clauses(rng, ds.d, int(rng.integers(1, 4)))
-        rs = build_ruleset(clauses, neg, "cnf", original=ds)
+        rs = build_ruleset(clauses, ds, "cnf")
         assert rs.form == "cnf"
+        # by De Morgan the clauses found on the negated data are ORs of
+        # the ingested dataset's own conditions, under its own labels
+        assert rs.clauses == tuple(tuple(ds.features[j] for j in cl.features)
+                                   for cl in clauses)
+        assert (rs.positive_label, rs.negative_label) == \
+            (ds.positive_label, ds.negative_label)
         got = predict(rs, ds)
         want = np.ones(ds.n, dtype=np.uint8)
         for cl in clauses:
@@ -112,6 +120,17 @@ def test_json_round_trip():
         RuleSet.from_json('{"format_version": 99, "form": "dnf", '
                           '"label_map": {"positive": "a", "negative": "b"}, '
                           '"clauses": []}')
+
+
+def test_from_json_checks_the_training_block():
+    doc = json.loads(RuleSet("dnf", ((FeatureMeta("c", "categorical-eq", "x"),),),
+                             "yes", "no", training={"C": 4}).to_json())
+    for bad in ([1, 2], "C=4", 4, None):
+        doc["training"] = bad
+        with pytest.raises(ValueError, match="training"):
+            RuleSet.from_json(json.dumps(doc))
+    del doc["training"]
+    assert RuleSet.from_json(json.dumps(doc)).training == {}
 
 
 def test_predict_rows_on_raw_cells(tmp_path):
