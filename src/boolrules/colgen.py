@@ -3,9 +3,10 @@ then pick the final rule set with a small branch-and-bound over the pool.
 
 Each round solves the restricted master LP over the pool and prices new
 clauses against its duals.  A "small" instance runs the exact search on
-the full data.  A "large" one (pricing nnz above `LARGE_NNZ`) prices on a
-row/feature sample first and runs the full-data exact search only when
-none of the sample's candidates prices negative on the full data.  That
+the full data.  A "large" one (pricing nnz above `LARGE_NNZ`) runs the
+same search on a row and feature sample first, drawn by
+`restrict_pricing`, and runs the full-data search only when none of the
+sample's candidates prices negative on the full data.  That
 full-data search, finished or timed out, is the round's one certificate:
 a lower bound on the best achievable training loss, the best of which is
 kept across rounds and reported with the final model.  A round ends the
@@ -43,12 +44,7 @@ import numpy as np
 
 from .dataset import BinaryDataset
 from .lp_engine import MasterSolution, solve_restricted_mlp
-from .pricing import (
-    NEGATIVE_EPS,
-    DualContext,
-    price_exact,
-    restrict_pricing,
-)
+from .pricing import NEGATIVE_EPS, price_exact, restrict_pricing
 from .ruleset import Clause
 
 CEIL_EPS = 1e-7
@@ -422,9 +418,15 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
     iteration = 0
     last_master = None
 
-    def price_budget():
+    def price(sample=None):
+        """The exact search at the current duals, on the full data or on a
+        `restrict_pricing` sample of it."""
         left = cfg.time_limit - (time.perf_counter() - t0)
-        return min(cfg.pricing_time_limit, max(left, 0.0))
+        return price_exact(ds.X, ds.y, mu, lam, depth,
+                           time_limit=min(cfg.pricing_time_limit,
+                                          max(left, 0.0)),
+                           max_returned=MAX_COLUMNS,
+                           exclude=pool.index.keys(), sample=sample)
 
     def admit(res):
         """The result's clauses that price negative on the full data, most
@@ -467,16 +469,10 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         results = []
         admitted = []
         if regime == "large":
-            rp = restrict_pricing(ds.X, ds.y, mu, lam, depth, rng)
-            results.append(rp.lift(price_exact(
-                rp.ctx, time_limit=price_budget(), max_returned=MAX_COLUMNS,
-                exclude=rp.restrict(pool.index.keys()))))
+            results.append(price(restrict_pricing(ds.X, ds.y, rng)))
             admitted = admit(results[-1])
         if not admitted:
-            res = price_exact(DualContext(ds.X, ds.y, mu, lam, depth),
-                              time_limit=price_budget(),
-                              max_returned=MAX_COLUMNS,
-                              exclude=pool.index.keys())
+            res = price()
             results.append(res)
             admitted = admit(res)
             # the certificate: only a full-data exact search carries a

@@ -9,10 +9,11 @@ reduced cost of a clause K is
 subsets and is the source of optimality certificates.  It works on batches
 of same-size clauses held as row masks, scoring all their one-feature
 extensions with two matrix products, and returns the true most negative
-clauses, ties broken by features.  `restrict_pricing` shrinks the instance
-by row and feature sampling first, for large instances; anything it finds
-must be re-priced on the full data by the caller, and nothing it proves
-counts as a certificate.
+clauses, ties broken by features.  For large instances the same search
+runs on a row and feature sample that `restrict_pricing` draws, passed as
+`price_exact`'s `sample`: its clauses come back over the data's own
+feature ids, must be re-priced on the full data by the caller, and
+nothing it proves counts as a certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,51 +35,6 @@ _BATCH_CELLS = 1 << 15
 
 SAMPLE_TARGET = 2000  # rows a sampled pricing instance keeps, about
 NNZ_CAP = 100000  # and its zero entries plus features, about
-
-
-@dataclass
-class DualContext:
-    """Preprocessed pricing state for one dual solution.
-
-    `mu` must be aligned with the positives of (X, y) in row order.  Only
-    positives with mu above a small tolerance participate in the search;
-    zero-dual positives cannot make a reduced cost negative.
-    """
-
-    X: np.ndarray
-    y: np.ndarray
-    mu: np.ndarray
-    lam: float
-    depth_limit: int
-
-    Xp: np.ndarray = field(init=False, repr=False)
-    Xn: np.ndarray = field(init=False, repr=False)
-    mu_w: np.ndarray = field(init=False, repr=False)
-    root_mu: np.ndarray = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.uint8)
-        y = np.asarray(self.y)
-        pos = np.flatnonzero(y == 1)
-        neg = np.flatnonzero(y == 0)
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.shape != (len(pos),):
-            raise ValueError("mu must have one entry per positive sample")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        self.depth_limit = max(1, min(int(self.depth_limit), X.shape[1]))
-        live = mu > _MU_TINY
-        self.Xp = X[pos[live]]
-        self.mu_w = mu[live]
-        self.Xn = X[neg]
-        self.root_mu = self.mu_w @ self.Xp if self.Xp.size else np.zeros(X.shape[1])
-        # most promising features first: ties fall back to column order
-        self.order = np.argsort(-self.root_mu, kind="stable")
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
 
 @dataclass
@@ -125,10 +81,25 @@ class _TopK:
         return [(feats, rc) for rc, feats in self.items]
 
 
-def price_exact(ctx: DualContext, time_limit: float | None = None,
-                max_returned: int = 10, exclude=None) -> PricingResult:
+def price_exact(X, y, mu, lam: float, depth_limit: int,
+                time_limit: float | None = None, max_returned: int = 10,
+                exclude=None, sample=None) -> PricingResult:
     """Branch and bound over feature subsets of size at most depth_limit,
     scored a batch of same-size clauses at a time.
+
+    `mu` holds one dual per positive of (X, y), in row order, and `lam`
+    the budget row's dual.  Only positives with mu above a small tolerance
+    take part: a zero-dual positive cannot make a reduced cost negative.
+    `depth_limit` is clamped to the features searched.
+
+    `sample=(rows, features)`, ascending index arrays such as
+    `restrict_pricing` draws, prices the instance `X[rows][:, features]`
+    with the kept positives' mu instead.  Its clauses are stated over X's
+    own feature ids, and `exclude` is read over them too; `features` keeps
+    their order, so ties resolve as on the full data.  Its reduced costs
+    were measured on the sample, so the result is mode "restricted-exact",
+    proves nothing and carries no floor: callers re-price its clauses on
+    the full data.
 
     A clause extends only with features later in the root ordering, so
     every subset is reached once.  A batch holds clauses of one size with
@@ -158,21 +129,41 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
         raise ValueError("max_returned must be at least 1")
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
+    X, y = np.asarray(X), np.asarray(y)
+    pos = np.flatnonzero(y == 1)
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (len(pos),):
+        raise ValueError("mu must have one entry per positive sample")
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    ids = np.arange(X.shape[1])  # X's feature id of each searched column
+    if sample is not None:
+        rows, ids = sample
+        mu = mu[np.searchsorted(pos, rows[y[rows] == 1])]
+        X, y = X[np.ix_(rows, ids)], y[rows]
+        pos = np.flatnonzero(y == 1)
+    X = np.ascontiguousarray(X, dtype=np.uint8)
+    d = X.shape[1]
+    D = max(1, min(int(depth_limit), d))
+    live_mu = mu > _MU_TINY
+    Xp, mu_w, Xn = X[pos[live_mu]], mu[live_mu], X[y == 0]
+    root_mu = mu_w @ Xp if Xp.size else np.zeros(d)
+    # most promising features first: ties fall back to column order
+    rank = np.empty(d, dtype=np.int64)
+    rank[np.argsort(-root_mu, kind="stable")] = np.arange(d)
+
     exclude = frozenset(exclude) if exclude else frozenset()
     top = _TopK(max_returned)
     best_val = math.inf
     evals = 0
-    lam, D, d = ctx.lam, ctx.depth_limit, ctx.d
-    n_neg = ctx.Xn.shape[0]
-    Xp = ctx.Xp.astype(float)
+    n_neg = Xn.shape[0]
+    XpT, XnT = np.ascontiguousarray(Xp.T), np.ascontiguousarray(Xn.T)
+    Xp = Xp.astype(float)
     # 0/1 products in float32 count exactly below 2**24 rows
     count_type = np.float32 if n_neg < 2 ** 24 else np.float64
-    Xn = ctx.Xn.astype(count_type)
-    XpT, XnT = np.ascontiguousarray(ctx.Xp.T), np.ascontiguousarray(ctx.Xn.T)
-    rank = np.empty(d, dtype=np.int64)
-    rank[ctx.order] = np.arange(d)
+    Xn = Xn.astype(count_type)
     width = max(1, _BATCH_CELLS // max(Xp.shape[0] + n_neg, 1))
-    stack = []  # (bounds, parent feats, parent P, parent N, rows, features)
+    stack = []  # (bounds, parent feats, parent P, parent N, rows, columns)
 
     def live(values):
         """Which reduced costs, or bounds on them, could still lower the
@@ -198,7 +189,7 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
             if not live(v):
                 break
             b, j = divmod(int(k), d)
-            clause = tuple(sorted(feats[b].tolist() + [j]))
+            clause = tuple(sorted(feats[b].tolist() + [int(ids[j])]))
             if clause in exclude:
                 continue
             best_val = min(best_val, v)
@@ -214,7 +205,7 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
             stack.append((ext[part], feats, P, N, part // d, part % d))
 
     score(np.zeros((1, 0), dtype=np.int64), np.array([-1]),
-          ctx.mu_w[None, :], np.ones((1, n_neg), dtype=count_type))
+          mu_w[None, :], np.ones((1, n_neg), dtype=count_type))
     proven = True
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
@@ -225,10 +216,12 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
         if not keep.any():
             continue
         b, j = b[keep], j[keep]
-        score(np.column_stack([feats[b], j]), rank[j], P[b] * XpT[j],
+        score(np.column_stack([feats[b], ids[j]]), rank[j], P[b] * XpT[j],
               N[b] * XnT[j])
 
-    if proven:
+    if sample is not None:
+        proven, floor = False, None
+    elif proven:
         floor = best_val if math.isfinite(best_val) else 0.0
     else:
         floor = min([best_val] + [float(e[0][0]) for e in stack])
@@ -239,51 +232,18 @@ def price_exact(ctx: DualContext, time_limit: float | None = None,
         proven_optimal=proven,
         explored=evals,
         elapsed=time.perf_counter() - t0,
-        mode="exact",
+        mode="exact" if sample is None else "restricted-exact",
     )
 
 
-@dataclass
-class RestrictedPricing:
-    """A pricing instance over sampled rows and features.
-
-    `lift` translates a result back to original feature indices and strips
-    everything certificate-like: reduced costs were measured on the sample,
-    so callers must re-price candidates on the full data.
-    """
-
-    ctx: DualContext
-    rows: np.ndarray
-    features: np.ndarray
-
-    def restrict(self, clauses) -> list:
-        """The clauses whose features all survive the sample, re-indexed
-        to the sample's features (which keep their order)."""
-        local = {int(j): i for i, j in enumerate(self.features)}
-        return [tuple(local[j] for j in feats) for feats in clauses
-                if all(j in local for j in feats)]
-
-    def lift(self, result: PricingResult) -> PricingResult:
-        fmap = self.features
-        return PricingResult(
-            clauses=[(tuple(sorted(int(fmap[j]) for j in feats)), rc)
-                     for feats, rc in result.clauses],
-            best_value=result.best_value,
-            certified_floor=None,
-            proven_optimal=False,
-            explored=result.explored,
-            elapsed=result.elapsed,
-            mode="restricted-" + result.mode,
-        )
-
-
-def restrict_pricing(X, y, mu, lam, depth_limit, rng) -> RestrictedPricing:
-    """Shrink a pricing instance by independent row and feature sampling.
+def restrict_pricing(X, y, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a row and feature sample of (X, y) for `price_exact`'s `sample`.
 
     Rows are kept with probability SAMPLE_TARGET / n.  Features are then
     kept with a probability chosen so the kept rows' zero-entry count plus
     the feature count lands near NNZ_CAP.  Sampling that loses every
     positive is retried a few times, then all positives are forced in.
+    Returns the kept rows and features, each ascending.
     """
     X = np.asarray(X)
     y = np.asarray(y)
@@ -308,11 +268,4 @@ def restrict_pricing(X, y, mu, lam, depth_limit, rng) -> RestrictedPricing:
     fkeep = rng.random(d) < q
     if not fkeep.any():
         fkeep[int(rng.integers(d))] = True
-    feats = np.flatnonzero(fkeep)
-
-    pos_kept = rows[y[rows] == 1]
-    mu_sub = np.asarray(mu, dtype=float)[np.searchsorted(pos, pos_kept)]
-    ctx = DualContext(X[np.ix_(rows, feats)], y[rows], mu_sub, lam,
-                      depth_limit)
-    return RestrictedPricing(ctx=ctx, rows=rows, features=feats)
-
+    return rows, np.flatnonzero(fkeep)

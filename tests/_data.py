@@ -128,14 +128,14 @@ def force_sampling(mp, sample_target, nnz_cap, drops):
     """Send every fit down the sampled path (`LARGE_NNZ` = 2), with samples
     of about `sample_target` rows and `nnz_cap` zero entries plus features,
     so that small instances lose rows and features too.  Each sampling call
-    appends (dropped a row, dropped a feature) to `drops`."""
+    appends (dropped a row, dropped a feature) to `drops`, read off the
+    (rows, features) it returns."""
     real = colgen.restrict_pricing
 
-    def recording(X, *args):
-        rp = real(X, *args)
-        drops.append((len(rp.rows) < X.shape[0],
-                      len(rp.features) < X.shape[1]))
-        return rp
+    def recording(X, y, rng):
+        rows, features = real(X, y, rng)
+        drops.append((len(rows) < X.shape[0], len(features) < X.shape[1]))
+        return rows, features
 
     mp.setattr(colgen, "LARGE_NNZ", 2)
     mp.setattr(colgen, "restrict_pricing", recording)

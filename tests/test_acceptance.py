@@ -22,7 +22,7 @@ from boolrules.colgen import ColGenConfig, guarded_ceil, run_column_generation
 from boolrules.cv import accuracy, cross_validate, fit_rows, sweep_validate
 from boolrules.dataset import read_csv_table
 from boolrules.lp_engine import solve_restricted_mlp
-from boolrules.pricing import DualContext, price_exact
+from boolrules.pricing import price_exact
 from boolrules.ruleset import build_ruleset, predict, selection_loss
 
 from _data import benchmark_csv, random_dataset, write_tictactoe_csv
@@ -152,7 +152,7 @@ def test_criterion_4_pricing_matches_enumeration():
         lam = lam_cycle[trial % 3]
         depth = int(rng.integers(1, 5))
 
-        res = price_exact(DualContext(X, y, mu, lam, depth_limit=depth))
+        res = price_exact(X, y, mu, lam, depth_limit=depth)
         want, _, _ = best_clause_by_enumeration(X, y, mu, lam, depth)
         assert res.proven_optimal
         assert abs(res.best_value - want) <= 1e-9

@@ -23,7 +23,6 @@ from boolrules.colgen import (
     sweep_complexity,
 )
 from boolrules.lp_engine import solve_restricted_mlp
-from boolrules.pricing import RestrictedPricing
 from boolrules.ruleset import selection_loss
 
 from _data import force_sampling, make_binary_dataset, tiny_example
@@ -241,7 +240,7 @@ def test_forced_large_regime_samples_and_still_solves(monkeypatch):
 def test_sampled_pricing_skips_pool_clauses(monkeypatch):
     # a pool clause at its upper bound prices negative on the sample too;
     # excluded, it cannot take one of the sampled call's MAX_COLUMNS slots
-    real_lift = RestrictedPricing.lift
+    real_price = colgen.price_exact
     pools, returned = [], []
 
     class RecordedPool(ClausePool):
@@ -249,15 +248,16 @@ def test_sampled_pricing_skips_pool_clauses(monkeypatch):
             super().__init__(ds)
             pools.append(self)
 
-    def recording_lift(self, result):
-        lifted = real_lift(self, result)
-        returned.append([feats in pools[-1].index
-                         for feats, _ in lifted.clauses])
-        return lifted
+    def recording(*args, **kw):
+        res = real_price(*args, **kw)
+        if kw.get("sample") is not None:
+            returned.append([feats in pools[-1].index
+                             for feats, _ in res.clauses])
+        return res
 
     monkeypatch.setattr(colgen, "ClausePool", RecordedPool)
     monkeypatch.setattr(colgen, "MAX_COLUMNS", 3)
-    monkeypatch.setattr(RestrictedPricing, "lift", recording_lift)
+    monkeypatch.setattr(colgen, "price_exact", recording)
     drops = []
     force_sampling(monkeypatch, 30, 120, drops)
     for seed in range(5):

@@ -5,11 +5,7 @@ import pytest
 
 from boolrules import pricing
 from boolrules.colgen import reduced_cost_dense
-from boolrules.pricing import (
-    DualContext,
-    price_exact,
-    restrict_pricing,
-)
+from boolrules.pricing import price_exact, restrict_pricing
 from _data import make_binary_dataset, random_dataset, tiny_example
 from _oracles import best_clause_by_enumeration, clause_reduced_cost
 
@@ -21,7 +17,7 @@ def test_worked_example_reduced_costs():
     assert reduced_cost_dense(ds.X, ds.y, mu, 0.0, (0,)) == -2.0
     # c1 covers one positive and one negative; the size penalty tips it up
     assert reduced_cost_dense(ds.X, ds.y, mu, 0.5, (1,)) == 1.0
-    res = price_exact(DualContext(ds.X, ds.y, mu, lam=0.0, depth_limit=3))
+    res = price_exact(ds.X, ds.y, mu, lam=0.0, depth_limit=3)
     assert res.proven_optimal
     assert res.best_value == -2.0
     assert res.clauses[0] == ((0,), -2.0)
@@ -36,7 +32,7 @@ def test_exact_matches_enumeration():
         mu[rng.random(len(ds.pos)) < 0.2] = 0.0
         lam = float(rng.choice([0.0, 0.05, 0.2, 0.7]))
         D = int(rng.integers(1, 5))
-        res = price_exact(DualContext(ds.X, ds.y, mu, lam, D))
+        res = price_exact(ds.X, ds.y, mu, lam, D)
         oval, _, onegs = best_clause_by_enumeration(ds.X, ds.y, mu, lam,
                                                     min(D, ds.d))
         assert res.proven_optimal
@@ -78,8 +74,7 @@ def test_exact_returns_the_ten_most_negative_outside_exclude():
         negative = [c for v, c in everything if v < 0]
         exclude = set(negative[:int(rng.integers(0, 6))])
         exclude |= {c for _, c in everything if rng.random() < 0.1}
-        res = price_exact(DualContext(ds.X, ds.y, mu, lam, D),
-                          exclude=exclude)
+        res = price_exact(ds.X, ds.y, mu, lam, D, exclude=exclude)
         rest = [(v, c) for v, c in everything if c not in exclude]
         assert res.proven_optimal
         if rest:
@@ -92,14 +87,14 @@ def test_split_frontier_matches_one_batch(monkeypatch):
     rng = np.random.default_rng(57)
     for _ in range(40):
         ds, mu, lam, D = dyadic_instance(rng)
-        ctx = DualContext(ds.X, ds.y, mu, lam, D)
         exclude = {c for _, c in all_clauses(ds, mu, lam, D)
                    if rng.random() < 0.1}
         runs = []
         # one clause per batch, then every clause of a size in one batch
         for cells in (1, 1 << 30):
             monkeypatch.setattr(pricing, "_BATCH_CELLS", cells)
-            runs.append(price_exact(ctx, exclude=exclude))
+            runs.append(price_exact(ds.X, ds.y, mu, lam, D,
+                                    exclude=exclude))
         split, whole = runs
         assert split.proven_optimal and whole.proven_optimal
         assert split.best_value == whole.best_value
@@ -112,7 +107,7 @@ def test_exact_depth_limit_respected():
     ds = random_dataset(rng, n_max=20, k_max=5)
     mu = np.ones(len(ds.pos))
     for D in (1, 2):
-        res = price_exact(DualContext(ds.X, ds.y, mu, 0.0, D))
+        res = price_exact(ds.X, ds.y, mu, 0.0, D)
         assert all(len(f) <= D for f, _ in res.clauses)
         oval, _, _ = best_clause_by_enumeration(ds.X, ds.y, mu, 0.0, D)
         assert res.best_value == pytest.approx(oval, abs=1e-9)
@@ -121,8 +116,7 @@ def test_exact_depth_limit_respected():
 def test_exact_no_negative_clause():
     # with zero duals everything prices at lam * complexity >= 0
     ds = tiny_example()
-    ctx = DualContext(ds.X, ds.y, np.zeros(2), 0.25, 3)
-    res = price_exact(ctx)
+    res = price_exact(ds.X, ds.y, np.zeros(2), 0.25, 3)
     assert res.clauses == []
     assert res.proven_optimal
     assert res.best_value == pytest.approx(0.5)   # cheapest single feature
@@ -131,11 +125,11 @@ def test_exact_no_negative_clause():
 
 def test_exact_rejects_max_returned_below_one():
     ds = tiny_example()
-    ctx = DualContext(ds.X, ds.y, np.ones(2), 0.0, 3)
+    args = (ds.X, ds.y, np.ones(2), 0.0, 3)
     for k in (0, -1):
         with pytest.raises(ValueError, match="max_returned"):
-            price_exact(ctx, max_returned=k)
-    assert price_exact(ctx, max_returned=1).clauses == [((0,), -2.0)]
+            price_exact(*args, max_returned=k)
+    assert price_exact(*args, max_returned=1).clauses == [((0,), -2.0)]
 
 
 def test_timeout_floor_is_still_valid():
@@ -144,8 +138,7 @@ def test_timeout_floor_is_still_valid():
     for _ in range(25):
         ds = random_dataset(rng, n_max=60, k_max=9)
         mu = rng.random(len(ds.pos)) * 2.0
-        ctx = DualContext(ds.X, ds.y, mu, 0.01, 4)
-        res = price_exact(ctx, time_limit=1e-4)
+        res = price_exact(ds.X, ds.y, mu, 0.01, 4, time_limit=1e-4)
         oval, _, _ = best_clause_by_enumeration(ds.X, ds.y, mu, 0.01,
                                                 min(4, ds.d))
         assert res.certified_floor is not None
@@ -159,31 +152,65 @@ def test_exact_is_deterministic():
     rng = np.random.default_rng(17)
     ds = random_dataset(rng, n_max=40, k_max=8)
     mu = rng.random(len(ds.pos))
-    ctx = DualContext(ds.X, ds.y, mu, 0.1, 3)
-    a = price_exact(ctx)
-    b = price_exact(ctx)
+    a = price_exact(ds.X, ds.y, mu, 0.1, 3)
+    b = price_exact(ds.X, ds.y, mu, 0.1, 3)
     assert a.clauses == b.clauses
     assert a.best_value == b.best_value
     assert a.explored == b.explored
 
 
-def test_restricted_sampling_and_lift(monkeypatch):
+def test_restricted_sampling(monkeypatch):
     monkeypatch.setattr(pricing, "SAMPLE_TARGET", 100)
     monkeypatch.setattr(pricing, "NNZ_CAP", 900)
     rng = np.random.default_rng(5)
     ds = random_dataset(rng, n_max=400, k_max=8)
     mu = rng.random(len(ds.pos))
-    rp = restrict_pricing(ds.X, ds.y, mu, 0.05, 3, rng)
-    assert rp.ctx.X.shape[0] == len(rp.rows) < ds.n
-    assert rp.ctx.X.shape[1] == len(rp.features) <= ds.d
-    assert (ds.y[rp.rows] == 1).any()
-    lifted = rp.lift(price_exact(rp.ctx))
-    assert lifted.certified_floor is None
-    assert not lifted.proven_optimal
-    assert lifted.mode == "restricted-exact"
-    for feats, _ in lifted.clauses:
-        assert all(0 <= j < ds.d for j in feats)
+    rows, features = restrict_pricing(ds.X, ds.y, rng)
+    assert 0 < len(rows) < ds.n and 0 < len(features) <= ds.d
+    assert (np.diff(rows) > 0).all() and (np.diff(features) > 0).all()
+    assert (ds.y[rows] == 1).any()
+    res = price_exact(ds.X, ds.y, mu, 0.05, 3, sample=(rows, features))
+    assert res.clauses
+    assert res.certified_floor is None
+    assert not res.proven_optimal
+    assert res.mode == "restricted-exact"
+    for feats, _ in res.clauses:
+        assert set(feats) <= set(features.tolist())
         assert feats == tuple(sorted(feats))
+
+
+def test_sampled_call_prices_the_sliced_instance(monkeypatch):
+    # a sampled call is the explicit call on X[rows][:, features], y[rows]
+    # and the kept positives' mu, with every clause, excluded ones too,
+    # stated over X's own feature ids; the kept positives are often not
+    # the first ones, and the kept features not the first ones either
+    monkeypatch.setattr(pricing, "SAMPLE_TARGET", 12)
+    monkeypatch.setattr(pricing, "NNZ_CAP", 60)
+    rng = np.random.default_rng(23)
+    not_prefix = remapped = compared = 0
+    for _ in range(60):
+        ds, mu, lam, D = dyadic_instance(rng)
+        rows, features = restrict_pricing(ds.X, ds.y, rng)
+        kept = np.isin(ds.pos, rows)
+        Xs, ys = ds.X[rows][:, features], ds.y[rows]
+        local = price_exact(Xs, ys, mu[kept], lam, D)
+        to_data = {c: tuple(int(features[j]) for j in c)
+                   for c, _ in local.clauses}
+        skip = {c for c in to_data if rng.random() < 0.3}
+        local = price_exact(Xs, ys, mu[kept], lam, D, exclude=skip)
+        res = price_exact(ds.X, ds.y, mu, lam, D,
+                          exclude={to_data[c] for c in skip},
+                          sample=(rows, features))
+        assert res.clauses == [(tuple(int(features[j]) for j in c), v)
+                               for c, v in local.clauses]
+        assert res.best_value == local.best_value
+        assert res.explored == local.explored
+        assert res.mode == "restricted-exact"
+        assert res.certified_floor is None and not res.proven_optimal
+        not_prefix += not kept[:kept.sum()].all()
+        remapped += features.tolist() != list(range(len(features)))
+        compared += len(res.clauses) > 0 and local.proven_optimal
+    assert not_prefix >= 10 and remapped >= 10 and compared >= 10
 
 
 def test_restricted_mu_alignment(monkeypatch):
@@ -199,10 +226,13 @@ def test_restricted_mu_alignment(monkeypatch):
     rank = {0: 0, 2: 1, 4: 2}
     skipped = 0
     for seed in range(10):
-        rp = restrict_pricing(X, y, mu, 0.0, 2, np.random.default_rng(seed))
-        kept_pos = rp.rows[y[rp.rows] == 1]
-        np.testing.assert_array_equal(rp.ctx.mu,
-                                      mu[[rank[r] for r in kept_pos]])
+        rows, features = restrict_pricing(X, y, np.random.default_rng(seed))
+        assert features.tolist() == list(range(10))
+        kept_pos = rows[y[rows] == 1]
+        res = price_exact(X, y, mu, 0.0, 2, sample=(rows, features))
+        want = price_exact(X[rows], y[rows],
+                           mu[[rank[r] for r in kept_pos]], 0.0, 2)
+        assert res.clauses == want.clauses
         skipped += kept_pos.tolist() != [0, 2, 4][:len(kept_pos)]
     assert skipped
 
@@ -217,16 +247,25 @@ def test_restricted_keeps_positives_alive(monkeypatch):
     X = np.hstack([np.ones((500, 2), dtype=np.uint8),
                    np.zeros((500, 2), dtype=np.uint8)])
     rng = np.random.default_rng(2)
-    rp = restrict_pricing(X, y, np.array([1.0]), 0.0, 2, rng)
-    assert (y[rp.rows] == 1).any()
+    rows, _ = restrict_pricing(X, y, rng)
+    assert (y[rows] == 1).any()
 
 
-def test_dual_context_validation():
+def test_price_exact_validation():
     ds = tiny_example()
     with pytest.raises(ValueError, match="one entry per positive"):
-        DualContext(ds.X, ds.y, np.ones(3), 0.0, 2)
+        price_exact(ds.X, ds.y, np.ones(3), 0.0, 2)
     with pytest.raises(ValueError, match="lam"):
-        DualContext(ds.X, ds.y, np.ones(2), -0.1, 2)
-    # depth limit is clamped to the number of features
-    ctx = DualContext(ds.X, ds.y, np.ones(2), 0.0, 99)
-    assert ctx.depth_limit == ds.d
+        price_exact(ds.X, ds.y, np.ones(2), -0.1, 2)
+    # the depth limit is clamped to the features searched: all of X's,
+    # or the sample's
+    rng = np.random.default_rng(8)
+    ds = random_dataset(rng, n_max=30, k_max=6)
+    mu = rng.random(len(ds.pos))
+    rows, features = np.arange(0, ds.n, 2), np.arange(1, ds.d, 3)
+    for sample, d in ((None, ds.d), ((rows, features), len(features))):
+        deep = price_exact(ds.X, ds.y, mu, 0.01, 99, sample=sample)
+        full = price_exact(ds.X, ds.y, mu, 0.01, d, sample=sample)
+        assert deep.clauses and deep.clauses == full.clauses
+        assert deep.explored == full.explored
+        assert max(len(c) for c, _ in deep.clauses) <= d
