@@ -43,12 +43,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import BinaryDataset
-from .lp_engine import MasterSolution, solve_restricted_mlp
+from .lp_engine import BUDGET_TOL, MasterSolution, solve_restricted_mlp
 from .pricing import NEGATIVE_EPS, price_exact, restrict_pricing
 from .ruleset import Clause
 
 CEIL_EPS = 1e-7
-MAX_COLUMNS = 10  # clauses a pricing call returns and a round admits
 LARGE_NNZ = 1_000_000  # pricing nnz above which an instance is "large"
 
 
@@ -189,7 +188,7 @@ def _greedy_selection(pos_cover, neg_counts, complexities, budget) -> list:
     used = 0.0
     while True:
         gain = pos_cover[uncovered].sum(axis=0) - neg_counts
-        gain[used + complexities > budget + 1e-9] = -np.inf
+        gain[used + complexities > budget + BUDGET_TOL] = -np.inf
         k = int(gain.argmax())
         if gain[k] <= 0:
             return chosen
@@ -207,7 +206,7 @@ def _best_small_addition(pos_cover, neg_counts, complexities, w_lower,
     clauses, then to the lowest indices."""
     ones = np.flatnonzero(w_lower >= 1.0)
     rest = pos_cover[:, ones].sum(axis=1) == 0
-    fits = free[complexities[free] <= room + 1e-9]
+    fits = free[complexities[free] <= room + BUDGET_TOL]
     P = pos_cover[rest][:, fits]
     gain = P.sum(axis=0) - neg_counts[fits]
     # a pair with a member that gains nothing never beats the other alone
@@ -218,7 +217,7 @@ def _best_small_addition(pos_cover, neg_counts, complexities, w_lower,
     comp = complexities[fits]
     pair = gain[:, None] + gain[None, :] - P.T @ P
     pair[np.tri(len(fits), dtype=bool)
-         | (comp[:, None] + comp[None, :] > room + 1e-9)] = -np.inf
+         | (comp[:, None] + comp[None, :] > room + BUDGET_TOL)] = -np.inf
     a = int(gain.argmax())
     i, j = np.unravel_index(int(pair.argmax()), pair.shape)
     best = [fits[i], fits[j]] if pair[i, j] > gain[a] else [fits[a]]
@@ -290,11 +289,11 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
         if floor >= best_obj:
             continue
         room = budget - complexities[w_lower >= 1.0].sum()
-        if room < -1e-9:
+        if room < -BUDGET_TOL:
             continue
         free = np.flatnonzero((w_lower == 0.0) & (w_upper == 1.0))
         three = np.sort(complexities[free])[:3]
-        if len(three) < 3 or three.sum() > room + 1e-9:
+        if len(three) < 3 or three.sum() > room + BUDGET_TOL:
             # at most two more clauses fit: list them instead of an LP
             nodes += 1
             try_incumbent(_best_small_addition(
@@ -382,26 +381,15 @@ class ColGenResult:
     mip_pivots: int = 0
 
 
-@dataclass
-class _Growth:
-    """One budget's column generation up to its integer stage.  `master`
-    is its last optimal master LP answer, or None when no master finished;
-    its `w` has one entry per pool clause it was solved over."""
-
-    z_rmlp: float
-    lower_bound: int | None
-    converged: bool
-    iterations: int
-    trace: list
-    regime: str
-    seconds: float
-    master: MasterSolution | None
-
-
-def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
-               pool: ClausePool) -> _Growth:
+def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig, pool: ClausePool
+               ) -> tuple[ColGenResult, MasterSolution | None]:
     """Grow `pool` in place until the budget's master LP is priced out or
-    its time limit is spent."""
+    its time limit is spent.
+
+    Returns the result of the empty selection over the grown pool, which
+    `_select` completes, and the last optimal master LP answer, or None
+    when no master finished; its `w` has one entry per pool clause it was
+    solved over."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     n_pos = len(ds.pos)
@@ -425,20 +413,19 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         return price_exact(ds.X, ds.y, mu, lam, depth,
                            time_limit=min(cfg.pricing_time_limit,
                                           max(left, 0.0)),
-                           max_returned=MAX_COLUMNS,
                            exclude=pool.index.keys(), sample=sample)
 
     def admit(res):
         """The result's clauses that price negative on the full data, most
         negative first.  Both pricing calls exclude the pool's clauses, so
-        every one is new."""
+        every one is new, and each returns at most `pricing.MAX_COLUMNS`."""
         found = []
         for feats, _ in res.clauses:
             rc = reduced_cost_dense(ds.X, ds.y, mu, lam, feats)
             if rc < -NEGATIVE_EPS:
                 found.append((feats, rc))
         found.sort(key=lambda t: (t[1], t[0]))
-        return found[:MAX_COLUMNS]
+        return found
 
     loop_deadline = t0 + cfg.time_limit
     while True:
@@ -496,17 +483,23 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig,
         if added == 0:
             break
 
-    return _Growth(z_rmlp, best_lb, converged, iteration, trace, regime,
-                   time.perf_counter() - t0, last_master)
+    return ColGenResult(
+        complexity_bound=cfg.complexity_bound, clauses=[], objective=n_pos,
+        z_rmlp=z_rmlp, lower_bound=best_lb, optimal=False,
+        rmlp_converged=converged, mip_optimal=False, iterations=iteration,
+        pool_size=len(pool), trace=trace,
+        seconds=time.perf_counter() - t0, regime=regime), last_master
 
 
-def _select(pool: ClausePool, cfg: ColGenConfig,
-            growth: _Growth) -> ColGenResult:
-    """Pick the best selection within the budget from the whole pool.
-    The selection gets what the growth left of `cfg.time_limit`.
+def _select(pool: ClausePool, cfg: ColGenConfig, growth: ColGenResult,
+            root: MasterSolution | None) -> ColGenResult:
+    """Complete the growth's result with the best selection within the
+    budget from the whole pool.  The selection gets what the growth left of
+    `cfg.time_limit`.
 
-    The growth's last master is the root LP of the branch and bound, and
-    is not solved again, when the pool has not grown since it was solved.
+    `root`, the growth's last optimal master, is the root LP of the branch
+    and bound, and is not solved again, when the pool has not grown since
+    it was solved.
     When later budgets of a sweep have grown the pool, a converged
     growth's master is still the root, with w = 0 on the later clauses,
     and its other fields as they are.  That is exact:
@@ -529,30 +522,20 @@ def _select(pool: ClausePool, cfg: ColGenConfig,
     pos_cover, neg_counts, complexities = pool.arrays()
     time_left = max(cfg.time_limit - growth.seconds
                     - (time.perf_counter() - t0), 0.0)
-    root = growth.master
     if root is not None and len(root.w) < len(pool):
         root = (replace(root, w=np.pad(root.w, (0, len(pool) - len(root.w))))
-                if growth.converged else None)
+                if growth.rmlp_converged else None)
     mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
                                float(cfg.complexity_bound),
                                time_limit=time_left, root=root)
-    return ColGenResult(
-        complexity_bound=cfg.complexity_bound,
-        clauses=[pool.clauses[k] for k in mip.selected],
+    return replace(
+        growth, clauses=[pool.clauses[k] for k in mip.selected],
         objective=mip.objective,
-        z_rmlp=growth.z_rmlp,
-        lower_bound=growth.lower_bound,
-        optimal=growth.converged and growth.lower_bound == mip.objective,
-        rmlp_converged=growth.converged,
-        mip_optimal=mip.optimal,
-        iterations=growth.iterations,
-        pool_size=len(pool),
-        trace=growth.trace,
+        optimal=(growth.rmlp_converged
+                 and growth.lower_bound == mip.objective),
+        mip_optimal=mip.optimal, pool_size=len(pool),
         seconds=growth.seconds + time.perf_counter() - t0,
-        regime=growth.regime,
-        mip_nodes=mip.nodes,
-        mip_pivots=mip.pivots,
-    )
+        mip_nodes=mip.nodes, mip_pivots=mip.pivots)
 
 
 def run_column_generation(ds: BinaryDataset,
@@ -581,5 +564,5 @@ def sweep_complexity(ds: BinaryDataset, budgets, cfg: ColGenConfig):
     cfgs = [replace(cfg, complexity_bound=C)
             for C in sorted(set(int(b) for b in budgets))]
     grown = [_grow_pool(ds, cfg_c, pool) for cfg_c in cfgs]
-    return [_select(pool, cfg_c, growth)
+    return [_select(pool, cfg_c, *growth)
             for cfg_c, growth in zip(cfgs, grown)]

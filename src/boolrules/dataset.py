@@ -330,19 +330,6 @@ def _quantile_thresholds(columns, quantile_count: int):
     return [cuts[keep[:, j], j] for j in range(block.shape[1])]
 
 
-def _threshold_pairs(column: str, thresholds: np.ndarray):
-    return [FeatureMeta(column, kind, t) for t in thresholds.tolist()
-            for kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)]
-
-
-def numeric_features(values: np.ndarray, column: str, quantile_count: int = 9):
-    """Threshold features of a numeric column cut at its empirical quantiles:
-    [X <= t] and [X > t] for each threshold `_quantile_thresholds` keeps.
-    `binarize_table` cuts every numeric column of a table at once."""
-    [thresholds] = _quantile_thresholds([values], quantile_count)
-    return _threshold_pairs(column, thresholds)
-
-
 def categorical_features(values, column: str):
     """One equality/inequality feature pair per category, categories in
     lexicographic order.  A single-category column yields nothing."""
@@ -398,7 +385,8 @@ def binarize_table(table: TypedTable, rows: np.ndarray | None = None,
     metas = []
     for c in table.columns:
         if c in cuts:
-            metas += _threshold_pairs(c, cuts[c])
+            metas += [FeatureMeta(c, kind, t) for t in cuts[c].tolist()
+                      for kind in (KIND_NUMERIC_LEQ, KIND_NUMERIC_GT)]
         else:
             metas += categorical_features(columns[c], c)
     if not metas:

@@ -44,7 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-FEAS_TOL = 1e-7
+# how far clauses may overspend the budget and still fit it; complexities
+# and budgets are integers, so any value in [0, 1) decides alike
+BUDGET_TOL = 1e-7
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -264,7 +266,7 @@ def _without_free_clauses(pos_cover, neg_counts, complexities, budget,
     1, every other positive xi = 0 and dual 0, and the budget dual is 0;
     together these meet the KKT conditions of the unreduced LP."""
     n_pos = pos_cover.shape[0]
-    if np.asarray(complexities, dtype=float)[one].sum() > budget + FEAS_TOL:
+    if np.asarray(complexities, dtype=float)[one].sum() > budget + BUDGET_TOL:
         return _no_point(INFEASIBLE, n_pos, one, 0)
     xi = (~np.asarray(pos_cover)[:, one].any(axis=1)).astype(float)
     return MasterSolution(

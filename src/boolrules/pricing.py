@@ -36,6 +36,8 @@ _BATCH_CELLS = 1 << 15
 SAMPLE_TARGET = 2000  # rows a sampled pricing instance keeps, about
 NNZ_CAP = 100000  # and its zero entries plus features, about
 
+MAX_COLUMNS = 10  # clauses a pricing call returns, so a round admits at most
+
 
 @dataclass
 class PricingResult:
@@ -82,8 +84,8 @@ class _TopK:
 
 
 def price_exact(X, y, mu, lam: float, depth_limit: int,
-                time_limit: float | None = None, max_returned: int = 10,
-                exclude=None, sample=None) -> PricingResult:
+                time_limit: float | None = None, exclude=None,
+                sample=None) -> PricingResult:
     """Branch and bound over feature subsets of size at most depth_limit,
     scored a batch of same-size clauses at a time.
 
@@ -111,9 +113,9 @@ def price_exact(X, y, mu, lam: float, depth_limit: int,
     whose bound can still beat the threshold go on a stack in batches,
     worst bound first, so the most promising batch is popped next.  The
     threshold is the larger of the incumbent minimum and, once
-    `max_returned` clauses are kept, the worst kept one.
+    `MAX_COLUMNS` clauses are kept, the worst kept one.
 
-    `clauses` are the `max_returned` most negative clauses outside
+    `clauses` are the `MAX_COLUMNS` most negative clauses outside
     `exclude`, sorted by (reduced cost, features).  `exclude` skips clauses
     already in the caller's pool: a pool clause at its upper bound
     legitimately prices negative without saying anything new, so minimum,
@@ -123,10 +125,7 @@ def price_exact(X, y, mu, lam: float, depth_limit: int,
     On completion the minimum is exact, even when it is nonnegative.  On
     timeout the result still carries a certified floor: the minimum of the
     incumbent and the bounds of every batch left on the stack.
-    `max_returned` below 1 raises ValueError.
     """
-    if max_returned < 1:
-        raise ValueError("max_returned must be at least 1")
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
     X, y = np.asarray(X), np.asarray(y)
@@ -153,7 +152,7 @@ def price_exact(X, y, mu, lam: float, depth_limit: int,
     rank[np.argsort(-root_mu, kind="stable")] = np.arange(d)
 
     exclude = frozenset(exclude) if exclude else frozenset()
-    top = _TopK(max_returned)
+    top = _TopK(MAX_COLUMNS)
     best_val = math.inf
     evals = 0
     n_neg = Xn.shape[0]

@@ -1,6 +1,7 @@
 """Shared fixtures: a tiny worked example, generated tic-tac-toe endgames,
-random synthetic datasets, loaders for the optional benchmark CSVs, and a
-patch that makes small fits sample their pricing instances.
+random synthetic datasets, the features a table of one numeric column
+binarizes to, loaders for the optional benchmark CSVs, and a patch that
+makes small fits sample their pricing instances.
 """
 
 import csv
@@ -9,7 +10,13 @@ from pathlib import Path
 import numpy as np
 
 from boolrules import colgen, pricing
-from boolrules.dataset import BinaryDataset, FeatureMeta
+from boolrules.dataset import (
+    BinaryDataset,
+    DatasetError,
+    FeatureMeta,
+    TypedTable,
+    binarize_table,
+)
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -115,6 +122,24 @@ def random_dataset(rng, n_max=25, k_max=5, ensure_positive=True):
         if y.sum() == n:
             continue
         return make_binary_dataset(X_half, y)
+
+
+def numeric_column_features(values, column, quantile_count=9):
+    """The features `binarize_table` cuts a table of the one numeric column
+    `values` into, or [] when it cuts none.  Labels alternate from 0, so a
+    column of two or more distinct values has both classes."""
+    values = np.asarray(values, dtype=float)
+    table = TypedTable(columns=[column], kinds={column: "numeric"},
+                       values={column: values},
+                       y=(np.arange(len(values)) % 2).astype(np.uint8),
+                       label_column="label", positive_label="1",
+                       negative_label="0")
+    try:
+        return binarize_table(table, quantile_count=quantile_count).features
+    except DatasetError as err:
+        if "no usable features" not in str(err):
+            raise
+        return []
 
 
 def benchmark_csv(name):

@@ -147,6 +147,15 @@ def test_predict_empty_input(tmp_path, runner):
     assert r.exit_code == 0
     assert r.output == ""
 
+    # a header without the model's columns is an error, rows or not
+    elsewhere = tmp_path / "elsewhere.csv"
+    elsewhere.write_text("x,y\n")
+    r = runner.invoke(main, ["predict", str(model), "--input",
+                             str(elsewhere)])
+    assert r.exit_code == 2
+    assert r.output == ("error: input is missing columns required by the "
+                        "model: color (input columns: x, y)\n")
+
 
 def test_non_utf8_input_exits_two_with_one_line(tmp_path, runner):
     data = write_color_csv(tmp_path / "toy.csv")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from boolrules import colgen
+from boolrules import colgen, pricing
 from boolrules.colgen import (
     ClausePool,
     ColGenConfig,
@@ -147,7 +147,7 @@ def test_random_instances_match_exhaustive_search():
         # master value never increases while columns arrive
         zs = [t.master_value for t in res.trace]
         assert all(a >= b - 1e-7 for a, b in zip(zs, zs[1:]))
-        assert all(t.added <= colgen.MAX_COLUMNS for t in res.trace)
+        assert all(t.added <= pricing.MAX_COLUMNS for t in res.trace)
         assert res.pool_size == res.trace[-1].pool_size
         if res.rmlp_converged:
             converged += 1
@@ -195,7 +195,7 @@ def test_no_positive_samples_rejected():
 
 
 def test_max_columns_one_still_reaches_optimum(monkeypatch):
-    monkeypatch.setattr(colgen, "MAX_COLUMNS", 1)
+    monkeypatch.setattr(pricing, "MAX_COLUMNS", 1)
     rng = np.random.default_rng(17)
     ds = random_instance(rng)
     res = run_column_generation(ds, small_config(6, 2))
@@ -204,7 +204,7 @@ def test_max_columns_one_still_reaches_optimum(monkeypatch):
 
 
 def test_max_columns_above_ten_is_honored(monkeypatch):
-    monkeypatch.setattr(colgen, "MAX_COLUMNS", 15)
+    monkeypatch.setattr(pricing, "MAX_COLUMNS", 15)
     rng = np.random.default_rng(31)
     ds = make_binary_dataset((rng.random((40, 8)) < 0.5).astype(np.uint8),
                              (rng.random(40) < 0.5).astype(np.int8))
@@ -256,7 +256,7 @@ def test_sampled_pricing_skips_pool_clauses(monkeypatch):
         return res
 
     monkeypatch.setattr(colgen, "ClausePool", RecordedPool)
-    monkeypatch.setattr(colgen, "MAX_COLUMNS", 3)
+    monkeypatch.setattr(pricing, "MAX_COLUMNS", 3)
     monkeypatch.setattr(colgen, "price_exact", recording)
     drops = []
     force_sampling(monkeypatch, 30, 120, drops)
@@ -290,7 +290,7 @@ def test_trace_sums_each_rounds_master_pivots(monkeypatch):
     rng = np.random.default_rng(31)
     ds = make_binary_dataset((rng.random((40, 5)) < 0.5).astype(np.uint8),
                              (rng.random(40) < 0.5).astype(np.int8))
-    monkeypatch.setattr(colgen, "MAX_COLUMNS", 2)
+    monkeypatch.setattr(pricing, "MAX_COLUMNS", 2)
     res = run_column_generation(ds, small_config(6, 2))
     assert res.iterations >= 3 and len(pivots) == res.iterations
     assert [t.master_pivots for t in res.trace] == pivots
@@ -389,7 +389,7 @@ def test_highs_numerical_trouble_ends_the_fit_cleanly(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", troubled)
     ds = random_instance(np.random.default_rng(404))
-    monkeypatch.setattr(colgen, "MAX_COLUMNS", 2)
+    monkeypatch.setattr(pricing, "MAX_COLUMNS", 2)
     res = run_column_generation(ds, small_config(9, 2))
     # round 2's and round 3's masters, then the root node LP: the pool grew
     # after round 2, so its master cannot stand in for the root, and any
@@ -481,7 +481,7 @@ def test_sweep_selection_gets_what_its_growth_left(monkeypatch):
     points = sweep_complexity(two_triangles(), budgets, cfg)
     assert len(calls) == len(budgets)
     for p, (_, granted) in zip(points, calls):
-        growth = grown[p.complexity_bound]
+        growth, _ = grown[p.complexity_bound]
         assert growth.seconds >= 0.05
         assert granted <= cfg.time_limit - growth.seconds
         assert granted >= cfg.time_limit - growth.seconds - TIME_SLACK
@@ -519,6 +519,36 @@ def test_mip_budget_forces_a_choice():
     roomy = solve_restricted_mip(pos_cover, neg_counts, complexities, 4.0)
     assert roomy.objective == 0
     assert roomy.selected == [0, 1]
+
+
+def test_clauses_spending_exactly_the_budget_fit_it():
+    # three clauses of complexity 2, each covering its own positive.  Node
+    # LPs whose clauses fixed to 1 spend the budget exactly are feasible,
+    # with no free clause and with one; one unit less budget and they are
+    # infeasible
+    pos_cover, neg_counts = np.eye(3), np.zeros(3)
+    complexities = np.full(3, 2.0)
+    for lower in ((1.0, 1.0, 1.0), (1.0, 1.0, 0.0)):
+        spent = 2.0 * sum(lower)
+        for budget, status in ((spent, "optimal"),
+                               (spent - 1.0, "infeasible")):
+            ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
+                                      budget, w_lower=np.array(lower),
+                                      w_upper=np.ones(3))
+            assert ms.status == status, (lower, budget)
+    # the integer stage takes selections that spend the budget exactly: all
+    # three clauses at 6 (the root is an LP node), a pair at 4 (below a root
+    # that enumerates); and the two-triangle pool branches below its root
+    for budget, want in ((6.0, 0), (5.0, 1), (4.0, 1), (3.0, 2)):
+        mip = solve_restricted_mip(pos_cover, neg_counts, complexities, budget)
+        assert mip.optimal and mip.objective == want, budget
+        assert complexities[mip.selected].sum() == 2 * (3 - want)
+    tri = two_triangle_covers()
+    for budget in (6.0, 5.0):
+        mip = solve_restricted_mip(tri, np.zeros(6), np.full(6, 2.0), budget)
+        opt, _ = best_selection_by_enumeration(tri, np.zeros(6),
+                                               np.full(6, 2.0), budget)
+        assert mip.optimal and mip.objective == opt, budget
 
 
 def two_triangle_covers():
@@ -753,8 +783,11 @@ def test_converged_selection_reuses_the_last_master_as_its_root(monkeypatch):
     # clauses fit the root, so the selection branches below its root LP
     ds, cfg = two_triangles(), small_config(7, 2)
     pool = ClausePool(ds)
-    growth = colgen._grow_pool(ds, cfg, pool)
-    assert growth.converged
+    growth, master = colgen._grow_pool(ds, cfg, pool)
+    assert growth.rmlp_converged
+    # the growth's result is the empty selection's, which `_select` completes
+    assert ((growth.clauses, growth.objective, growth.optimal,
+             growth.mip_optimal) == ([], len(ds.pos), False, False))
     real_mlp, real_mip = colgen.solve_restricted_mlp, colgen.solve_restricted_mip
     solved, mips = [], []
 
@@ -769,7 +802,7 @@ def test_converged_selection_reuses_the_last_master_as_its_root(monkeypatch):
     monkeypatch.setattr(colgen, "solve_restricted_mlp", counting_mlp)
     monkeypatch.setattr(colgen, "solve_restricted_mip", recording_mip)
     enumerated = record_enumerated_nodes(monkeypatch)
-    res = colgen._select(pool, cfg, growth)
+    res = colgen._select(pool, cfg, growth, master)
     mip, = mips
     assert res.mip_nodes == mip.nodes >= 2
     assert len(solved) == mip.nodes - 1 - len(enumerated)
@@ -782,8 +815,7 @@ def test_converged_selection_reuses_the_last_master_as_its_root(monkeypatch):
             == (again.objective, again.selected, again.nodes))
     assert again.pivots == mip.pivots + growth.trace[-1].master_pivots
     resolved = real_mlp(*pool.arrays(), 7.0)
-    assert resolved.objective == pytest.approx(growth.master.objective,
-                                               abs=1e-7)
+    assert resolved.objective == pytest.approx(master.objective, abs=1e-7)
     assert guarded_ceil(resolved.objective) < mip.objective
 
 
@@ -836,9 +868,10 @@ def test_sweep_matches_per_budget_optimum_and_never_degrades():
 
 
 def recording_sweep(monkeypatch):
-    """Record each budget's growth by budget, every integer solve as
-    (budget, pool columns, nodes), and the order of both as
-    ("grow" | "select", budget)."""
+    """Record each budget's growth, the empty selection's result and the
+    last optimal master, by budget, every integer solve as (budget, pool
+    columns, nodes), and the order of both as ("grow" | "select",
+    budget)."""
     grown, solves, order = {}, [], []
     real_grow = colgen._grow_pool
     real_mip = colgen.solve_restricted_mip
@@ -869,8 +902,8 @@ def test_sweep_grows_every_budget_then_selects_each_once(monkeypatch):
     # every budget grows the pool, then each selects once over the final one
     assert order == ([("grow", C) for C in budgets]
                      + [("select", C) for C in budgets])
-    final = grown[7].trace[-1].pool_size
-    assert grown[2].trace[-1].pool_size < final
+    final = grown[7][0].trace[-1].pool_size
+    assert grown[2][0].trace[-1].pool_size < final
     for p, (C, columns, nodes) in zip(points, solves):
         assert C == p.complexity_bound
         assert columns == p.pool_size == final
@@ -907,10 +940,10 @@ def recording_selections(monkeypatch):
     return selections
 
 
-def assert_padded_root(selection, growth):
+def assert_padded_root(selection, master):
     """The selection's root is the growth's last master, with w = 0 on the
     clauses added after it."""
-    master, root = growth.master, selection.root
+    root = selection.root
     old = len(master.w)
     assert root is not None and len(root.w) == selection.arrays[0].shape[1]
     assert np.array_equal(root.w[:old], master.w) and not root.w[old:].any()
@@ -928,16 +961,16 @@ def test_sweep_reuses_every_converged_master_as_its_root(monkeypatch):
     ds = random_instance(np.random.default_rng(5))
     budgets = [6, 8, 10, 12]
     points = sweep_complexity(ds, budgets, small_config(6, 2))
-    final = grown[12].trace[-1].pool_size
-    assert len(grown[6].master.w) < final
+    final = grown[12][0].trace[-1].pool_size
+    assert len(grown[6][1].w) < final
     for p, s in zip(points, selections):
-        C, growth = s.budget, grown[s.budget]
-        assert C == p.complexity_bound and growth.converged
-        assert_padded_root(s, growth)
+        C, (growth, master) = s.budget, grown[s.budget]
+        assert C == p.complexity_bound and growth.rmlp_converged
+        assert_padded_root(s, master)
         assert len(s.node_lps) == s.result.nodes - 1 - len(s.enumerated)
         # pricing proved the padded root optimal over the final pool
         resolved = solve_restricted_mlp(*s.arrays, float(C))
-        assert resolved.objective == pytest.approx(growth.master.objective,
+        assert resolved.objective == pytest.approx(master.objective,
                                                    abs=1e-7)
         opt, _ = best_selection_by_enumeration(*s.arrays, float(C))
         assert p.mip_optimal and p.objective == opt
@@ -956,9 +989,10 @@ def test_sweep_pads_a_root_past_clauses_its_budget_cannot_afford(monkeypatch):
     small, _ = sweep_complexity(ds, [6, 14], small_config(6))
     s = selections[0]
     _, _, comp = s.arrays
-    assert grown[6].converged
-    assert_padded_root(s, grown[6])
-    assert (comp[len(grown[6].master.w):] > 6).any()
+    growth, master = grown[6]
+    assert growth.rmlp_converged
+    assert_padded_root(s, master)
+    assert (comp[len(master.w):] > 6).any()
     assert s.result.nodes > 1
     opt, _ = best_selection_by_enumeration(*s.arrays, 6.0)
     assert small.mip_optimal and small.objective == opt
@@ -989,7 +1023,8 @@ def test_sweep_resolves_the_root_of_a_budget_that_did_not_converge(
     selections = recording_selections(monkeypatch)
     ds = random_instance(np.random.default_rng(45))
     small, _ = sweep_complexity(ds, [6, 9], small_config(6, 2))
-    assert not grown[6].converged and len(grown[6].master.w) == 0
+    growth, master = grown[6]
+    assert not growth.rmlp_converged and len(master.w) == 0
     s = selections[0]
     cover, negc, comp = s.arrays
     opt, _ = best_selection_by_enumeration(cover, negc, comp, 6.0)
@@ -1035,7 +1070,7 @@ def test_sweep_resolves_cold_without_a_first_pass_basis(monkeypatch):
     ds = two_triangles()
     budgets = [2, 3, 5, 7]
     points = sweep_complexity(ds, budgets, small_config(6, 2))
-    assert grown[3].trace[-1].mode == "master-failed"
+    assert grown[3][0].trace[-1].mode == "master-failed"
     assert sorted(C for C, _, _ in solves) == budgets
     for p in points:
         opt, _ = best_ruleset_by_enumeration(ds.X, ds.y, p.complexity_bound, 2)

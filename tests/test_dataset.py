@@ -12,11 +12,15 @@ from boolrules.dataset import (
     categorical_features,
     evaluate_conditions,
     ingest_csv,
-    numeric_features,
     read_columns,
     read_csv_table,
 )
-from _data import make_binary_dataset, tictactoe_rows, write_tictactoe_csv
+from _data import (
+    make_binary_dataset,
+    numeric_column_features,
+    tictactoe_rows,
+    write_tictactoe_csv,
+)
 from _oracles import holds
 
 
@@ -37,7 +41,7 @@ def test_decile_thresholds_on_one_to_ten():
     # <= / > pair, giving 18 columns.
     expected = [1.9, 2.8, 3.7, 4.6, 5.5, 6.4, 7.3, 8.2, 9.1]
     values = np.arange(1.0, 11.0)
-    metas = numeric_features(values, "v", quantile_count=9)
+    metas = numeric_column_features(values, "v", quantile_count=9)
     cols = binarize_column(values, "v", metas)
     assert len(cols) == 18 and len(metas) == 18
     got = [m.value for m in metas if m.kind == "numeric-leq"]
@@ -53,7 +57,7 @@ def test_one_threshold_per_distinct_split():
     # split the column alike, as do the three in [2, 3) and the three in
     # [3, 4), so the smallest of each is kept, giving 6 features, not 18
     values = np.array([1.0, 2.0, 3.0, 4.0])
-    metas = numeric_features(values, "a")
+    metas = numeric_column_features(values, "a")
     assert len(metas) == 6
     assert [m.value for m in metas[::2]] == pytest.approx([1.3, 2.2, 3.1])
     cols = binarize_column(values, "a", metas)
@@ -62,10 +66,10 @@ def test_one_threshold_per_distinct_split():
 
 
 def test_threshold_at_maximum_dropped():
-    assert numeric_features(np.full(6, 5.0), "v") == []
+    assert numeric_column_features(np.full(6, 5.0), "v") == []
     # two distinct values: thresholds dedupe and the one at vmax vanishes
     values = np.array([0.0, 0.0, 1.0, 1.0])
-    metas = numeric_features(values, "v")
+    metas = numeric_column_features(values, "v")
     assert metas, "at least one cut below the maximum"
     assert all(m.value < 1.0 for m in metas)
     for c in binarize_column(values, "v", metas):

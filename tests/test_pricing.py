@@ -123,15 +123,6 @@ def test_exact_no_negative_clause():
     assert res.certified_floor == pytest.approx(0.5)
 
 
-def test_exact_rejects_max_returned_below_one():
-    ds = tiny_example()
-    args = (ds.X, ds.y, np.ones(2), 0.0, 3)
-    for k in (0, -1):
-        with pytest.raises(ValueError, match="max_returned"):
-            price_exact(*args, max_returned=k)
-    assert price_exact(*args, max_returned=1).clauses == [((0,), -2.0)]
-
-
 def test_timeout_floor_is_still_valid():
     rng = np.random.default_rng(5)
     timed_out = 0

@@ -44,7 +44,6 @@ from boolrules.dataset import (
     binarize_table,
     build_matrix,
     evaluate_conditions,
-    numeric_features,
     read_columns,
     read_csv_table,
 )
@@ -52,7 +51,7 @@ from boolrules.lp_engine import solve_restricted_mlp
 from boolrules.ruleset import Clause, RuleSet, build_ruleset, predict, \
     selection_loss
 
-from _data import force_sampling, make_binary_dataset
+from _data import force_sampling, make_binary_dataset, numeric_column_features
 from _oracles import (
     best_ruleset_by_enumeration,
     best_selection_by_enumeration,
@@ -221,15 +220,14 @@ def test_sweep_selections_prove_the_milp_best_selection_of_their_pool():
                 mp.setattr(colgen, "price_exact", price)
                 return real_grow(ds, cfg, pool)
 
-        def select(pool, cfg, growth):
+        def select(pool, cfg, growth, master):
             # the root is an LP unless no three clauses fit the budget
             three = np.sort(pool.arrays()[2])[:3]
-            roots.append((growth.master is not None
-                          and len(growth.master.w) < len(pool),
-                          growth.converged,
+            roots.append((master is not None and len(master.w) < len(pool),
+                          growth.rmlp_converged,
                           len(three) == 3
                           and three.sum() <= cfg.complexity_bound))
-            return real_select(pool, cfg, growth)
+            return real_select(pool, cfg, growth, master)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(colgen, "_grow_pool", grow)
@@ -445,7 +443,9 @@ def test_integer_stage_proves_the_milp_best_selection():
 def test_numeric_features_split_the_column_each_their_own_way(values,
                                                             quantile_count):
     values = np.array(values, dtype=float)
-    metas = numeric_features(values, "v", quantile_count)
+    metas = numeric_column_features(values, "v", quantile_count)
+    assert ([(m.column, m.kind, m.value) for m in metas]
+            == numeric_features_by_column(values, "v", quantile_count))
     X = evaluate_conditions({"v": values}, metas, len(values))
     splits = [tuple(X[:, j]) for j in range(0, len(metas), 2)]
     assert len(set(splits)) == len(splits)
