@@ -2,8 +2,9 @@
 """The mutant register: deliberate one-line bugs that the tests must catch.
 
 Each entry names a file under src/boolrules, one exact line of it (without
-its indentation, and found exactly once), the line to put in its place,
-and the tests that must fail on the result.  For each entry in turn the
+its indentation), the line to put in its place, and the tests that must
+fail on the result.  The line must occur exactly once, unless the entry
+gives its 1-based occurrence among repeats.  For each entry in turn the
 script copies src/ to a temporary directory, applies that one mutant,
 runs only its named tests against the copy, and reports the mutant killed
 when every named test fails.
@@ -38,6 +39,7 @@ class Mutant(NamedTuple):
     line: str  # the source line, stripped of its indentation
     mutated: str  # what replaces it, at the same indentation
     tests: tuple  # pytest node ids that must fail
+    occurrence: int | None = None  # which of a repeated line, from 1
 
 
 MUTANTS = [
@@ -107,20 +109,46 @@ MUTANTS = [
            "BUDGET_TOL = -1e-7",
            ("tests/test_colgen.py::"
             "test_clauses_spending_exactly_the_budget_fit_it",)),
+    Mutant("parent-floor-one-error-too-eager", "colgen.py",
+           "if floor >= best_obj:",
+           "if floor >= best_obj - 1:",
+           ("tests/test_colgen.py::"
+            "test_mip_shuts_a_clause_out_by_its_root_reduced_cost",
+            "tests/test_colgen.py::"
+            "test_mip_fixes_a_clause_to_one_only_at_the_incumbent"),
+           occurrence=1),
+    Mutant("ingest-without-fallback-parse", "dataset.py",
+           "if (numeric or not miss.all()) and (",
+           "if False and (",
+           ("tests/test_dataset.py::test_missing_policies",
+            "tests/test_dataset.py::test_conditions_on_missing_cells",
+            "tests/test_ruleset.py::test_predict_rows_on_raw_cells")),
+    Mutant("label-column-takes-the-float-pass", "dataset.py",
+           "if numeric is not False and (floats := _parse_floats(",
+           "if (floats := _parse_floats(",
+           ("tests/test_dataset.py::"
+            "test_a_numeric_label_column_keeps_its_strings",)),
+    Mutant("boundary-catches-every-exception", "cli.py",
+           "except ValueError as exc:",
+           "except Exception as exc:",
+           ("tests/test_cli.py::test_only_a_value_error_is_a_user_error",),
+           occurrence=1),
 ]
 
 
 def apply(src: Path, mutant: Mutant) -> str | None:
     """Apply `mutant` to the copy of src/ at `src`; an error message when
-    its line is not found exactly once."""
+    its line is not found exactly once, or, given an occurrence, fewer
+    times than that."""
     path = src / "boolrules" / mutant.file
     lines = path.read_text().splitlines(keepends=True)
     hits = [k for k, text in enumerate(lines) if text.strip() == mutant.line]
-    if len(hits) != 1:
+    if (len(hits) != 1 if mutant.occurrence is None
+            else not 1 <= mutant.occurrence <= len(hits)):
         return f"its line is found {len(hits)} times in {mutant.file}"
-    text = lines[hits[0]]
-    indent = text[:len(text) - len(text.lstrip())]
-    lines[hits[0]] = indent + mutant.mutated + "\n"
+    k = hits[(mutant.occurrence or 1) - 1]
+    indent = lines[k][:len(lines[k]) - len(lines[k].lstrip())]
+    lines[k] = indent + mutant.mutated + "\n"
     path.write_text("".join(lines))
     return None
 

@@ -13,7 +13,6 @@ from .dataset import (
     FeatureMeta,
     binarize_table,
     build_matrix,
-    ingest_csv,
     read_csv_table,
 )
 from .ruleset import RuleSet, build_ruleset, hamming_loss, predict
@@ -29,7 +28,6 @@ __all__ = [
     "build_matrix",
     "build_ruleset",
     "hamming_loss",
-    "ingest_csv",
     "predict",
     "read_csv_table",
     "__version__",

@@ -1,8 +1,10 @@
 """Command line entry points: train, predict, cv, and sweep.
 
-Errors a user can cause (bad flags, malformed data, impossible splits) exit
-with code 2 and a one-line diagnostic on stderr; anything else is a bug and
-propagates.
+Errors a user can cause (bad flags, malformed data, impossible splits) are
+ValueErrors, raised by an option callback, the library or `predict`.  One
+boundary, the group's `invoke`, turns any ValueError raised under a
+subcommand into a one-line `error:` on stderr and exit code 2; anything else
+is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .colgen import ColGenConfig
 from .cv import accuracy, cross_validate, fit_rows, mean_stderr, sweep_validate
-from .dataset import DataRowError, DatasetError, read_csv_rows, read_csv_table
+from .dataset import DataRowError, read_csv_rows, read_csv_table
 from .ruleset import RuleSet
 
 METRICS_HEADER = ["dataset", "fold", "C", "test_acc", "train_acc",
@@ -26,48 +28,33 @@ SWEEP_HEADER = ["dataset", "C", "test_acc", "test_stderr", "train_acc",
                 "complexity", "complexity_stderr", "pareto"]
 
 
-def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+class _UserErrors(click.Group):
+    """The command line's one exit: a ValueError raised under a subcommand
+    is a user error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
 def _parse_grid(text: str, name: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        _fail(f"{name} must be a comma-separated list of integers, "
-              f"got {text!r}")
+        raise ValueError(f"{name} must be a comma-separated list of "
+                         f"integers, got {text!r}")
     if not values:
-        _fail(f"{name} is empty")
+        raise ValueError(f"{name} is empty")
     return values
 
 
 def _at_least_one(ctx, param, value):
     if value < 1:
-        _fail(f"{param.opts[0]} must be at least 1")
+        raise ValueError(f"{param.opts[0]} must be at least 1")
     return value
-
-
-def _load_table(input_path, label_column, positive_label, missing):
-    try:
-        return read_csv_table(input_path, label_column=label_column,
-                              positive_label=positive_label, missing=missing)
-    except DatasetError as exc:
-        _fail(str(exc))
-
-
-def _colgen_config(complexity_bound, clause_bound, time_limit,
-                   pricing_time_limit, seed) -> ColGenConfig:
-    try:
-        return ColGenConfig(
-            complexity_bound=complexity_bound,
-            clause_bound=clause_bound,
-            time_limit=time_limit,
-            pricing_time_limit=pricing_time_limit,
-            seed=seed,
-        )
-    except ValueError as exc:
-        _fail(str(exc))
 
 
 def _dataset_tag(input_path) -> str:
@@ -143,7 +130,7 @@ def add_options(options):
     return wrap
 
 
-@click.group()
+@click.group(cls=_UserErrors)
 def main():
     """Learn small Boolean classification rules with provable quality."""
 
@@ -164,15 +151,12 @@ def train(input_path, label_column, positive_label, missing, quantiles,
           form, clause_bound, seed, complexity_bound, time_limit,
           pricing_time_limit, output):
     """Fit one rule set on the whole file and write the model."""
-    table = _load_table(input_path, label_column, positive_label, missing)
-    cfg = _colgen_config(complexity_bound, clause_bound, time_limit,
-                         pricing_time_limit, seed)
+    table = read_csv_table(input_path, label_column, positive_label, missing)
+    cfg = ColGenConfig(complexity_bound, clause_bound, time_limit,
+                       pricing_time_limit, seed)
     t0 = time.perf_counter()
-    try:
-        rs, res, train_ds = fit_rows(table, np.arange(table.n), form, cfg,
-                                     quantiles)
-    except (DatasetError, ValueError) as exc:
-        _fail(str(exc))
+    rs, res, train_ds = fit_rows(table, np.arange(table.n), form, cfg,
+                                 quantiles)
     seconds = time.perf_counter() - t0
 
     out = Path(output)
@@ -208,18 +192,15 @@ def predict(model, input_path, output):
     try:
         rs = RuleSet.from_json(Path(model).read_text())
     except ValueError as exc:
-        _fail(f"cannot load model {model}: {exc}")
+        raise ValueError(f"cannot load model {model}: {exc}")
 
-    try:
-        header, rows, lines = read_csv_rows(input_path)
-    except DatasetError as exc:
-        _fail(str(exc))
+    header, rows, lines = read_csv_rows(input_path)
     try:
         labels = rs.predict_rows(header, rows) if header else []
     except DataRowError as exc:  # named by its line in the file
-        _fail(f"{input_path}: row {lines[exc.index]}{exc.detail}")
+        raise ValueError(f"{input_path}: row {lines[exc.index]}{exc.detail}")
     except ValueError as exc:
-        _fail(f"{exc} (input columns: {', '.join(header)})")
+        raise ValueError(f"{exc} (input columns: {', '.join(header)})")
 
     text = "".join(label + "\n" for label in labels)
     if output is None:
@@ -277,15 +258,12 @@ def cv(input_path, label_column, positive_label, missing, quantiles, form,
        pricing_time_limit, inner_folds, metrics):
     """Stratified cross-validation with nested budget selection."""
     grid = _parse_grid(c_grid, "--c-grid")
-    table = _load_table(input_path, label_column, positive_label, missing)
-    proto = _colgen_config(max(grid), clause_bound, time_limit,
-                           pricing_time_limit, seed)
-    try:
-        outcomes = cross_validate(table, grid, form=form, folds=folds,
-                                  jobs=jobs, quantile_count=quantiles,
-                                  inner_folds=inner_folds, proto=proto)
-    except (DatasetError, ValueError) as exc:
-        _fail(str(exc))
+    table = read_csv_table(input_path, label_column, positive_label, missing)
+    proto = ColGenConfig(max(grid), clause_bound, time_limit,
+                         pricing_time_limit, seed)
+    outcomes = cross_validate(table, grid, form=form, folds=folds, jobs=jobs,
+                              quantile_count=quantiles,
+                              inner_folds=inner_folds, proto=proto)
 
     tag = _dataset_tag(input_path)
     agg = _write_metrics(metrics, tag, outcomes, zero_seconds=(jobs <= 1))
@@ -312,16 +290,12 @@ def sweep(input_path, label_column, positive_label, missing, quantiles, form,
     """Trade accuracy against complexity across a list of budgets."""
     grid = _parse_grid(c_grid, "--c-grid")
     if any(a >= b for a, b in zip(grid, grid[1:])):
-        _fail("--c-grid must be strictly increasing")
-    table = _load_table(input_path, label_column, positive_label, missing)
-    proto = _colgen_config(max(grid), clause_bound, time_limit,
-                           pricing_time_limit, seed)
-    try:
-        points = sweep_validate(table, grid, form=form, folds=folds,
-                                jobs=jobs, quantile_count=quantiles,
-                                proto=proto)
-    except (DatasetError, ValueError) as exc:
-        _fail(str(exc))
+        raise ValueError("--c-grid must be strictly increasing")
+    table = read_csv_table(input_path, label_column, positive_label, missing)
+    proto = ColGenConfig(max(grid), clause_bound, time_limit,
+                         pricing_time_limit, seed)
+    points = sweep_validate(table, grid, form=form, folds=folds, jobs=jobs,
+                            quantile_count=quantiles, proto=proto)
 
     tag = _dataset_tag(input_path)
     with open(metrics, "w", newline="") as fh:

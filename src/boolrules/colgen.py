@@ -43,7 +43,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import BinaryDataset
-from .lp_engine import BUDGET_TOL, MasterSolution, solve_restricted_mlp
+from .lp_engine import (BUDGET_TOL, INFEASIBLE, OPTIMAL, TIME_LIMIT,
+                        MasterSolution, solve_restricted_mlp)
 from .pricing import NEGATIVE_EPS, price_exact, restrict_pricing
 from .ruleset import Clause
 
@@ -307,9 +308,9 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
                 w_lower=w_lower, w_upper=w_upper, deadline=deadline)
             pivots += ms.iterations
         nodes += 1
-        if ms.status == "infeasible":
+        if ms.status == INFEASIBLE:
             continue
-        if ms.status != "optimal":
+        if ms.status != OPTIMAL:
             # the node LP ran out of time or hit numerical trouble; the
             # subtree stays unexplored, so the final answer is only an
             # incumbent
@@ -435,13 +436,13 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig, pool: ClausePool
         ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
                                   budget, deadline=loop_deadline)
         master = (time.perf_counter() - it_t0, ms.iterations)
-        if ms.status == "optimal":
+        if ms.status == OPTIMAL:
             z_rmlp, mu, lam, last_master = ms.objective, ms.mu, ms.lam, ms
-        if ms.status != "optimal" or time.perf_counter() >= loop_deadline:
+        if ms.status != OPTIMAL or time.perf_counter() >= loop_deadline:
             # out of time, or the master failed outright: keep the last
             # finished master's value, claim no convergence and fall
             # through to the integer stage
-            mode = ("time-up" if ms.status in ("optimal", "time-limit")
+            mode = ("time-up" if ms.status in (OPTIMAL, TIME_LIMIT)
                     else "master-failed")
             trace.append(TraceEntry(iteration, z_rmlp, math.nan, mode,
                                     0, len(pool), time.perf_counter() - it_t0,

@@ -446,10 +446,3 @@ def read_columns(header: list[str], rows, metas: list[FeatureMeta]) -> dict:
                                   f"finite number")
     return columns
 
-
-def ingest_csv(path, label_column: str, positive_label: str | None = None,
-               missing: str = "drop", quantile_count: int = 9) -> BinaryDataset:
-    """read_csv_table followed by binarize_table on all rows."""
-    table = read_csv_table(path, label_column, positive_label, missing)
-    return binarize_table(table, quantile_count=quantile_count)
-

@@ -67,8 +67,10 @@ class RuleSet:
     conditions and the tuples are ORed.  For CNF each tuple is an OR of
     conditions and the tuples are ANDed; the conditions are stated over the
     original columns even though training ran on the negated dataset.
-    `training` carries C, D, seed, z_train and lower_bound as written to the
-    model file.
+    `training` is the fit's record as written to the model file:
+    complexity_bound, objective, lower_bound, master_lp_value, optimal,
+    converged, selection_optimal, selection_nodes, selection_pivots,
+    iterations, pool_size and seed.
     """
 
     form: str  # "dnf" | "cnf"

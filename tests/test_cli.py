@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import boolrules
+from boolrules import cli
 from boolrules.cli import METRICS_HEADER, SWEEP_HEADER, main
 from boolrules.dataset import (FeatureMeta, binarize_table, read_csv_rows,
                                read_csv_table)
@@ -90,6 +91,25 @@ def test_train_error_exits_two_with_one_line(tmp_path, runner):
                              "label", "-C", "1"])
     assert r.exit_code == 2
     assert "complexity_bound" in r.output
+
+
+def test_only_a_value_error_is_a_user_error(tmp_path, runner, monkeypatch):
+    # a ValueError raised under a command exits 2 with one line; anything
+    # else is a bug and leaves with its traceback
+    data = write_color_csv(tmp_path / "toy.csv")
+    for error in (RuntimeError("bug"), ValueError("x")):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "fit_rows", fail)
+        monkeypatch.setattr(cli, "cross_validate", fail)
+        for cmd in (["train", "-C", "4", "--output", str(tmp_path / "m")],
+                    ["cv", "--c-grid", "4", "--metrics", str(tmp_path / "m")]):
+            r = runner.invoke(main, [*cmd, "--input", str(data),
+                                     "--label-column", "label"])
+            if isinstance(error, ValueError):
+                assert (r.exit_code, r.output) == (2, "error: x\n"), cmd
+            else:
+                assert r.exit_code == 1 and r.exception is error, cmd
 
 
 def test_predict_round_trip(tmp_path, runner):

@@ -11,7 +11,6 @@ from boolrules.dataset import (
     build_matrix,
     categorical_features,
     evaluate_conditions,
-    ingest_csv,
     read_columns,
     read_csv_table,
 )
@@ -96,7 +95,7 @@ def test_ingest_round_trip(tmp_path):
         3,red,yes
         4,blue,no
     """.replace(" ", ""))
-    ds = ingest_csv(p, "cls")
+    ds = binarize_table(read_csv_table(p, "cls"))
     ds.validate()
     assert ds.positive_label == "yes" and ds.negative_label == "no"
     assert ds.n == 4
@@ -213,6 +212,16 @@ def test_type_inference(tmp_path):
     assert t.kinds["mixed"] == "categorical"
     assert t.kinds["gone"] == "categorical" and t.n == 3
     assert list(t.values["gone"]) == ["?"] * 3
+
+
+def test_a_numeric_label_column_keeps_its_strings(tmp_path):
+    # labels that all parse as numbers, plain and padded with spaces, are
+    # still read as stripped strings, so "1" names the positive class
+    p = write_csv(tmp_path / "t.csv", "a,cls\nx,1\ny, 0\nx, 1 \ny,0\n")
+    for positive in (None, "1"):
+        t = read_csv_table(p, "cls", positive_label=positive)
+        assert (t.positive_label, t.negative_label) == ("1", "0")
+        assert t.y.tolist() == [1, 0, 1, 0]
 
 
 def test_negation_involution():
@@ -379,7 +388,7 @@ def test_an_empty_row_selection_is_rejected(tmp_path):
 def test_constant_features_rejected(tmp_path):
     p = write_csv(tmp_path / "t.csv", "a,cls\n5,x\n5,y\n")
     with pytest.raises(DatasetError, match="usable"):
-        ingest_csv(p, "cls")
+        binarize_table(read_csv_table(p, "cls"))
 
 
 def test_pricing_nnz():
@@ -405,7 +414,7 @@ def test_tictactoe_generation(tmp_path):
     # a double x win is fine when both lines share the final stone
     assert boards[("x", "x", "x", "o", "x", "o", "x", "o", "o")] == "positive"
     p = write_tictactoe_csv(tmp_path / "ttt.csv")
-    ds = ingest_csv(p, "class")
+    ds = binarize_table(read_csv_table(p, "class"))
     ds.validate()
     assert ds.n == 958
     assert ds.d == 9 * 3 * 2

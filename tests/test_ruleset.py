@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from boolrules.dataset import FeatureMeta, ingest_csv
+from boolrules.dataset import FeatureMeta, binarize_table, read_csv_table
 from boolrules.ruleset import (
     Clause,
     RuleSet,
@@ -136,7 +136,7 @@ def test_from_json_checks_the_training_block():
 def test_predict_rows_on_raw_cells(tmp_path):
     csv = tmp_path / "t.csv"
     csv.write_text("v,c,cls\n1,red,no\n5,red,yes\n9,blue,no\n")
-    ds = ingest_csv(csv, "cls", quantile_count=3)
+    ds = binarize_table(read_csv_table(csv, "cls"), quantile_count=3)
     # model: v <= t for the largest threshold AND c = red
     leq = max((m for m in ds.features if m.kind == "numeric-leq"),
               key=lambda m: m.value)
