@@ -92,10 +92,14 @@ MUTANTS = [
             "tests/test_pricing.py::"
             "test_sampled_call_prices_the_sliced_instance")),
     Mutant("selection-gets-the-whole-limit", "colgen.py",
-           "time_left = max(cfg.time_limit - growth.seconds",
-           "time_left = max(cfg.time_limit",
+           "deadline = t0 + cfg.time_limit - growth.seconds",
+           "deadline = t0 + cfg.time_limit",
            ("tests/test_colgen.py::"
-            "test_sweep_selection_gets_what_its_growth_left",)),
+            "test_sweep_selection_gets_what_its_growth_left",
+            "tests/test_colgen.py::"
+            "test_integer_stage_gets_only_the_time_left[1e-09]",
+            "tests/test_colgen.py::"
+            "test_integer_stage_gets_only_the_time_left[30.0]")),
     Mutant("thresholds-kept-per-cut", "dataset.py",
            "keep[1:] &= below[1:] != below[:-1]",
            "pass",
@@ -133,6 +137,96 @@ MUTANTS = [
            "except Exception as exc:",
            ("tests/test_cli.py::test_only_a_value_error_is_a_user_error",),
            occurrence=1),
+    Mutant("closed-form-with-zero-duals", "lp_engine.py",
+           "xi, one.astype(float), xi.copy(), 0.0, 0)",
+           "xi, one.astype(float), np.zeros(n_pos), 0.0, 0)",
+           ("tests/test_lp_engine.py::test_master_empty_pool_analytic",
+            "tests/test_colgen.py::"
+            "test_converged_selection_reuses_the_last_master_as_its_root",
+            "tests/test_colgen.py::"
+            "test_highs_never_sees_an_lp_without_a_free_clause",
+            "tests/test_properties.py::"
+            "test_empty_pool_answer_is_highs_answer_on_the_unreduced_master",
+            "tests/test_properties.py::"
+            "test_master_and_node_answers_are_kkt_points_of_the_unreduced_"
+            "lp")),
+    Mutant("closed-form-without-budget-check", "lp_engine.py",
+           "if np.asarray(complexities, dtype=float)[one].sum() > budget + "
+           "BUDGET_TOL:",
+           "if False:",
+           ("tests/test_colgen.py::"
+            "test_highs_never_sees_an_lp_without_a_free_clause",
+            "tests/test_properties.py::"
+            "test_empty_pool_answer_is_highs_answer_on_the_unreduced_master",
+            "tests/test_properties.py::"
+            "test_master_and_node_answers_are_kkt_points_of_the_unreduced_"
+            "lp")),
+    Mutant("master-duals-with-the-wrong-sign", "lp_engine.py",
+           "value, x, dual = res.fun, res.x, -res.ineqlin.marginals",
+           "value, x, dual = res.fun, res.x, res.ineqlin.marginals",
+           ("tests/test_lp_engine.py::test_box_lp_by_hand",
+            "tests/test_lp_engine.py::test_master_budget_binding_dual",
+            "tests/test_properties.py::"
+            "test_master_duals_are_highs_duals_of_the_unreduced_master")),
+    Mutant("row-groups-at-unit-xi-cost", "lp_engine.py",
+           "bounds[:G, 1] = sizes",
+           "bounds[:G, 1] = 1.0",
+           ("tests/test_lp_engine.py::"
+            "test_presolved_node_lp_matches_the_unreduced_lp",
+            "tests/test_properties.py::test_highs_receives_the_per_row_lp",
+            "tests/test_properties.py::"
+            "test_master_and_node_answers_are_kkt_points_of_the_unreduced_"
+            "lp")),
+    Mutant("cover-entries-not-negated", "lp_engine.py",
+           "data = np.concatenate([np.full(len(i), -1.0), "
+           "np.full(n_pos, -1.0),",
+           "data = np.concatenate([np.full(len(i), 1.0), "
+           "np.full(n_pos, -1.0),",
+           ("tests/test_lp_engine.py::"
+            "test_build_restricted_mlp_rows_match_per_row_construction",
+            "tests/test_properties.py::test_highs_receives_the_per_row_lp",
+            "tests/test_properties.py::"
+            "test_master_duals_are_highs_duals_of_the_unreduced_master")),
+    Mutant("category-comparison-inverted", "dataset.py",
+           "eq = equal[m.column, m.value] = vals == m.value",
+           "eq = equal[m.column, m.value] = vals != m.value",
+           ("tests/test_dataset.py::test_categorical_pairs",
+            "tests/test_dataset.py::"
+            "test_each_category_is_compared_once_for_both_its_tests",
+            "tests/test_ruleset.py::test_predict_rows_on_raw_cells")),
+    Mutant("thresholds-above-every-value-kept", "dataset.py",
+           "keep = below < len(block)",
+           "keep = np.ones(below.shape, dtype=bool)",
+           ("tests/test_dataset.py::test_threshold_at_maximum_dropped",
+            "tests/test_properties.py::"
+            "test_numeric_features_split_the_column_each_their_own_way",
+            "tests/test_properties.py::"
+            "test_block_thresholds_are_the_per_column_reference")),
+    Mutant("floats-parsed-without-finiteness-check", "dataset.py",
+           "return values if np.isfinite(values).all() else None",
+           "return values",
+           ("tests/test_dataset.py::test_conditions_on_missing_cells",
+            "tests/test_properties.py::"
+            "test_ingest_matches_the_cell_by_cell_oracle")),
+    Mutant("nested-ties-to-the-larger-budget", "cv.py",
+           "return max(points, key=lambda p: (p.test_accuracy, "
+           "-p.budget)).budget",
+           "return max(points, key=lambda p: (p.test_accuracy, "
+           "p.budget)).budget",
+           ("tests/test_cv.py::test_cross_validation_on_separable_data",
+            "tests/test_cv.py::"
+            "test_select_budget_matches_inner_fold_reference"
+            "[2-dnf-grid2-2-None]")),
+    Mutant("enumeration-scores-singles-only", "colgen.py",
+           "best = [fits[i], fits[j]] if pair[i, j] > gain[a] else "
+           "[fits[a]]",
+           "best = [fits[a]]",
+           ("tests/test_colgen.py::"
+            "test_random_instances_match_exhaustive_search",
+            "tests/test_colgen.py::"
+            "test_mip_drops_children_at_their_parents_bound",
+            "tests/test_properties.py::"
+            "test_integer_stage_proves_the_enumerated_best_selection")),
 ]
 
 

@@ -10,6 +10,7 @@ is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import csv
+import os
 import sys
 import time
 from pathlib import Path
@@ -54,6 +55,17 @@ def _parse_grid(text: str, name: str) -> list[int]:
 def _at_least_one(ctx, param, value):
     if value < 1:
         raise ValueError(f"{param.opts[0]} must be at least 1")
+    return value
+
+
+def _writable_dir(ctx, param, value):
+    """An output file's directory must exist and take writes, so a run
+    that cannot save its result stops before it starts."""
+    if value is not None:
+        parent = Path(value).parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise ValueError(f"{param.opts[0]}: {parent} is not a writable "
+                             "directory")
     return value
 
 
@@ -146,6 +158,7 @@ def main():
               help="Budget per exact pricing round, seconds.")
 @click.option("--output", default="model.json", show_default=True,
               type=click.Path(dir_okay=False, writable=True),
+              callback=_writable_dir,
               help="Model file; a trace CSV and rules text go next to it.")
 def train(input_path, label_column, positive_label, missing, quantiles,
           form, clause_bound, seed, complexity_bound, time_limit,
@@ -185,6 +198,7 @@ def train(input_path, label_column, positive_label, missing, quantiles,
               type=click.Path(exists=True, dir_okay=False),
               help="CSV of samples to classify; extra columns are ignored.")
 @click.option("--output", default=None, type=click.Path(dir_okay=False),
+              callback=_writable_dir,
               help="Write one predicted label per line here "
                    "(default: stdout).")
 def predict(model, input_path, output):
@@ -252,6 +266,7 @@ def _write_metrics(path, tag, outcomes, zero_seconds):
               help="Inner folds for budget selection.")
 @click.option("--metrics", default="metrics.csv", show_default=True,
               type=click.Path(dir_okay=False, writable=True),
+              callback=_writable_dir,
               help="Where to write the per-fold metrics CSV.")
 def cv(input_path, label_column, positive_label, missing, quantiles, form,
        clause_bound, seed, c_grid, folds, jobs, time_limit,
@@ -283,6 +298,7 @@ def cv(input_path, label_column, positive_label, missing, quantiles, form,
 @add_options(fold_options)
 @click.option("--metrics", default="sweep.csv", show_default=True,
               type=click.Path(dir_okay=False, writable=True),
+              callback=_writable_dir,
               help="Where to write the per-budget results CSV.")
 def sweep(input_path, label_column, positive_label, missing, quantiles, form,
           clause_bound, seed, c_grid, folds, jobs, time_limit,

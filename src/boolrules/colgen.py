@@ -226,7 +226,7 @@ def _best_small_addition(pos_cover, neg_counts, complexities, w_lower,
 
 
 def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
-                         time_limit: float | None = None,
+                         deadline: float | None = None,
                          root=None) -> MIPResult:
     """Best integer clause selection within the pool, by branch and bound.
 
@@ -242,9 +242,9 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     z + d_k, one with a free clause at 1 lowered to 0 at least z - d_k.
     Where that rounds up to the incumbent or more, the clause is fixed at
     its bound for both children.  The split duals of a presolved node LP
-    give the same d on its free clauses as the reduced LP's own.  A time
-    limit turns the result into a best-effort incumbent with
-    optimal=False.  Every node below the root fixes clauses, so
+    give the same d on its free clauses as the reduced LP's own.  At
+    `deadline`, a time.perf_counter() value, the search stops with its
+    incumbent and optimal=False.  Every node below the root fixes clauses, so
     `solve_restricted_mlp` presolves its LP down to the free clauses and
     the distinct cover patterns they leave, and solves it as its dual.  A
     node, the root included, with fewer than three free clauses, or whose
@@ -258,7 +258,6 @@ def solve_restricted_mip(pos_cover, neg_counts, complexities, budget,
     a node, but is not solved again.  `pivots` sums the HiGHS simplex
     iterations of the node LPs solved here, so a given root adds none.
     """
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
     pos_cover = np.asarray(pos_cover, dtype=float)
     neg_counts = np.asarray(neg_counts, dtype=float)
     complexities = np.asarray(complexities, dtype=float)
@@ -392,6 +391,7 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig, pool: ClausePool
     when no master finished; its `w` has one entry per pool clause it was
     solved over."""
     t0 = time.perf_counter()
+    deadline = t0 + cfg.time_limit
     rng = np.random.default_rng(cfg.seed)
     n_pos = len(ds.pos)
     if n_pos == 0:
@@ -410,10 +410,10 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig, pool: ClausePool
     def price(sample=None):
         """The exact search at the current duals, on the full data or on a
         `restrict_pricing` sample of it."""
-        left = cfg.time_limit - (time.perf_counter() - t0)
         return price_exact(ds.X, ds.y, mu, lam, depth,
-                           time_limit=min(cfg.pricing_time_limit,
-                                          max(left, 0.0)),
+                           deadline=min(time.perf_counter()
+                                        + cfg.pricing_time_limit,
+                                        deadline),
                            exclude=pool.index.keys(), sample=sample)
 
     def admit(res):
@@ -428,17 +428,16 @@ def _grow_pool(ds: BinaryDataset, cfg: ColGenConfig, pool: ClausePool
         found.sort(key=lambda t: (t[1], t[0]))
         return found
 
-    loop_deadline = t0 + cfg.time_limit
     while True:
         iteration += 1
         it_t0 = time.perf_counter()
         pos_cover, neg_counts, complexities = pool.arrays()
         ms = solve_restricted_mlp(pos_cover, neg_counts, complexities,
-                                  budget, deadline=loop_deadline)
+                                  budget, deadline=deadline)
         master = (time.perf_counter() - it_t0, ms.iterations)
         if ms.status == OPTIMAL:
             z_rmlp, mu, lam, last_master = ms.objective, ms.mu, ms.lam, ms
-        if ms.status != OPTIMAL or time.perf_counter() >= loop_deadline:
+        if ms.status != OPTIMAL or time.perf_counter() >= deadline:
             # out of time, or the master failed outright: keep the last
             # finished master's value, claim no convergence and fall
             # through to the integer stage
@@ -520,15 +519,14 @@ def _select(pool: ClausePool, cfg: ColGenConfig, growth: ColGenResult,
     A growth that did not converge proved nothing about the later
     clauses, so its selection solves the root LP over the whole pool."""
     t0 = time.perf_counter()
+    deadline = t0 + cfg.time_limit - growth.seconds
     pos_cover, neg_counts, complexities = pool.arrays()
-    time_left = max(cfg.time_limit - growth.seconds
-                    - (time.perf_counter() - t0), 0.0)
     if root is not None and len(root.w) < len(pool):
         root = (replace(root, w=np.pad(root.w, (0, len(pool) - len(root.w))))
                 if growth.rmlp_converged else None)
     mip = solve_restricted_mip(pos_cover, neg_counts, complexities,
                                float(cfg.complexity_bound),
-                               time_limit=time_left, root=root)
+                               deadline=deadline, root=root)
     return replace(
         growth, clauses=[pool.clauses[k] for k in mip.selected],
         objective=mip.objective,

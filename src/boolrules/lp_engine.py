@@ -15,11 +15,11 @@ on the first solve, so loading a model to predict never pays for it.
 
 A master, every clause free, is solved in this primal form, since its
 duals steer column generation and the dual form returns other optimal
-ones.  `build_restricted_mlp` writes it as HiGHS takes it: the objective,
-a CSC matrix `A_ub` whose cover rows are negated to `<=` rows, and
-`b_ub`.  The point (xi, w) is linprog's x; the cover duals mu and the
-budget dual lam are read from its `ineqlin.marginals`.  A [0, 1] box is
-never unbounded.
+ones.  `build_restricted_mlp` writes it for linprog: the objective, `b_ub`
+and `A_ub`, whose cover rows are negated to `<=` rows, as the coordinate
+triplets linprog turns into HiGHS's column form.  The point (xi, w) is
+linprog's x; the cover duals mu and the budget dual lam are read from its
+`ineqlin.marginals`.  A [0, 1] box is never unbounded.
 
 A node LP that fixes clauses is presolved here first: clauses fixed to 0
 or 1 leave it, the positives a clause fixed to 1 covers lose their rows,
@@ -104,16 +104,15 @@ class MasterSolution:
 
 def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
                          complexities: np.ndarray, budget: float):
-    """Assemble the restricted master LP as HiGHS takes it:
-    (objective, A_ub, b_ub) for min objective'x s.t. A_ub x <= b_ub,
-    0 <= x <= 1.
+    """Assemble the restricted master LP for linprog: (objective, A_ub,
+    b_ub) for min objective'x s.t. A_ub x <= b_ub, 0 <= x <= 1.
 
     pos_cover is an (n_pos, K) 0/1 matrix (clause k covers positive i),
     neg_counts the per-clause count of covered negatives, complexities the
     per-clause cost against `budget`.  Variable order is the n_pos xi slack
-    variables first, then the K clause variables.  A_ub is CSC, with the
-    n_pos cover rows negated, -xi_i - sum_{k covers i} w_k <= -1, then the
-    budget row.
+    variables first, then the K clause variables.  A_ub is a COO matrix of
+    the n_pos cover rows, negated, -xi_i - sum_{k covers i} w_k <= -1,
+    then the budget row.
     """
     pos_cover = np.asarray(pos_cover)
     if pos_cover.ndim != 2:
@@ -121,19 +120,13 @@ def build_restricted_mlp(pos_cover: np.ndarray, neg_counts: np.ndarray,
     n_pos, K = pos_cover.shape
     objective = np.concatenate([np.ones(n_pos),
                                 np.asarray(neg_counts, dtype=float)])
-    # column by column: xi_i sits in cover row i; clause k in the cover rows
-    # of the positives it covers, then in the budget row
-    ks, rows_i = np.nonzero(pos_cover.T)
-    ends = n_pos + np.cumsum(np.bincount(ks, minlength=K) + 1)
-    indptr = np.concatenate([np.arange(n_pos + 1), ends])
-    indices = np.full(indptr[-1], n_pos)
-    indices[:n_pos] = np.arange(n_pos)
-    # a cover entry is preceded by the xi entries, the cover entries before
-    # it and one budget entry per earlier clause
-    indices[n_pos + np.arange(len(ks)) + ks] = rows_i
-    data = np.full(indptr[-1], -1.0)
-    data[ends - 1] = complexities
-    A_ub = sp.csc_matrix((data, indices, indptr), shape=(n_pos + 1, n_pos + K))
+    # the cover entries, negated, the xi diagonal, then the budget row
+    i, k = np.nonzero(pos_cover)
+    rows = np.concatenate([i, np.arange(n_pos), np.full(K, n_pos)])
+    cols = np.concatenate([n_pos + k, np.arange(n_pos), n_pos + np.arange(K)])
+    data = np.concatenate([np.full(len(i), -1.0), np.full(n_pos, -1.0),
+                           complexities])
+    A_ub = sp.coo_matrix((data, (rows, cols)), shape=(n_pos + 1, n_pos + K))
     return objective, A_ub, np.append(np.full(n_pos, -1.0), float(budget))
 
 
@@ -161,7 +154,7 @@ def _presolve_node(pos_cover, neg_counts, complexities, budget, one, free):
 
 
 def _node_dual(cover, neg_counts, complexities, room, sizes):
-    """The dual of a presolved node LP, as HiGHS takes it:
+    """The dual of a presolved node LP for linprog:
     (objective, A_ub, b_ub, bounds) for the minimum of minus
 
         max  sum_g mu_g - lam room - sum_k t_k
@@ -170,12 +163,16 @@ def _node_dual(cover, neg_counts, complexities, room, sizes):
 
     `cover` is the (G, F) cover of the G row groups by the F free clauses,
     and m_g = `sizes`, each group's xi cost.  Variable order is the G
-    group duals mu, then lam, then the F clause bound duals t.  A_ub is
-    CSC; its row k's marginal is minus w_k, and mu_g's upper-bound
+    group duals mu, then lam, then the F clause bound duals t.  A_ub is a
+    COO matrix; its row k's marginal is minus w_k, and mu_g's upper-bound
     marginal minus xi_g."""
     G, F = cover.shape
-    A_ub = sp.csc_matrix(np.hstack([cover.T, -complexities[:, None],
-                                    -np.eye(F)]))
+    # the cover entries, the lam column, then the t diagonal
+    g, k = np.nonzero(cover)
+    rows = np.concatenate([k, np.arange(F), np.arange(F)])
+    cols = np.concatenate([g, np.full(F, G), G + 1 + np.arange(F)])
+    data = np.concatenate([cover[g, k], -complexities, np.full(F, -1.0)])
+    A_ub = sp.coo_matrix((data, (rows, cols)), shape=(F, G + 1 + F))
     objective = np.concatenate([np.full(G, -1.0), [room], np.ones(F)])
     bounds = np.zeros((G + 1 + F, 2))
     bounds[:G, 1] = sizes

@@ -84,7 +84,7 @@ class _TopK:
 
 
 def price_exact(X, y, mu, lam: float, depth_limit: int,
-                time_limit: float | None = None, exclude=None,
+                deadline: float | None = None, exclude=None,
                 sample=None) -> PricingResult:
     """Branch and bound over feature subsets of size at most depth_limit,
     scored a batch of same-size clauses at a time.
@@ -122,12 +122,12 @@ def price_exact(X, y, mu, lam: float, depth_limit: int,
     collection and floor are all over clauses outside it.  Excluded clauses
     are still extended.
 
-    On completion the minimum is exact, even when it is nonnegative.  On
-    timeout the result still carries a certified floor: the minimum of the
+    On completion the minimum is exact, even when it is nonnegative.  At
+    `deadline`, an absolute time.perf_counter() value, the search stops,
+    and the result still carries a certified floor: the minimum of the
     incumbent and the bounds of every batch left on the stack.
     """
     t0 = time.perf_counter()
-    deadline = None if time_limit is None else t0 + float(time_limit)
     X, y = np.asarray(X), np.asarray(y)
     pos = np.flatnonzero(y == 1)
     mu = np.asarray(mu, dtype=float)

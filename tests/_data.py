@@ -1,13 +1,15 @@
 """Shared fixtures: a tiny worked example, generated tic-tac-toe endgames,
 random synthetic datasets, the features a table of one numeric column
-binarizes to, loaders for the optional benchmark CSVs, and a patch that
-makes small fits sample their pricing instances.
+binarizes to, loaders for the optional benchmark CSVs, a patch that
+makes small fits sample their pricing instances, and one that records
+what every LP hands scipy.optimize.linprog.
 """
 
 import csv
 from pathlib import Path
 
 import numpy as np
+import scipy.optimize
 
 from boolrules import colgen, pricing
 from boolrules.dataset import (
@@ -166,3 +168,17 @@ def force_sampling(mp, sample_target, nnz_cap, drops):
     mp.setattr(colgen, "restrict_pricing", recording)
     mp.setattr(pricing, "SAMPLE_TARGET", sample_target)
     mp.setattr(pricing, "NNZ_CAP", nnz_cap)
+
+
+def capture_linprog(mp):
+    """Record the (c, A_ub, b_ub, bounds) of every scipy.optimize.linprog
+    call, then solve it; returns the list the calls append to."""
+    real = scipy.optimize.linprog
+    seen = []
+
+    def recording(c, A_ub, b_ub, bounds, **kw):
+        seen.append((c, A_ub, b_ub, bounds))
+        return real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, **kw)
+
+    mp.setattr(scipy.optimize, "linprog", recording)
+    return seen

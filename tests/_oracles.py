@@ -15,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def lp_minimum_by_vertex_enumeration(objective, lower, upper, rows, tol=1e-7):
@@ -369,6 +370,40 @@ def le_form(rows, n):
             A[r, j] += sign * a
         b[r] = sign * rhs
     return A, b
+
+
+def node_dual_by_rows(cover, neg_counts, complexities, room, sizes):
+    """The dual of a node LP reduced to G row groups and F free clauses,
+    built one free clause at a time: (objective, A, b, bounds) for
+    min objective'x s.t. A x <= b within bounds.  Variables are the group
+    duals mu_g in [0, sizes_g], then lam >= 0, then the clause bound duals
+    t_k >= 0; row k holds 1 on each mu_g of a group clause k covers, -c_k
+    on lam and -1 on t_k, against neg_k, and the objective is minus
+    sum(mu) + lam room + sum(t)."""
+    G, F = np.shape(cover)
+    A = np.zeros((F, G + 1 + F))
+    for k in range(F):
+        for g in range(G):
+            if cover[g][k]:
+                A[k, g] = 1.0
+        A[k, G] = -complexities[k]
+        A[k, G + 1 + k] = -1.0
+    objective = [-1.0] * G + [float(room)] + [1.0] * F
+    bounds = [(0.0, sizes[g]) for g in range(G)] + [(0.0, math.inf)] * (F + 1)
+    return (np.array(objective), A, np.array(neg_counts, dtype=float),
+            np.array(bounds, dtype=float))
+
+
+def assert_same_csc(A, B):
+    """A and B, each sparse in any format or dense, are equal array for
+    array in scipy's canonical CSC form: row indices sorted within each
+    column, duplicates summed."""
+    A, B = sp.csc_matrix(A, copy=True), sp.csc_matrix(B, copy=True)
+    A.sum_duplicates()
+    B.sum_duplicates()
+    assert A.shape == B.shape
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, field), getattr(B, field)), field
 
 
 def highs_on_le_form(objective, lower, upper, rows):

@@ -112,6 +112,35 @@ def test_only_a_value_error_is_a_user_error(tmp_path, runner, monkeypatch):
                 assert r.exit_code == 1 and r.exception is error, cmd
 
 
+@pytest.mark.parametrize("cmd, work", [
+    (["train", "-C", "4", "--output"], "fit_rows"),
+    (["cv", "--c-grid", "4", "--metrics"], "cross_validate"),
+    (["sweep", "--c-grid", "4", "--metrics"], "sweep_validate"),
+    (["predict", "MODEL", "--output"], "read_csv_rows"),
+], ids=["train", "cv", "sweep", "predict"])
+def test_output_in_a_missing_directory_exits_two_before_any_work(
+        tmp_path, runner, monkeypatch, cmd, work):
+    # the output option's own check ends the command: neither the input
+    # reader nor the command's work runs
+    data = write_color_csv(tmp_path / "toy.csv")
+    model = tmp_path / "model.json"
+    model.write_text("{}")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("read_csv_table", work):
+        monkeypatch.setattr(cli, name, unreachable)
+    missing = tmp_path / "no" / "such"
+    args = [str(model) if a == "MODEL" else a for a in cmd]
+    extra = [] if cmd[0] == "predict" else ["--label-column", "label"]
+    r = runner.invoke(main, [*args, str(missing / "out.txt"), "--input",
+                             str(data), *extra])
+    flag = cmd[-1]
+    assert (r.exit_code, r.output) == (
+        2, f"error: {flag}: {missing} is not a writable directory\n")
+
+
 def test_predict_round_trip(tmp_path, runner):
     data = write_color_csv(tmp_path / "toy.csv")
     model = tmp_path / "model.json"

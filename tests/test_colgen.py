@@ -409,14 +409,14 @@ TIME_SLACK = 0.05
 
 
 def recording_mip(monkeypatch, pause: float):
-    """Record (call time, time_limit) of every integer solve, and sleep
+    """Record (call time, deadline) of every integer solve, and sleep
     `pause` seconds after each so later calls must see less time left."""
     real = colgen.solve_restricted_mip
     calls = []
 
-    def recording(*args, time_limit=None, **kw):
-        calls.append((time.perf_counter(), time_limit))
-        out = real(*args, time_limit=time_limit, **kw)
+    def recording(*args, deadline=None, **kw):
+        calls.append((time.perf_counter(), deadline))
+        out = real(*args, deadline=deadline, **kw)
         time.sleep(pause)
         return out
 
@@ -447,13 +447,13 @@ def test_integer_stage_gets_only_the_time_left(monkeypatch, limit):
     cfg = small_config(6, 2, time_limit=limit)
     t0 = time.perf_counter()
     run_column_generation(random_instance(np.random.default_rng(5)), cfg)
-    (t_call, granted), = calls
+    (t_call, deadline), = calls
     assert t_call - t0 >= 2 * TIME_SLACK
-    left = max(limit - (t_call - t0), 0.0)
-    assert left <= granted <= left + TIME_SLACK
+    # the selection ends when the whole run's limit does
+    assert t0 + limit <= deadline <= t0 + limit + TIME_SLACK
     if limit < TIME_SLACK:
         # the growth alone outlasts the limit and leaves nothing
-        assert granted == 0.0
+        assert deadline < t_call
 
 
 def two_triangles():
@@ -480,7 +480,8 @@ def test_sweep_selection_gets_what_its_growth_left(monkeypatch):
     cfg = small_config(6, 2, time_limit=30.0)
     points = sweep_complexity(two_triangles(), budgets, cfg)
     assert len(calls) == len(budgets)
-    for p, (_, granted) in zip(points, calls):
+    for p, (t_call, deadline) in zip(points, calls):
+        granted = deadline - t_call
         growth, _ = grown[p.complexity_bound]
         assert growth.seconds >= 0.05
         assert granted <= cfg.time_limit - growth.seconds
@@ -589,13 +590,14 @@ def test_mip_weighs_negative_hits_against_coverage():
 
 
 def test_mip_time_limit_returns_incumbent():
-    # zero time allows no nodes, but the greedy seed still lands a real
-    # selection: one clause is all the budget admits, covering two rows
+    # a deadline already due allows no nodes, but the greedy seed still
+    # lands a real selection: one clause is all the budget admits,
+    # covering two rows
     pos_cover = np.array([[1.0, 0.0, 1.0],
                           [1.0, 1.0, 0.0],
                           [0.0, 1.0, 1.0]])
     mip = solve_restricted_mip(pos_cover, np.zeros(3), np.full(3, 2.0), 3.0,
-                               time_limit=0.0)
+                               deadline=time.perf_counter())
     assert not mip.optimal
     assert mip.nodes == 0
     assert mip.objective == 1

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.sparse as sp
 
 from boolrules.lp_engine import build_restricted_mlp, solve_restricted_mlp
+from _data import capture_linprog
 from _oracles import (
+    assert_same_csc,
     highs_on_le_form,
     kkt_residuals,
     le_form,
@@ -297,27 +298,8 @@ def test_node_bounds_must_be_fixings():
                              w_lower=np.ones(2), w_upper=np.array([1.0, 0]))
 
 
-def assert_same_csc(A, B):
-    assert A.shape == B.shape
-    for field in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A, field), getattr(B, field)), field
-
-
-def capture_highs_input(monkeypatch):
-    """Record the (A_ub, b_ub) of every linprog call, then solve it."""
-    real = scipy.optimize.linprog
-    seen = []
-
-    def recording(c, A_ub, b_ub, **kw):
-        seen.append((A_ub, b_ub))
-        return real(c, A_ub=A_ub, b_ub=b_ub, **kw)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", recording)
-    return seen
-
-
 def test_build_restricted_mlp_rows_match_per_row_construction(monkeypatch):
-    seen = capture_highs_input(monkeypatch)
+    seen = capture_linprog(monkeypatch)
     rng = np.random.default_rng(5)
     cases = [
         np.zeros((4, 0)),                              # K=0
@@ -332,15 +314,15 @@ def test_build_restricted_mlp_rows_match_per_row_construction(monkeypatch):
         negc = np.arange(K, dtype=float)
         objective, A_ub, b_ub = build_restricted_mlp(cover, negc, comp, 5.0)
         ref, _, _, rows = unreduced_master(cover, negc, comp, 5.0)
-        # the <= form, array for array
+        # the <= form, array for array in canonical CSC
         A_ref, b_ref = le_form(rows, n_pos + K)
-        assert_same_csc(A_ub, sp.csc_matrix(A_ref))
+        assert_same_csc(A_ub, A_ref)
         assert b_ub.tolist() == b_ref.tolist()
         assert objective.tolist() == ref.tolist()
         # and the master solve hands HiGHS those very arrays
         if K:
             solve_restricted_mlp(cover, negc, comp, 5.0)
-            A_seen, b_seen = seen.pop()
+            _, A_seen, b_seen, _ = seen.pop()
             assert_same_csc(A_seen, A_ub)
             assert b_seen.tolist() == b_ub.tolist()
     assert not seen

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -129,7 +130,8 @@ def test_timeout_floor_is_still_valid():
     for _ in range(25):
         ds = random_dataset(rng, n_max=60, k_max=9)
         mu = rng.random(len(ds.pos)) * 2.0
-        res = price_exact(ds.X, ds.y, mu, 0.01, 4, time_limit=1e-4)
+        res = price_exact(ds.X, ds.y, mu, 0.01, 4,
+                          deadline=time.perf_counter() + 1e-4)
         oval, _, _ = best_clause_by_enumeration(ds.X, ds.y, mu, 0.01,
                                                 min(4, ds.d))
         assert res.certified_floor is not None

@@ -1,19 +1,19 @@
 """Property tests: the certificate holds on random instances in both pricing
 regimes, for single fits and for budget sweeps, checked against the
 enumeration oracle, with samples small enough to drop rows and features;
-every master and node LP answer satisfies the KKT
-conditions of the unreduced LP and attains its enumerated value; a
-master's duals are those HiGHS gives the per-row build; the closed-form
-answer for an empty pool is HiGHS's own; the integer stage proves the
-enumerated best selection of a clause pool, from a given root or its own,
-and on pools too large to enumerate, the best selection HiGHS's `milp`
-finds; so does every proven selection of a sweep over such instances,
-from padded roots and after growths that stopped unconverged; binarizing
-a table cuts each numeric column as its own sort and quantiles do; a rule
-set predicts the same on raw cells, on binarized rows and after a JSON
-round trip; a CNF model is the DNF model of the negated data,
-complemented; and CSV ingest reads what the cell-by-cell oracle reads, or
-fails with the same message.
+every master and node LP answer satisfies the KKT conditions of the
+unreduced LP and attains its enumerated value; a master's duals are those
+HiGHS gives the per-row build; linprog receives every master and node LP as
+it is built one row at a time; the closed-form answer for an empty pool is
+HiGHS's own; the integer stage proves the enumerated best selection of a
+clause pool, from a given root or its own, and on pools too large to
+enumerate, the best selection HiGHS's `milp` finds; so does every proven
+selection of a sweep over such instances, from padded roots and after
+growths that stopped unconverged; binarizing a table cuts each numeric
+column as its own sort and quantiles do; a rule set predicts the same on
+raw cells, on binarized rows and after a JSON round trip; a CNF model is
+the DNF model of the negated data, complemented; and CSV ingest reads what
+the cell-by-cell oracle reads, or fails with the same message.
 
 Hypothesis runs derandomized and without deadlines, so every run of the
 suite draws the same instances."""
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boolrules import colgen
@@ -47,19 +47,27 @@ from boolrules.dataset import (
     read_columns,
     read_csv_table,
 )
-from boolrules.lp_engine import solve_restricted_mlp
+from boolrules.lp_engine import _presolve_node, solve_restricted_mlp
 from boolrules.ruleset import Clause, RuleSet, build_ruleset, predict, \
     selection_loss
 
-from _data import force_sampling, make_binary_dataset, numeric_column_features
+from _data import (
+    capture_linprog,
+    force_sampling,
+    make_binary_dataset,
+    numeric_column_features,
+)
 from _oracles import (
+    assert_same_csc,
     best_ruleset_by_enumeration,
     best_selection_by_enumeration,
     best_selection_by_milp,
     highs_on_le_form,
     holds,
     kkt_residuals,
+    le_form,
     lp_minimum_by_vertex_enumeration,
+    node_dual_by_rows,
     numeric_features_by_column,
     read_columns_by_cells,
     read_csv_table_by_cells,
@@ -320,8 +328,47 @@ def test_master_duals_are_highs_duals_of_the_unreduced_master(node):
     assert ms.lam == max(0.0, -float(duals[n_pos]))
 
 
+def test_highs_receives_the_per_row_lp():
+    # what linprog receives is, in canonical CSC, the LP built one row at
+    # a time: a master's <= form, and a node's dual of its presolved LP,
+    # one row per free clause
+    shapes = []
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=200)
+    @given(node=node_lps())
+    def check(node):
+        cover, negc, comp, budget, w_lower, w_upper = node
+        free = (w_lower == 0.0) & (w_upper == 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = capture_linprog(mp)
+            solve_restricted_mlp(*node)
+        if not free.any():
+            assert not seen
+            return
+        (c, A_ub, b_ub, bounds), = seen
+        if free.all():
+            objective, lower, upper, rows = unreduced_master(*node[:4])
+            A, b = le_form(rows, len(objective))
+            want_bounds = np.column_stack([lower, upper])
+        else:
+            reduced = _presolve_node(cover, negc, comp, budget,
+                                     w_lower == 1.0, free)[0]
+            objective, A, b, want_bounds = node_dual_by_rows(*reduced)
+        shapes.append("master" if free.all() else "node")
+        assert np.array_equal(c, objective)
+        assert_same_csc(A_ub, A)
+        assert np.array_equal(b_ub, b)
+        assert np.array_equal(np.broadcast_to(bounds, want_bounds.shape),
+                              want_bounds)
+
+    check()
+    assert shapes.count("master") >= 20 and shapes.count("node") >= 50
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(n_pos=st.integers(1, 400), budget=st.integers(-2, 12))
+@example(n_pos=3, budget=-1)  # no selection fits: the LP is infeasible
 def test_empty_pool_answer_is_highs_answer_on_the_unreduced_master(n_pos,
                                                                    budget):
     # the master over an empty pool never reaches HiGHS; its closed form
